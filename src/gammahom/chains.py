@@ -2,15 +2,24 @@
 
 Boundary matrices are integer sparse matrices in coordinate form.  Homology
 is read off from exact ranks: bit-packed Gaussian elimination over F_2,
-dense modular elimination for other primes, and a sparse Smith normal form
-with Markowitz-style pivoting over the integers.  Python integers are
-arbitrary precision, so integer elimination never overflows.
+dense modular elimination for primes below 2^31, and a sparse Smith normal
+form over the integers.  Python integers are arbitrary precision, so
+integer elimination never overflows.
+
+The Smith form eliminates unit pivots first.  Boundary matrices are almost
+all +-1, and eliminating a +-1 pivot leaves the invariant factors unchanged
+apart from a 1 (Dumas, Heckenbach, Saunders, Welker 2003; Kaczynski,
+Mrozek, Slusarek 1998).  Each unit pivot is found from the shorter side:
+the shortest active line holding a +-1, and in it the +-1 whose crossing
+line is shortest, so a choice costs a pass over the lines rather than over
+every entry.  A unit divides every entry, so no divisibility repair is
+needed after it.  When no unit is left, a Markowitz-style choice over all
+remaining entries and gcd steps finish the form.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +27,10 @@ import numpy as np
 from .errors import IntegrityError
 
 SCHEMA_VERSION = 1
+
+# Prime fields need p < MAX_PRIME: dense F_p elimination multiplies residues
+# in int64, and residues below 2^31 have products below 2^62.
+MAX_PRIME = 1 << 31
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +47,9 @@ class Ring:
         if self.kind not in ("Z", "Q", "F"):
             raise ValueError(f"unknown ring kind {self.kind!r}")
         if self.kind == "F":
+            if self.p is not None and self.p >= MAX_PRIME:
+                raise ValueError(f"prime field modulus must be below 2^31, "
+                                 f"got {self.p}")
             if self.p is None or self.p < 2 or not _is_prime(self.p):
                 raise ValueError(f"prime field needs a prime, got {self.p}")
         elif self.p is not None:
@@ -454,24 +470,55 @@ class _SparseElim:
                 self.left[r][k] *= s
 
 
+def _unit_pivot(elim: _SparseElim, active_rows, active_cols):
+    """A +-1 entry of the active part, or None if there is none.
+
+    Lines are taken from the shorter side: the shortest active line that
+    holds a unit, and within it the unit whose crossing line is shortest
+    (ties to the lowest index).  The active lines are ranked by length and
+    read shortest first until one holds a unit, so a choice does not scan
+    every entry.
+    """
+    rows, cols = elim.rows, elim.cols
+    if len(active_rows) <= len(active_cols):
+        for r in sorted(active_rows, key=lambda r: (len(rows[r]), r)):
+            units = [c for c, v in rows[r].items() if v in (1, -1)]
+            if units:
+                return r, min(units, key=lambda c: (len(cols[c]), c))
+    else:
+        for c in sorted(active_cols, key=lambda c: (len(cols[c]), c)):
+            units = [r for r in cols[c] if rows[r][c] in (1, -1)]
+            if units:
+                return min(units, key=lambda r: (len(rows[r]), r)), c
+    return None
+
+
 def _choose_pivot(elim: _SparseElim, active_rows, active_cols):
+    """The active entry of least (not a unit, Markowitz fill, size, row,
+    column), or None if the active part is zero."""
     best = None
     best_key = None
-    for r in sorted(active_rows):
+    for r in active_rows:
         row = elim.rows.get(r)
         if not row:
             continue
         rlen = len(row)
-        for c in sorted(row):
+        for c, v in row.items():
             if c not in active_cols:
                 continue
-            v = abs(row[c])
+            v = abs(v)
             key = (v != 1, (rlen - 1) * (len(elim.cols[c]) - 1), v, r, c)
             if best_key is None or key < best_key:
                 best_key, best = key, (r, c)
-                if key[0] is False and key[1] == 0:
-                    return best
     return best
+
+
+def _pivot_spots(elim: _SparseElim, active_rows, active_cols):
+    """Unit pivots while any are left, then the general choice on what
+    remains; the caller eliminates each spot before asking for the next."""
+    for choose in (_unit_pivot, _choose_pivot):
+        while (spot := choose(elim, active_rows, active_cols)) is not None:
+            yield spot
 
 
 def _snf_core(m: CooMatrix, transforms: bool, need_chain: bool) -> SmithResult:
@@ -480,11 +527,7 @@ def _snf_core(m: CooMatrix, transforms: bool, need_chain: bool) -> SmithResult:
     active_cols = set(elim.cols)
     pivots: list[tuple[int, int]] = []
 
-    while True:
-        spot = _choose_pivot(elim, active_rows, active_cols)
-        if spot is None:
-            break
-        r, c = spot
+    for r, c in _pivot_spots(elim, active_rows, active_cols):
         while True:
             # Clear the pivot column with row operations.
             changed = True
@@ -520,8 +563,9 @@ def _snf_core(m: CooMatrix, transforms: bool, need_chain: bool) -> SmithResult:
             row_dirty = any(c2 != c for c2 in elim.rows.get(r, {}))
             if col_dirty or row_dirty:
                 continue
-            if need_chain:
-                a = elim.entry(r, c)
+            a = elim.entry(r, c)
+            if need_chain and a not in (1, -1):
+                # A unit divides every entry: no bump can be found.
                 bump = None
                 for r2 in sorted(active_rows):
                     if r2 == r:
@@ -550,7 +594,6 @@ def _snf_core(m: CooMatrix, transforms: bool, need_chain: bool) -> SmithResult:
 
     left = right = None
     if transforms:
-        rank = len(pivots)
         row_order = [r for r, _ in pivots] + sorted(
             set(range(elim.nrows)) - {r for r, _ in pivots})
         col_order = [c for _, c in pivots] + sorted(
@@ -564,7 +607,6 @@ def _snf_core(m: CooMatrix, transforms: bool, need_chain: bool) -> SmithResult:
             tuple(elim.right.get(col_order[j], {}).get(i, 0)
                   for j in range(elim.ncols))
             for i in range(elim.ncols))
-        del rank
     return SmithResult(m.shape, tuple(diagonal), left, right)
 
 
@@ -776,6 +818,8 @@ class ChainComplex:
         self.ranks = {d: r for d, r in sorted(ranks.items()) if r}
         self.boundaries = {}
         self.degree_bound = degree_bound
+        # Set once verify_boundary_condition has passed.
+        self.verified = False
         for d, m in sorted(boundaries.items()):
             expected = (self.rank(d - 1), self.rank(d))
             if m.shape != expected:
@@ -800,6 +844,7 @@ class ChainComplex:
                                        self.boundaries[d + 1]):
                     raise IntegrityError(
                         f"boundary condition d*d != 0 at degree {d + 1}")
+        self.verified = True
 
     def euler_characteristic(self, top: int | None = None) -> int:
         top = self.degree_bound if top is None else top
@@ -833,36 +878,26 @@ class ChainComplex:
         return cls(ring, ranks, boundaries, data["degree_bound"])
 
 
-def _map_by_key(fn, keys, threads: int):
-    keys = list(keys)
-    if threads > 1 and len(keys) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(fn, keys))
-    else:
-        values = [fn(k) for k in keys]
-    return dict(zip(keys, values))
-
-
-def homology(cx: ChainComplex, degree_bound: int | None = None,
-             threads: int = 1) -> HomologyTable:
+def homology(cx: ChainComplex,
+             degree_bound: int | None = None) -> HomologyTable:
     """Homology of a complex: Betti numbers over a field, free rank plus
     invariant-factor torsion over the integers.
 
-    Raises IntegrityError if the boundaries do not compose to zero.
+    Raises IntegrityError if the boundaries do not compose to zero; a
+    complex that has passed that check already is not checked again.
     """
     bound = cx.degree_bound if degree_bound is None \
         else min(degree_bound, cx.degree_bound)
-    cx.verify_boundary_condition()
+    if not cx.verified:
+        cx.verify_boundary_condition()
     degrees = range(bound + 2)
     if cx.ring.kind == "Z":
-        diag = _map_by_key(
-            lambda d: smith_normal_form(cx.boundary(d)).diagonal
-            if cx.boundaries.get(d) is not None else (),
-            degrees, threads)
+        diag = {d: smith_normal_form(cx.boundary(d)).diagonal
+                if cx.boundaries.get(d) is not None else ()
+                for d in degrees}
         ranks = {d: len(diag[d]) for d in degrees}
     else:
-        ranks = _map_by_key(lambda d: matrix_rank(cx.boundary(d), cx.ring),
-                            degrees, threads)
+        ranks = {d: matrix_rank(cx.boundary(d), cx.ring) for d in degrees}
         diag = None
     groups = {}
     for d in range(bound + 1):

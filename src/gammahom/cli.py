@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,7 +35,7 @@ class JobConfig:
     max_degree: int = 3
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     cell_budget: int = DEFAULT_CELL_BUDGET
-    threads: int = 0  # 0 = all available cores
+    threads: int = 1  # accepted and ignored: jobs run in one thread
     format: str = "table"
     out: str | None = None
     level: int = 1
@@ -52,10 +51,6 @@ class JobConfig:
             raise ValueError(f"unknown format {self.format!r}")
         parse_ring(self.ring)
 
-    @property
-    def worker_threads(self) -> int:
-        return self.threads if self.threads > 0 else (os.cpu_count() or 1)
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -70,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-degree", type=int, dest="max_degree")
         p.add_argument("--max-iterations", type=int, dest="max_iterations")
         p.add_argument("--cell-budget", type=int, dest="cell_budget")
-        p.add_argument("--threads", type=int)
+        p.add_argument("--threads", type=int,
+                       help="accepted and ignored: jobs run in one thread")
         p.add_argument("--format", choices=["table", "json", "csv"])
         p.add_argument("--out", help="write output to this path")
         p.add_argument("--config", help="JSON file with the same fields; "
@@ -153,8 +149,7 @@ def _cmd_compute(config: JobConfig, space, ring: Ring) -> int:
     result = spectrum_homology(
         space, ring, config.max_degree,
         max_iterations=config.max_iterations,
-        cell_budget=config.cell_budget,
-        threads=config.worker_threads)
+        cell_budget=config.cell_budget)
     if config.format == "json":
         payload = result.to_json()
         payload["command"] = "compute"
@@ -207,8 +202,7 @@ def _compute_csv(result: StableResult) -> str:
 # check
 
 def _cmd_check(config: JobConfig, space, ring: Ring) -> int:
-    threads = config.worker_threads
-    kw = dict(cell_budget=config.cell_budget, threads=threads,
+    kw = dict(cell_budget=config.cell_budget,
               max_iterations=config.max_iterations)
     reports = []
     suite = config.suite

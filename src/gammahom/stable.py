@@ -119,7 +119,6 @@ class StableResult:
 def spectrum_homology(x: GammaSpace, ring: Ring, i_max: int, *,
                       max_iterations: int = DEFAULT_MAX_ITERATIONS,
                       cell_budget: int | None = DEFAULT_CELL_BUDGET,
-                      threads: int = 1,
                       special_size_bound: int = 3,
                       special_level_bound: int = 2,
                       connectivity_shortcut: bool = True) -> StableResult:
@@ -152,14 +151,13 @@ def spectrum_homology(x: GammaSpace, ring: Ring, i_max: int, *,
     if verdict and connectivity_shortcut:
         under = underlying_space(x)
         try:
-            conn = connectivity(under, i_max, cell_budget=cell_budget,
-                                threads=threads)
+            conn = connectivity(under, i_max, cell_budget=cell_budget)
         except (BudgetExceeded, MemoryError):
             conn = -1
         if conn >= 1:
             direct = homology(
                 normalized_chains(under, ring, min(2 * conn - 1, i_max),
-                                  cell_budget), threads=threads)
+                                  cell_budget))
             for i in range(min(2 * conn, i_max + 1)):
                 group = direct.group(i)
                 entries[i] = DegreeEvidence(i, group, 0, None, "i<2c",
@@ -177,8 +175,7 @@ def spectrum_homology(x: GammaSpace, ring: Ring, i_max: int, *,
             break
         try:
             table = homology(
-                normalized_chains(level, ring, reach, cell_budget),
-                threads=threads)
+                normalized_chains(level, ring, reach, cell_budget))
         except (BudgetExceeded, MemoryError) as exc:
             budget_note = f"level {n}: {exc}"
             break
@@ -235,12 +232,10 @@ def gamma_homology(x: GammaSpace, ring: Ring, i_max: int,
 
 
 def connectivity(y, bound: int,
-                 cell_budget: int | None = DEFAULT_CELL_BUDGET,
-                 threads: int = 1) -> int:
+                 cell_budget: int | None = DEFAULT_CELL_BUDGET) -> int:
     """Largest c <= bound with vanishing reduced integral homology in all
     degrees <= c (homological connectivity; -1 if H_0 is non-zero)."""
-    table = homology(normalized_chains(y, ZZ, bound, cell_budget),
-                     threads=threads)
+    table = homology(normalized_chains(y, ZZ, bound, cell_budget))
     conn = -1
     for i in range(bound + 1):
         if table.group(i).is_zero:
@@ -322,16 +317,14 @@ def _compare_towers_via_map(gmap: GammaMap, ring: Ring, d_max: int,
 
 def check_rho_iso(x: GammaSpace, ring: Ring, d_max: int, *,
                   cell_budget: int | None = DEFAULT_CELL_BUDGET,
-                  threads: int = 1, **options) -> CheckReport:
+                  **options) -> CheckReport:
     """The suspension-to-delooping comparison induces an isomorphism on
     stable homology up to d_max."""
     rho = structure_map(x)
     left = spectrum_homology(rho.source, ring, d_max,
-                             cell_budget=cell_budget, threads=threads,
-                             **options)
+                             cell_budget=cell_budget, **options)
     right = spectrum_homology(rho.target, ring, d_max,
-                              cell_budget=cell_budget, threads=threads,
-                              **options)
+                              cell_budget=cell_budget, **options)
     ok, details = _compare_towers_via_map(rho, ring, d_max, left, right,
                                           cell_budget)
     return CheckReport("rho-iso", ok,
@@ -343,7 +336,7 @@ def check_rho_iso(x: GammaSpace, ring: Ring, d_max: int, *,
 
 def check_wedge_iso(x: GammaSpace, n: int, n2: int, ring: Ring, d_max: int,
                     *, cell_budget: int | None = DEFAULT_CELL_BUDGET,
-                    threads: int = 1, **options) -> CheckReport:
+                    **options) -> CheckReport:
     """The wedge of inflations maps isomorphically onto the joint inflation
     on stable homology, for special x."""
     params = {"space": x.name, "n": n, "n2": n2, "ring": ring.name,
@@ -356,9 +349,9 @@ def check_wedge_iso(x: GammaSpace, n: int, n2: int, ring: Ring, d_max: int,
     source = wedge_gamma(first.source, second.source)
     folded = wedge_case_gamma(first, second, source=source)
     left = spectrum_homology(source, ring, d_max, cell_budget=cell_budget,
-                             threads=threads, **options)
+                             **options)
     right = spectrum_homology(target, ring, d_max, cell_budget=cell_budget,
-                              threads=threads, **options)
+                              **options)
     ok, details = _compare_towers_via_map(folded, ring, d_max, left, right,
                                           cell_budget)
     return CheckReport("wedge-iso", ok, params, details,
@@ -369,15 +362,14 @@ def check_wedge_iso(x: GammaSpace, n: int, n2: int, ring: Ring, d_max: int,
 def check_smash_vanishing(x: GammaSpace, n: int, n2: int, ring: Ring,
                           d_max: int, *,
                           cell_budget: int | None = DEFAULT_CELL_BUDGET,
-                          threads: int = 1, **options) -> CheckReport:
+                          **options) -> CheckReport:
     """Stable homology of the smash of two inflations vanishes up to
     d_max."""
     params = {"space": x.name, "n": n, "n2": n2, "ring": ring.name,
               "d_max": d_max, "cell_budget": cell_budget}
     smashed = smash_gamma(mu_pullback(n, x), mu_pullback(n2, x))
     result = spectrum_homology(smashed, ring, d_max,
-                               cell_budget=cell_budget, threads=threads,
-                               **options)
+                               cell_budget=cell_budget, **options)
     ok = True
     details = []
     for i in range(d_max + 1):
@@ -397,7 +389,7 @@ def check_smash_vanishing(x: GammaSpace, n: int, n2: int, ring: Ring,
 
 def check_stable_range(x: GammaSpace, ring: Ring, i_max: int, *,
                        cell_budget: int | None = DEFAULT_CELL_BUDGET,
-                       threads: int = 1, level_cap: int = 3,
+                       level_cap: int = 3,
                        **options) -> CheckReport:
     """Tower values agree throughout the certified stable range.
 
@@ -409,7 +401,7 @@ def check_stable_range(x: GammaSpace, ring: Ring, i_max: int, *,
     params = {"space": x.name, "ring": ring.name, "i_max": i_max,
               "cell_budget": cell_budget}
     result = spectrum_homology(x, ring, i_max, cell_budget=cell_budget,
-                               threads=threads, **options)
+                               **options)
     ok = True
     details = []
     for i in range(i_max + 1):
@@ -430,7 +422,7 @@ def check_stable_range(x: GammaSpace, ring: Ring, i_max: int, *,
         try:
             conn = connectivity(spectrum_level(x, k).space,
                                 min(i_max + 1, 2 * k),
-                                cell_budget=cell_budget, threads=threads)
+                                cell_budget=cell_budget)
         except (BudgetExceeded, MemoryError):
             break
         if conn >= 1:
@@ -445,11 +437,9 @@ def check_stable_range(x: GammaSpace, ring: Ring, i_max: int, *,
         top = min(2 * conn - 1, i_max)
         tau = counit(stage)
         left = spectrum_homology(tau.source, ring, top,
-                                 cell_budget=cell_budget, threads=threads,
-                                 **options)
+                                 cell_budget=cell_budget, **options)
         right = spectrum_homology(stage, ring, top,
-                                  cell_budget=cell_budget, threads=threads,
-                                  **options)
+                                  cell_budget=cell_budget, **options)
         sub_ok, sub_details = _compare_towers_via_map(
             tau, ring, top, left, right, cell_budget)
         ok = ok and sub_ok

@@ -45,6 +45,9 @@ def test_ring_parsing():
         parse_ring("r")
     with pytest.raises(ValueError):
         Ring("F", 9)
+    # A prime above 2^31 would overflow the int64 elimination.
+    with pytest.raises(ValueError):
+        parse_ring("f4294967311")
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +78,7 @@ def test_matrix_ranks_agree_on_small_random():
         assert matrix_rank(m, GF(3)) <= rank_z
         # ranks over a huge prime match the rational rank for tiny entries
         assert matrix_rank(m, GF(1009)) == rank_z
+        assert matrix_rank(m, GF(2147483647)) == rank_z
 
 
 def test_gf2_rank_known():
@@ -110,6 +114,81 @@ def test_smith_transforms_random():
                 assert product[i][j] == want
         for a, b in zip(res.diagonal, res.diagonal[1:]):
             assert b % a == 0 and a >= 1
+
+
+def scrambled(rng, rows, cols, factors, ops):
+    """U * D * V for the planted diagonal D and random unimodular U, V.
+
+    U and V are products of ``ops`` random elementary operations each:
+    adding +-1 or +-2 times a line to another, swapping two lines, negating
+    a line.
+    """
+    mat = [[0] * cols for _ in range(rows)]
+    for i, f in enumerate(factors):
+        mat[i][i] = f
+    for _ in range(2):  # row operations, then column operations
+        for _ in range(ops):
+            i, j = rng.sample(range(len(mat)), 2)
+            kind = rng.randrange(3)
+            if kind == 0:
+                t = rng.choice((1, -1, 1, -1, 2, -2))
+                mat[i] = [a + t * b for a, b in zip(mat[i], mat[j])]
+            elif kind == 1:
+                mat[i], mat[j] = mat[j], mat[i]
+            else:
+                mat[i] = [-a for a in mat[i]]
+        mat = [list(line) for line in zip(*mat)]
+    return CooMatrix.from_entries(
+        (rows, cols), {(r, c): v for r, row in enumerate(mat)
+                       for c, v in enumerate(row) if v})
+
+
+def assert_smith_form(m, factors):
+    """The diagonal is the planted one, the transforms reduce m to it, and
+    the integral and rational ranks agree."""
+    res = smith_normal_form(m, transforms=True)
+    assert res.diagonal == tuple(factors)
+    product = dense_mm(dense_mm([list(r) for r in res.left], m.to_dense()),
+                       [list(r) for r in res.right])
+    rows, cols = m.shape
+    for i in range(rows):
+        for j in range(cols):
+            want = factors[i] if i == j and i < len(factors) else 0
+            assert product[i][j] == want
+    assert smith_normal_form(m).diagonal == tuple(factors)
+    assert matrix_rank(m, ZZ) == matrix_rank(m, QQ) == len(factors)
+
+
+@pytest.mark.parametrize("rows, cols, factors", [
+    (6, 9, [1] * 6),                  # all units, wide
+    (9, 5, [1] * 4),                  # all units, tall, rank-deficient
+    (6, 6, [2] * 5),                  # no units anywhere
+    (5, 8, [2, 2, 4, 4]),             # no units, wide
+    (8, 6, [1, 1, 1, 2, 2, 4]),       # units mixed with 2 and 4, tall
+    (7, 10, [1, 1, 2, 4, 4, 12]),     # mixed, wide
+    (110, 60, [1] * 50 + [2] * 4 + [4] * 2),  # at least 100 rows
+])
+def test_smith_form_of_planted_diagonal(rows, cols, factors):
+    rng = random.Random(rows * 1000 + cols)
+    for _ in range(3):
+        m = scrambled(rng, rows, cols, factors, ops=rows + cols)
+        if 1 not in factors:
+            assert all(abs(v) != 1 for v in m.val.tolist())
+        assert_smith_form(m, factors)
+
+
+def test_smith_form_when_unit_pivots_run_out():
+    # A scrambled unit block beside a 2x2 block with no +-1 entry: once the
+    # units are eliminated, the general loop has to produce the remaining
+    # 1 and 2 by gcd steps.
+    rng = random.Random(7)
+    units = scrambled(rng, 5, 7, [1] * 5, ops=12)
+    entries = {(r, c): v for r, c, v in units.entries()}
+    entries.update({(5, 7): 2, (5, 8): 3, (6, 7): 4, (6, 8): 5})
+    m = CooMatrix.from_entries((7, 9), entries)
+    assert all(abs(v) != 1 for r, c, v in m.entries() if r >= 5)
+    assert_smith_form(m, [1] * 6 + [2])
+    assert_smith_form(m.transpose(), [1] * 6 + [2])
 
 
 def test_integer_kernel_basis():
@@ -284,6 +363,27 @@ def test_total_complex_detects_sign_inconsistency():
                        ((0, 1), 1): one, ((1, 1), 1): one})
     with pytest.raises(IntegrityError):
         total_complex(mc, ZZ, 2)
+
+
+def test_boundary_condition_checked_once_per_complex(monkeypatch):
+    checked = []
+    original = ChainComplex.verify_boundary_condition
+
+    def counting(self):
+        checked.append(self)
+        return original(self)
+
+    monkeypatch.setattr(ChainComplex, "verify_boundary_condition", counting)
+    two = CooMatrix.from_entries((1, 1), {(0, 0): 2})
+    mc = Multicomplex(1, {(0,): 1, (1,): 1}, {((1,), 0): two})
+    cx = total_complex(mc, ZZ, 1)
+    homology(cx)
+    homology(cx)
+    assert checked == [cx]
+    # A complex that arrives unverified is still checked by homology.
+    again = ChainComplex.from_json(cx.to_json())
+    homology(again)
+    assert checked == [cx, again]
 
 
 def test_homology_group_validation():

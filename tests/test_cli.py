@@ -1,6 +1,12 @@
 """Command-line surface: outputs, exit codes, determinism, round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from gammahom.chains import ChainComplex, homology, parse_ring
 from gammahom.cli import main
@@ -78,8 +84,27 @@ def test_config_file_with_flag_override(tmp_path, capsys):
 def test_usage_errors_exit_two(capsys):
     assert run(capsys, "compute", "--space", "bogus:")[0] == 2
     assert run(capsys, "compute", "--space", "ab:2", "--ring", "f9")[0] == 2
+    assert run(capsys, "compute", "--space", "ab:2", "--ring",
+               "f4294967311")[0] == 2
     assert run(capsys, "compute")[0] == 2
     assert main(["compute", "--space", "ab:2", "--format", "yaml"]) == 2
+
+
+def test_huge_prime_ring_rejected_quickly():
+    # Run apart, so that a primality test that hangs fails instead of
+    # stalling the suite.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gammahom.cli", "compute", "--space",
+             "point", "--ring", "f1000000000000000003"],
+            env=env, capture_output=True, text=True, timeout=30)
+    except subprocess.TimeoutExpired:
+        pytest.fail("ring parsing did not return within 30 s")
+    assert proc.returncode == 2
+    assert "2^31" in proc.stderr
 
 
 def test_budget_exhaustion_exit_three(capsys):
