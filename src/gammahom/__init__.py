@@ -4,7 +4,7 @@ the stable homology of the associated (pre-)spectra over Z, Q and F_p."""
 from .chains import (GF, QQ, ZZ, ChainComplex, CooMatrix, HomologyGroup,
                      HomologyTable, Multicomplex, Ring, homology,
                      parse_ring, smith_normal_form, total_complex)
-from .errors import BudgetExceeded, IntegrityError
+from .errors import BudgetExceeded, IntegrityError, LimitExceeded
 from .gamma import (FinPointedSet, PartialMap, PointedMap, circle_degeneracy,
                     circle_face, compose, compose_partial,
                     gamma_from_partial, identity_map, mu, sharp, smash,

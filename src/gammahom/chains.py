@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrityError
+from .errors import IntegrityError, LimitExceeded
 
 SCHEMA_VERSION = 1
 
@@ -293,7 +293,7 @@ _DENSE_LIMIT = 60_000_000
 def _rank_mod_p(m: CooMatrix, p: int) -> int:
     (nrows, ncols), row, col = _oriented(m)
     if nrows * ncols > _DENSE_LIMIT:
-        raise MemoryError(
+        raise LimitExceeded(
             f"matrix {nrows}x{ncols} too large for dense mod-{p} rank")
     a = np.zeros((nrows, ncols), dtype=np.int64)
     a[row, col] = m.val % p
@@ -1085,8 +1085,8 @@ def induced_map_is_surjective_integer(src: ChainComplex, tgt: ChainComplex,
     """
     if max(src.rank(degree), tgt.rank(degree),
            tgt.rank(degree + 1)) > 20_000:
-        raise MemoryError("integral surjectivity certificate needs dense "
-                          "transforms; complex too large")
+        raise LimitExceeded("integral surjectivity certificate needs dense "
+                            "transforms; complex too large")
     kernel_src = integer_kernel_basis(src.boundary(degree))
     fk = _mat_mul(_dense_int(blocks[degree]), _columns_matrix(kernel_src))
     bcols = _dense_int(tgt.boundary(degree + 1))

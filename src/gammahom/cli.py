@@ -1,9 +1,9 @@
 """Command-line surface: compute stable homology tables, run the check
 suites, dump chain complexes.
 
-Exit codes: 0 success, 1 check failure, 2 usage error, 3 budget exceeded
-(partial output with ? markers).  Output is byte-identical across runs for
-a fixed configuration.
+Exit codes: 0 success, 1 check failure, 2 usage error, 3 budget or size
+limit exceeded (partial output with ? markers).  Output is byte-identical
+across runs for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .chains import SCHEMA_VERSION, Ring, dumps_json, parse_ring
-from .errors import BudgetExceeded
+from .errors import LimitExceeded
 from .segal import parse_space, spectrum_level
 from .simplicial import DEFAULT_CELL_BUDGET, normalized_chains
 from .stable import (DEFAULT_MAX_ITERATIONS, StableResult,
@@ -126,7 +126,7 @@ def main(argv=None) -> int:
             return _cmd_check(config, space, ring)
         if args.command == "dump":
             return _cmd_dump(config, space, ring)
-    except BudgetExceeded as exc:
+    except LimitExceeded as exc:
         print(f"gammahom: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -3,7 +3,15 @@
 from __future__ import annotations
 
 
-class BudgetExceeded(RuntimeError):
+class LimitExceeded(RuntimeError):
+    """A computation refused to build something larger than a fixed limit.
+
+    Callers may read it as "undecided" and go on; a ``MemoryError`` is a
+    real out-of-memory failure and is not caught as one of these.
+    """
+
+
+class BudgetExceeded(LimitExceeded):
     """A level of a multisimplicial object is larger than the cell budget.
 
     Carries the offending multi-index so long computations fail predictably

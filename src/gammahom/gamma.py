@@ -2,7 +2,12 @@
 
 Objects are the pointed sets ``[n]+ = {o, 1, ..., n}``, stored as the integer
 ``n`` with elements encoded ``0..n`` and ``0`` the basepoint.  Morphisms are
-total basepoint-preserving maps stored as lookup tables.  Finite sets with
+total basepoint-preserving maps stored as lookup tables.  A table of 1024
+entries or more is held as one read-only int64 array (8 bytes a point) and
+composed, smashed and wedged with numpy; its tuple view is built only when
+read.  Shorter tables stay Python tuples, because for the many small maps of
+the circle and of small Gamma-objects the per-call cost of numpy outweighs
+the loop it replaces.  Finite sets with
 partially defined maps present an equivalent category; ``gamma_from_partial``
 and ``sharp`` convert partial data into pointed maps.
 
@@ -19,12 +24,11 @@ and the face/degeneracy tables come out of threshold arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
 
-# Tables at least this long are built and composed through numpy.
+# Tables at least this long are stored, built and composed as numpy arrays.
 _VECTOR_MIN = 1024
 
 
@@ -51,36 +55,77 @@ class FinPointedSet:
         return f"[{self.size}]+"
 
 
-@dataclass(frozen=True)
 class PointedMap:
-    """A basepoint-preserving map of finite pointed sets, as a lookup table."""
+    """A basepoint-preserving map of finite pointed sets, as a lookup table.
 
-    source: FinPointedSet
-    target: FinPointedSet
-    table: tuple[int, ...]
+    ``table`` is a sequence of ints or a one-dimensional integer array,
+    copied on construction.  Tables of ``_VECTOR_MIN`` entries or more are
+    kept as one read-only int64 array (``as_array``) and ``table`` builds a
+    tuple from it on each read; shorter tables are kept as a tuple and
+    ``as_array`` builds and caches an array on first use.
+    """
 
-    def __post_init__(self):
-        if len(self.table) != self.source.points:
+    __slots__ = ("source", "target", "_table", "_array")
+
+    def __init__(self, source: FinPointedSet, target: FinPointedSet,
+                 table: Sequence[int] | np.ndarray):
+        self.source = source
+        self.target = target
+        if isinstance(table, np.ndarray):
+            if table.ndim != 1:
+                raise ValueError("table must be one-dimensional")
+            if table.dtype.kind not in "iu":
+                raise ValueError("table must hold integers")
+        if len(table) != source.points:
             raise ValueError("table length does not match source size")
-        if self.table[0] != 0:
+        if table[0] != 0:
             raise ValueError("map does not preserve the basepoint")
-        if len(self.table) >= _VECTOR_MIN:
-            arr = np.asarray(self.table, dtype=np.int64)
-            if ((arr < 0) | (arr > self.target.size)).any():
+        if len(table) >= _VECTOR_MIN:
+            arr = np.array(table, dtype=np.int64)
+            if arr.min() < 0 or arr.max() > target.size:
                 raise ValueError("table value out of target range")
             arr.setflags(write=False)
-            self.__dict__["as_array"] = arr
-        elif any(v < 0 or v > self.target.size for v in self.table):
-            raise ValueError("table value out of target range")
+            self._table, self._array = None, arr
+        else:
+            if isinstance(table, np.ndarray):
+                table = table.tolist()
+            table = tuple(table)
+            if any(v < 0 or v > target.size for v in table):
+                raise ValueError("table value out of target range")
+            self._table, self._array = table, None
 
-    @cached_property
+    @property
+    def table(self) -> tuple[int, ...]:
+        if self._table is None:
+            return tuple(self._array.tolist())
+        return self._table
+
+    @property
     def as_array(self) -> np.ndarray:
-        arr = np.asarray(self.table, dtype=np.int64)
-        arr.setflags(write=False)
-        return arr
+        if self._array is None:
+            arr = np.array(self._table, dtype=np.int64)
+            arr.setflags(write=False)
+            self._array = arr
+        return self._array
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not PointedMap:
+            return NotImplemented
+        if self._table is None:
+            return (self.source == other.source
+                    and self.target == other.target
+                    and bool(np.array_equal(self._array, other._array)))
+        return (self.source, self.target, self._table) == \
+            (other.source, other.target, other._table)
+
+    def __hash__(self) -> int:
+        table = self._table
+        if table is None:
+            table = self._array.tobytes()
+        return hash((self.source, self.target, table))
 
     def __call__(self, x: int) -> int:
-        return self.table[x]
+        return int(self.as_array[x])
 
     def then(self, g: "PointedMap") -> "PointedMap":
         """The composite g after self."""
@@ -88,12 +133,12 @@ class PointedMap:
 
     @property
     def is_identity(self) -> bool:
-        return self.source == self.target and all(
-            v == i for i, v in enumerate(self.table))
+        return self.source == self.target and bool(
+            (self.as_array == np.arange(self.source.points)).all())
 
     def is_bijection(self) -> bool:
-        return (self.source == self.target
-                and len(set(self.table)) == len(self.table))
+        return self.source == self.target and \
+            int(np.bincount(self.as_array).max()) == 1
 
     def __repr__(self) -> str:
         return f"PointedMap({self.source!r} -> {self.target!r})"
@@ -101,11 +146,16 @@ class PointedMap:
 
 def identity_map(n: int) -> PointedMap:
     s = FinPointedSet(n)
+    if n + 1 >= _VECTOR_MIN:
+        return PointedMap(s, s, np.arange(n + 1, dtype=np.int64))
     return PointedMap(s, s, tuple(range(n + 1)))
 
 
 def constant_map(source: FinPointedSet, target: FinPointedSet) -> PointedMap:
     """The map collapsing everything to the basepoint."""
+    if source.points >= _VECTOR_MIN:
+        return PointedMap(source, target,
+                          np.zeros(source.points, dtype=np.int64))
     return PointedMap(source, target, (0,) * source.points)
 
 
@@ -114,12 +164,10 @@ def compose(f: PointedMap, g: PointedMap) -> PointedMap:
     if f.target != g.source:
         raise ValueError(
             f"cannot compose: intermediate {f.target!r} != {g.source!r}")
-    if f.source.points >= _VECTOR_MIN:
-        table = tuple(g.as_array[f.as_array].tolist())
-    else:
-        gt = g.table
-        table = tuple(gt[v] for v in f.table)
-    return PointedMap(f.source, g.target, table)
+    if f._table is None or g._table is None:
+        return PointedMap(f.source, g.target, g.as_array[f.as_array])
+    gt = g._table
+    return PointedMap(f.source, g.target, tuple(gt[v] for v in f._table))
 
 
 # ---------------------------------------------------------------------------
@@ -208,24 +256,20 @@ def _smash_maps(f: PointedMap, g: PointedMap) -> PointedMap:
     size = n1 * m1
     source = FinPointedSet(size)
     target = FinPointedSet(n2 * m2)
-    if size + 1 >= _VECTOR_MIN:
-        e = np.arange(1, size + 1)
-        i = (e - 1) // m1 + 1
-        j = (e - 1) % m1 + 1
-        fi = f.as_array[i]
-        gj = g.as_array[j]
+    if size + 1 >= _VECTOR_MIN or f._table is None or g._table is None:
+        fi = f.as_array[1:, None]
+        gj = g.as_array[None, 1:]
         out = np.where((fi == 0) | (gj == 0), 0, (fi - 1) * m2 + gj)
-        table = (0, *out.tolist())
-    else:
-        table = [0]
-        ft, gt = f.table, g.table
-        for i in range(1, n1 + 1):
-            fi = ft[i]
-            for j in range(1, m1 + 1):
-                gj = gt[j]
-                table.append(0 if fi == 0 or gj == 0 else (fi - 1) * m2 + gj)
-        table = tuple(table)
-    return PointedMap(source, target, table)
+        return PointedMap(source, target,
+                          np.concatenate(([0], out.reshape(size))))
+    table = [0]
+    ft, gt = f._table, g._table
+    for i in range(1, n1 + 1):
+        fi = ft[i]
+        for j in range(1, m1 + 1):
+            gj = gt[j]
+            table.append(0 if fi == 0 or gj == 0 else (fi - 1) * m2 + gj)
+    return PointedMap(source, target, tuple(table))
 
 
 def smash(a: PointedThing, b: PointedThing) -> PointedThing:
@@ -247,10 +291,15 @@ def wedge(a: PointedThing, b: PointedThing) -> PointedThing:
         return FinPointedSet(a.size + b.size)
     if isinstance(a, PointedMap) and isinstance(b, PointedMap):
         n2 = a.target.size
-        table = list(a.table)
-        table.extend(0 if v == 0 else n2 + v for v in b.table[1:])
-        return PointedMap(FinPointedSet(a.source.size + b.source.size),
-                          FinPointedSet(n2 + b.target.size), tuple(table))
+        source = FinPointedSet(a.source.size + b.source.size)
+        target = FinPointedSet(n2 + b.target.size)
+        if source.points >= _VECTOR_MIN:
+            tail = b.as_array[1:]
+            return PointedMap(source, target, np.concatenate(
+                (a.as_array, np.where(tail == 0, 0, tail + n2))))
+        table = list(a._table)
+        table.extend(0 if v == 0 else n2 + v for v in b._table[1:])
+        return PointedMap(source, target, tuple(table))
     raise TypeError("wedge takes two objects or two maps")
 
 
@@ -267,8 +316,11 @@ def wedge_case(f: PointedMap, g: PointedMap) -> PointedMap:
     """The map out of a wedge determined by maps with a common target."""
     if f.target != g.target:
         raise ValueError("wedge_case needs a common target")
-    return PointedMap(FinPointedSet(f.source.size + g.source.size), f.target,
-                      f.table + g.table[1:])
+    source = FinPointedSet(f.source.size + g.source.size)
+    if source.points >= _VECTOR_MIN:
+        return PointedMap(source, f.target,
+                          np.concatenate((f.as_array, g.as_array[1:])))
+    return PointedMap(source, f.target, f._table + g._table[1:])
 
 
 def mu(n: int, f: PointedMap) -> PointedMap:
@@ -294,15 +346,14 @@ def product(a: PointedThing, b: PointedThing) -> PointedThing:
         return FinPointedSet(a.points * b.points - 1)
     if isinstance(a, PointedMap) and isinstance(b, PointedMap):
         ms, mt = b.source.points, b.target.points
-        size = a.source.points * ms - 1
-        table = []
-        at, bt = a.table, b.table
-        for e in range(size + 1):
-            x, y = divmod(e, ms)
-            table.append(at[x] * mt + bt[y])
-        return PointedMap(FinPointedSet(size),
-                          FinPointedSet(a.target.points * mt - 1),
-                          tuple(table))
+        source = FinPointedSet(a.source.points * ms - 1)
+        target = FinPointedSet(a.target.points * mt - 1)
+        if source.points >= _VECTOR_MIN:
+            table = a.as_array[:, None] * mt + b.as_array[None, :]
+            return PointedMap(source, target, table.reshape(source.points))
+        bt = b._table
+        return PointedMap(source, target,
+                          tuple(u * mt + v for u in a._table for v in bt))
     raise TypeError("product takes two objects or two maps")
 
 
@@ -311,9 +362,11 @@ def pair(f: PointedMap, g: PointedMap) -> PointedMap:
     if f.source != g.source:
         raise ValueError("pair needs a common source")
     mt = g.target.points
-    table = tuple(fx * mt + gx for fx, gx in zip(f.table, g.table))
-    return PointedMap(f.source,
-                      FinPointedSet(f.target.points * mt - 1), table)
+    target = FinPointedSet(f.target.points * mt - 1)
+    if f._table is None:
+        return PointedMap(f.source, target, f.as_array * mt + g.as_array)
+    table = tuple(fx * mt + gx for fx, gx in zip(f._table, g._table))
+    return PointedMap(f.source, target, table)
 
 
 def wedge_to_product(n: int, m: int) -> PointedMap:

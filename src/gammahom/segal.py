@@ -23,7 +23,7 @@ import numpy as np
 
 from . import gamma
 from .chains import ZZ, Ring
-from .errors import IntegrityError
+from .errors import IntegrityError, LimitExceeded
 from .gamma import FinPointedSet, PointedMap
 from .simplicial import (DEFAULT_CELL_BUDGET, MSMap, MSSet, chains_of_map,
                          chain_map_induces_iso, circle, constant_object,
@@ -125,8 +125,8 @@ def discrete_abelian(factors) -> GammaSpace:
     def eval_fn(n):
         points = order ** n
         if points > 1 << 27:
-            raise MemoryError(f"A^{n} has {points} points; refusing to "
-                              "materialize")
+            raise LimitExceeded(f"A^{n} has {points} points; refusing to "
+                                "materialize")
         return constant_object(FinPointedSet(points - 1), 0,
                                name=f"A^{n}")
 
@@ -138,35 +138,41 @@ def discrete_abelian(factors) -> GammaSpace:
 
 
 def _abelian_action(factors, order, f: PointedMap) -> PointedMap:
+    """The action of f on A^n -> A^m, built one fiber at a time.
+
+    Points of A^n are coded in mixed radix with the first coordinate most
+    significant and each coordinate coded by the factors with the last one
+    least significant.  Target coordinate j is the sum of the source
+    coordinates in the fiber f^-1(j), so the table, seen as an array with
+    one axis per source coordinate, is a broadcast sum over the fibers.
+    """
     n, m = f.source.size, f.target.size
     points = order ** n
     if points > 1 << 27:
-        raise MemoryError(f"A^{n} has {points} points; refusing to build")
-    incidence = np.zeros((max(n, 1), max(m, 1)), dtype=np.int64)
-    for i in range(1, n + 1):
-        j = f.table[i]
-        if j >= 1:
-            incidence[i - 1, j - 1] = 1
-    codes = np.arange(points, dtype=np.int64)
-    if n:
-        weights = order ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        copies = (codes[:, None] // weights) % order
-    else:
-        copies = np.zeros((points, 1), dtype=np.int64)
-    out = np.zeros((points, max(m, 1)), dtype=np.int64)
-    scale = 1
-    for d in reversed(factors):
-        digits = (copies // scale) % d
-        out += ((digits @ incidence) % d) * scale
-        scale *= d
-    if m:
-        tgt_weights = order ** np.arange(m - 1, -1, -1, dtype=np.int64)
-        table = out @ tgt_weights
-    else:
-        table = np.zeros(points, dtype=np.int64)
+        raise LimitExceeded(f"A^{n} has {points} points; refusing to build")
+    codes = np.arange(order, dtype=np.int64)
+    table = np.zeros((order,) * n, dtype=np.int64)
+    for j in range(1, m + 1):
+        axes = [i - 1 for i in range(1, n + 1) if f(i) == j]
+        if not axes:
+            continue
+        coordinate = 0
+        scale = 1
+        for d in reversed(factors):
+            digits = (codes // scale) % d
+            fiber_sum = sum(_along_axis(digits, axis, n) for axis in axes)
+            coordinate = coordinate + (fiber_sum % d) * scale
+            scale *= d
+        table += coordinate * order ** (m - j)
     return PointedMap(FinPointedSet(points - 1),
-                      FinPointedSet(order ** m - 1),
-                      tuple(table.tolist()))
+                      FinPointedSet(order ** m - 1), table.reshape(points))
+
+
+def _along_axis(values: np.ndarray, axis: int, ndim: int) -> np.ndarray:
+    """A view of the vector ``values`` laid along ``axis`` of ``ndim``."""
+    shape = [1] * ndim
+    shape[axis] = len(values)
+    return values.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +349,7 @@ def counit(x: GammaSpace) -> GammaMap:
             x.map_action(gamma.standard_inclusion(s, n)).component(idx)
             .as_array[1:] for s in range(1, n + 1)]
         flat = np.stack(columns, axis=1).reshape(base.size * n)
-        return PointedMap(source, target, (0, *flat.tolist()))
+        return PointedMap(source, target, np.concatenate(([0], flat)))
 
     return GammaMap(free, x, component, name=f"counit({x.name})")
 
@@ -370,7 +376,7 @@ def structure_map(x: GammaSpace) -> GammaMap:
                             gamma.identity_map(m))
             rows.append(x.map_action(h).component(rest).as_array[1:])
         flat = np.stack(rows, axis=0).reshape(q * base.size)
-        return PointedMap(source, target, (0, *flat.tolist()))
+        return PointedMap(source, target, np.concatenate(([0], flat)))
 
     return GammaMap(sus, blo, component, name=f"rho({x.name})")
 
@@ -496,9 +502,7 @@ def is_special(x: GammaSpace, mode: str = "bijection", size_bound: int = 3,
             split = pair_msmap(back1, back2)
             if mode == "bijection":
                 for idx in indices_up_to(x.directions, level_bound):
-                    table = split.component(idx)
-                    if table.source.points != table.target.points or \
-                            len(set(table.table)) != table.source.points:
+                    if not split.component(idx).is_bijection():
                         return SpecialVerdict(
                             False, mode, size_bound, level_bound,
                             detail=f"not bijective at ({n},{n2}), {idx}")

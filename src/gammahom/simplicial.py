@@ -15,6 +15,7 @@ simplicial sets while computing the same homology.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product as iter_product
 
 import numpy as np
@@ -138,10 +139,14 @@ def point_object(directions: int = 0) -> MSSet:
 
 def constant_object(x: FinPointedSet, directions: int = 0,
                     name: str | None = None) -> MSSet:
-    """The constant multisimplicial object on a pointed set."""
-    ident = PointedMap(x, x, tuple(range(x.points)))
-    return MSSet(directions, lambda idx: x, lambda idx, j, i: ident,
-                 lambda idx, j, i: ident,
+    """The constant multisimplicial object on a pointed set.
+
+    Every face and degeneracy is one identity, built on first use, so a
+    level whose size alone rules it out never allocates a table.
+    """
+    ident = cache(lambda: gamma.identity_map(x.size))
+    return MSSet(directions, lambda idx: x, lambda idx, j, i: ident(),
+                 lambda idx, j, i: ident(),
                  name=name or f"const{x.size}")
 
 

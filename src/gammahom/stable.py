@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .chains import (SCHEMA_VERSION, ZZ, HomologyGroup, HomologyTable,
                      Ring, coo_mul, homology)
-from .errors import BudgetExceeded
+from .errors import LimitExceeded
 from .segal import (GammaMap, GammaSpace, SpecialVerdict, counit,
                     free_gamma_map, is_special, mu_pullback,
                     block_inclusion_maps, smash_gamma, spectrum_level,
@@ -141,7 +141,7 @@ def spectrum_homology(x: GammaSpace, ring: Ring, i_max: int, *,
                 x, "homology", size_bound=min(special_size_bound, 2),
                 level_bound=special_level_bound, ring=ZZ,
                 depth=min(2, i_max), cell_budget=cell_budget)
-        except (BudgetExceeded, MemoryError):
+        except LimitExceeded:
             pass
     entries: dict[int, DegreeEvidence] = {
         i: DegreeEvidence(i) for i in range(i_max + 1)}
@@ -152,7 +152,7 @@ def spectrum_homology(x: GammaSpace, ring: Ring, i_max: int, *,
         under = underlying_space(x)
         try:
             conn = connectivity(under, i_max, cell_budget=cell_budget)
-        except (BudgetExceeded, MemoryError):
+        except LimitExceeded:
             conn = -1
         if conn >= 1:
             direct = homology(
@@ -176,7 +176,7 @@ def spectrum_homology(x: GammaSpace, ring: Ring, i_max: int, *,
         try:
             table = homology(
                 normalized_chains(level, ring, reach, cell_budget))
-        except (BudgetExceeded, MemoryError) as exc:
+        except LimitExceeded as exc:
             budget_note = f"level {n}: {exc}"
             break
         progress = False
@@ -423,7 +423,7 @@ def check_stable_range(x: GammaSpace, ring: Ring, i_max: int, *,
             conn = connectivity(spectrum_level(x, k).space,
                                 min(i_max + 1, 2 * k),
                                 cell_budget=cell_budget)
-        except (BudgetExceeded, MemoryError):
+        except LimitExceeded:
             break
         if conn >= 1:
             found = (k, conn)

@@ -115,6 +115,17 @@ def test_budget_exhaustion_exit_three(capsys):
     assert "budget" in out
 
 
+def test_size_refusals_exit_three(capsys):
+    code, _, err = run(capsys, "compute", "--space", "mu(30)*ab:2",
+                       "--ring", "f2", "--max-degree", "1")
+    assert code == 3
+    assert "A^60" in err and "refusing" in err
+    code, _, err = run(capsys, "check", "--suite", "special", "--space",
+                       "mu(14)*ab:2")
+    assert code == 3
+    assert "A^28" in err and "refusing" in err
+
+
 def test_check_square_and_special(capsys):
     code, out, _ = run(capsys, "check", "--suite", "square", "--space",
                        "ab:2", "--ring", "z")

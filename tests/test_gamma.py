@@ -4,6 +4,7 @@ simplicial circle."""
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from gammahom.gamma import (FinPointedSet, PartialMap, PointedMap,
@@ -280,3 +281,91 @@ def test_circle_simplicial_identities():
                     rhs = compose(circle_face(q, i - 1),
                                   circle_degeneracy(q - 1, j))
                 assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# Storage: tables of 1024 entries or more are read-only int64 arrays.
+
+@pytest.mark.parametrize("points", [1023, 1025])
+def test_tuple_and_array_storage_agree(points):
+    values = np.random.default_rng(points).integers(0, 8, points)
+    values[0] = 0
+    expected = tuple(values.tolist())
+    source, target = FinPointedSet(points - 1), FinPointedSet(7)
+    from_tuple = PointedMap(source, target, expected)
+    from_array = PointedMap(source, target, values)
+    assert from_tuple == from_array
+    assert hash(from_tuple) == hash(from_array)
+    for f in (from_tuple, from_array):
+        assert f.table == tuple(f.as_array.tolist()) == expected
+        assert f(points - 1) == expected[-1]
+        assert not f.as_array.flags.writeable
+    values[1:] = (values[1:] + 1) % 8
+    assert from_array.table == expected
+    assert PointedMap(source, target, values) != from_array
+
+
+@pytest.mark.parametrize("points", [1023, 1025])
+def test_array_tables_validated(points):
+    source, target = FinPointedSet(points - 1), FinPointedSet(7)
+    good = np.zeros(points, dtype=np.int64)
+    PointedMap(source, target, good)
+    bad = []
+    for k, v in ((0, 1), (points - 1, 8), (points - 1, -1)):
+        table = good.copy()
+        table[k] = v
+        bad.append(table)
+    bad += [good[:-1], np.zeros(points + 1, dtype=np.int64),
+            good.reshape(1, points), good.astype(float)]
+    for table in bad:
+        with pytest.raises(ValueError):
+            PointedMap(source, target, table)
+
+
+def test_large_map_predicates():
+    ident = identity_map(1500)
+    assert ident.is_identity and ident.is_bijection()
+    flip = PointedMap(ident.source, ident.source,
+                      (0, *range(1500, 0, -1)))
+    assert not flip.is_identity and flip.is_bijection()
+    collapse = constant_map(ident.source, ident.source)
+    assert not collapse.is_identity and not collapse.is_bijection()
+    assert compose(flip, flip) == ident
+
+
+def rand_table(rng, a, b):
+    return [0] + [rng.randint(0, b) for _ in range(a)]
+
+
+def test_large_operations_match_python_reference():
+    rng = random.Random(3)
+    for a, b in ((1022, 9), (1024, 9), (1500, 40), (40, 1500)):
+        for c in (0, 7, 1100):
+            ft, gt = rand_table(rng, a, b), rand_table(rng, b, c)
+            f = PointedMap(FinPointedSet(a), FinPointedSet(b), ft)
+            g = PointedMap(FinPointedSet(b), FinPointedSet(c), gt)
+            assert compose(f, g).table == tuple(gt[v] for v in ft)
+    for (n1, n2), (m1, m2) in (((40, 5), (30, 6)), ((1100, 3), (2, 4)),
+                               ((2, 3), (1100, 5)), ((1100, 3), (0, 2))):
+        ft, gt = rand_table(rng, n1, n2), rand_table(rng, m1, m2)
+        f = PointedMap(FinPointedSet(n1), FinPointedSet(n2), ft)
+        g = PointedMap(FinPointedSet(m1), FinPointedSet(m2), gt)
+        smashed = [0] + [0 if ft[i] == 0 or gt[j] == 0
+                         else (ft[i] - 1) * m2 + gt[j]
+                         for i in range(1, n1 + 1) for j in range(1, m1 + 1)]
+        assert smash(f, g).table == tuple(smashed)
+        wedged = ft + [0 if v == 0 else n2 + v for v in gt[1:]]
+        assert wedge(f, g).table == tuple(wedged)
+        ms, mt = m1 + 1, m2 + 1
+        prod = [ft[e // ms] * mt + gt[e % ms] for e in range((n1 + 1) * ms)]
+        assert product(f, g).table == tuple(prod)
+    for a, b, c in ((600, 5, 7), (1100, 5, 7), (300, 2000, 3)):
+        ft, gt = rand_table(rng, a, b), rand_table(rng, c, b)
+        f = PointedMap(FinPointedSet(a), FinPointedSet(b), ft)
+        g = PointedMap(FinPointedSet(c), FinPointedSet(b), gt)
+        assert wedge_case(f, g).table == tuple(ft + gt[1:])
+    for a in (1022, 1024, 1500):
+        ft, gt = rand_table(rng, a, 5), rand_table(rng, a, 30)
+        f = PointedMap(FinPointedSet(a), FinPointedSet(5), ft)
+        g = PointedMap(FinPointedSet(a), FinPointedSet(30), gt)
+        assert pair(f, g).table == tuple(x * 31 + y for x, y in zip(ft, gt))

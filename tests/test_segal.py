@@ -2,13 +2,15 @@
 structure maps, specialness, spec strings."""
 
 import itertools
+import math
 
 import pytest
 
 from gammahom.chains import ZZ
 from gammahom.gamma import FinPointedSet, PointedMap, identity_map
-from gammahom.segal import (GammaMap, block_inclusion_maps, counit,
-                            delooping, discrete_abelian, free_gamma_space,
+from gammahom.segal import (GammaMap, _abelian_action, block_inclusion_maps,
+                            counit, delooping, discrete_abelian,
+                            free_gamma_space,
                             identity_gamma_map, is_special, mu_pullback,
                             parse_space, point_space, smash_gamma,
                             spectrum_level, sphere_space, structure_map,
@@ -75,14 +77,49 @@ def test_discrete_abelian_functorial_exhaustive():
                 gg = ab.map_action(g).component(())
                 composite = ab.map_action(f.then(g)).component(())
                 assert composite == ff.then(gg)
-    mixed = discrete_abelian([2, 4])
-    for a, b, c in itertools.product(range(3), repeat=3):
+    for factors in ([2, 4], [3], [2, 3]):
+        mixed = discrete_abelian(factors)
+        for a, b, c in itertools.product(range(3), repeat=3):
+            for f in all_pointed_maps(a, b):
+                ff = mixed.map_action(f).component(())
+                for g in all_pointed_maps(b, c):
+                    assert mixed.map_action(f.then(g)).component(()) == \
+                        ff.then(mixed.map_action(g).component(()))
+        assert mixed.map_action(identity_map(2)).component(()).is_identity
+
+
+def abelian_action_reference(factors, f):
+    """The action of f on A^n -> A^m, one point and one coordinate at a
+    time: coordinates most significant first, each an element of A coded
+    with the last factor least significant."""
+    order = math.prod(factors)
+    n, m = f.source.size, f.target.size
+
+    def add(u, v):
+        total, scale = 0, 1
+        for d in reversed(factors):
+            total += ((u // scale + v // scale) % d) * scale
+            scale *= d
+        return total
+
+    table = []
+    for code in range(order ** n):
+        coords = [code // order ** (n - i) % order for i in range(1, n + 1)]
+        out = [0] * m
+        for i in range(1, n + 1):
+            if f(i):
+                out[f(i) - 1] = add(out[f(i) - 1], coords[i - 1])
+        table.append(sum(v * order ** (m - 1 - j) for j, v in enumerate(out)))
+    return tuple(table)
+
+
+@pytest.mark.parametrize("factors", [[2], [3], [2, 4], [2, 3]])
+def test_abelian_action_matches_pointwise_sum_over_fibers(factors):
+    order = math.prod(factors)
+    for a, b in itertools.product(range(4), repeat=2):
         for f in all_pointed_maps(a, b):
-            ff = mixed.map_action(f).component(())
-            for g in all_pointed_maps(b, c):
-                assert mixed.map_action(f.then(g)).component(()) == \
-                    ff.then(mixed.map_action(g).component(()))
-    assert mixed.map_action(identity_map(2)).component(()).is_identity
+            assert _abelian_action(factors, order, f).table == \
+                abelian_action_reference(factors, f)
 
 
 def test_underlying_space_examples():

@@ -2,11 +2,13 @@
 
 import pytest
 
+from gammahom import gamma
 from gammahom.chains import GF, ZZ, HomologyGroup, homology
 from gammahom.errors import BudgetExceeded, IntegrityError
 from gammahom.gamma import FinPointedSet, PointedMap, identity_map
-from gammahom.simplicial import (MSMap, MSSet, NormalizedChains,
-                                 chain_map_induces_iso, chains_of_map,
+from gammahom.simplicial import (DEFAULT_CELL_BUDGET, MSMap, MSSet,
+                                 NormalizedChains, chain_map_induces_iso,
+                                 chains_of_map,
                                  circle, collapse_msmap, compose_msmap,
                                  constant_object, diagonal_ss,
                                  identity_msmap, indices_up_to,
@@ -15,6 +17,7 @@ from gammahom.simplicial import (MSMap, MSSet, NormalizedChains,
                                  smash_msmap, smash_ss, suspension_ss,
                                  two_point_object, wedge_case_msmap,
                                  wedge_ss, wedge_to_product_msmap)
+from gammahom.stable import _feasible_degree_bound
 
 
 def hand_nerve_z2():
@@ -164,6 +167,29 @@ def test_cell_budget_guard_reports_offender():
         normalized_chains(big, ZZ, 2, cell_budget=100)
     assert err.value.index == (0,)
     assert err.value.size == 10_001
+
+
+def test_constant_object_builds_its_identity_on_demand(monkeypatch):
+    built = []
+    init = gamma.PointedMap.__init__
+
+    def counting_init(self, *args):
+        built.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(gamma.PointedMap, "__init__", counting_init)
+    huge = constant_object(FinPointedSet((1 << 24) - 1), 1)
+    assert huge.cell((2,)).points == 1 << 24
+    assert _feasible_degree_bound(huge, 2, DEFAULT_CELL_BUDGET) == -2
+    assert built == []
+
+    x = constant_object(FinPointedSet(2000), 1)
+    first = x.face((1,), 0, 0)
+    assert first == identity_map(2000)
+    built.clear()
+    assert x.face((2,), 0, 1) is first
+    assert x.degeneracy((0,), 0, 0) is first
+    assert built == []
 
 
 def test_chains_of_identity_and_collapse():
