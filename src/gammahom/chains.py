@@ -1,10 +1,22 @@
 """Exact linear algebra for chain complexes over Z, Q and F_p.
 
 Boundary matrices are integer sparse matrices in coordinate form.  Homology
-is read off from exact ranks: bit-packed Gaussian elimination over F_2,
-dense modular elimination for primes below 2^31, and a sparse Smith normal
-form over the integers.  Python integers are arbitrary precision, so
-integer elimination never overflows.
+is read off from exact ranks: a streamed field elimination over F_p for
+primes below 2^31, and a sparse Smith normal form over the integers.
+Python integers are arbitrary precision, so integer elimination never
+overflows.
+
+A field rank never builds a dense matrix of the long side.  The vectors of
+the long side, of length n (the short side), are sorted once and read in
+batches, which are reduced against a reduced row-echelon basis of at most
+n vectors (a streaming form of the dense GF(2) elimination of Albrecht and
+Bard's M4RI work).  Because the basis is reduced, a batch is reduced by
+one gather of basis vectors; what survives is eliminated one vector at a
+time, and the stream stops once the rank reaches n.  Vectors are stored
+only on the positions that are not yet pivots, and a batch holds as many
+as fit in the cells of _BATCH full-length ones.  Over F_2 a vector is
+packed into uint64 words, over an odd p it is held as int64 residues.  The
+basis, at most n^2 entries, is what a rank is refused on.
 
 The Smith form eliminates unit pivots first.  Boundary matrices are almost
 all +-1, and eliminating a +-1 pivot leaves the invariant factors unchanged
@@ -28,8 +40,8 @@ from .errors import IntegrityError, LimitExceeded
 
 SCHEMA_VERSION = 1
 
-# Prime fields need p < MAX_PRIME: dense F_p elimination multiplies residues
-# in int64, and residues below 2^31 have products below 2^62.
+# Prime fields need p < MAX_PRIME: field elimination multiplies residues in
+# int64, and residues below 2^31 have products below 2^62.
 MAX_PRIME = 1 << 31
 
 
@@ -195,6 +207,14 @@ class CooMatrix:
         return cls(shape, arr[:, 0], arr[:, 1], arr[:, 2])
 
 
+def _run_starts(keys):
+    """The index where each run of equal keys begins."""
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
 def _canonicalize(shape, row, col, val):
     if len(val) == 0:
         empty = np.empty(0, dtype=np.int64)
@@ -205,10 +225,10 @@ def _canonicalize(shape, row, col, val):
     key = row * shape[1] + col
     order = np.argsort(key, kind="stable")
     key, val = key[order], val[order]
-    uniq, start = np.unique(key, return_index=True)
+    start = _run_starts(key)
     sums = np.add.reduceat(val, start)
     keep = sums != 0
-    uniq, sums = uniq[keep], sums[keep]
+    uniq, sums = key[start[keep]], sums[keep]
     return uniq // shape[1], uniq % shape[1], sums
 
 
@@ -238,82 +258,243 @@ def matrix_rank(m: CooMatrix, ring: Ring) -> int:
     if m.nnz == 0:
         return 0
     if ring.kind == "F":
-        if ring.p == 2:
-            return _rank_gf2(m)
-        return _rank_mod_p(m, ring.p)
+        return _field_rank(m, ring.p)
     return _rank_integer(m)
 
 
-def _oriented(m: CooMatrix):
-    """Triplets with rows on the smaller side (rank is transpose-invariant)."""
+# A batch of long-side vectors takes the cells of this many full-length
+# vectors.
+_BATCH = 512
+
+# A field rank is refused when a full basis on the short side, n vectors of
+# length n, would take more bytes than this.
+_BASIS_LIMIT = 1 << 29
+
+
+class _PackedBits:
+    """Vectors over F_2: bit i of a vector is bit i & 63 of word i >> 6."""
+
+    @staticmethod
+    def width(size):
+        return (size + 63) >> 6
+
+    @staticmethod
+    def zeros(count, size):
+        return np.zeros((count, (size + 63) >> 6), dtype=np.uint64)
+
+    @staticmethod
+    def scatter(out, owner, idx, val):
+        """Set entry idx of vector owner; the pairs are sorted and distinct."""
+        key = owner * out.shape[1] + (idx >> 6)
+        bits = np.left_shift(np.uint64(1), (idx & 63).astype(np.uint64))
+        starts = _run_starts(key)
+        out.reshape(-1)[key[starts]] = np.bitwise_or.reduceat(bits, starts)
+
+    @staticmethod
+    def subtract(vecs, targets, rows, coef, starts):
+        """Subtract from vecs[targets[i]] the sum of coef * rows over the
+        i-th segment of rows, the segments beginning at starts."""
+        vecs[targets] ^= np.bitwise_xor.reduceat(rows, starts, axis=0)
+
+    @staticmethod
+    def lead(v):
+        """The first nonzero position of v and v scaled to 1 there."""
+        word = int(np.flatnonzero(v)[0])
+        bits = int(v[word])
+        return word * 64 + (bits & -bits).bit_length() - 1, v
+
+    @staticmethod
+    def clear(vecs, v, s):
+        """Subtract v from every vector holding position s."""
+        hit = np.flatnonzero(vecs[:, s >> 6] & np.uint64(1 << (s & 63)))
+        vecs[hit] ^= v
+
+    @staticmethod
+    def unset(v, s):
+        """Zero position s of v, which holds a 1 there."""
+        v[s >> 6] ^= np.uint64(1 << (s & 63))
+
+    @staticmethod
+    def take(vecs, keep):
+        """The vectors restricted to the positions listed in keep; they are
+        unpacked to one byte per bit _BATCH vectors at a time."""
+        out = np.zeros((len(vecs), 8 * ((len(keep) + 63) >> 6)),
+                       dtype=np.uint8)
+        for lo in range(0, len(vecs), _BATCH):
+            raw = vecs[lo:lo + _BATCH].astype("<u8", copy=False)
+            bits = np.unpackbits(raw.view(np.uint8), axis=1,
+                                 bitorder="little")[:, keep]
+            packed = np.packbits(bits, axis=1, bitorder="little")
+            out[lo:lo + _BATCH, :packed.shape[1]] = packed
+        return out.view("<u8").astype(np.uint64, copy=False)
+
+
+class _Residues:
+    """Vectors over F_p, p odd, as int64 residues (products stay below 2^62
+    because p < 2^31)."""
+
+    def __init__(self, p):
+        self.p = p
+
+    @staticmethod
+    def width(size):
+        return size
+
+    @staticmethod
+    def zeros(count, size):
+        return np.zeros((count, size), dtype=np.int64)
+
+    @staticmethod
+    def scatter(out, owner, idx, val):
+        out[owner, idx] = val
+
+    def mod(self, x):
+        """x mod p in place (a floor division by a scalar is the fast
+        kernel, a remainder is not)."""
+        x -= x // self.p * self.p
+        return x
+
+    def subtract(self, vecs, targets, rows, coef, starts):
+        # A product is below p^2 < 2^62; reduce the products first unless
+        # the whole sum of them stays below 2^63.
+        terms = rows * coef[:, None]
+        if len(coef) * (self.p - 1) ** 2 >= 1 << 63:
+            self.mod(terms)
+        vecs[targets] = self.mod(
+            vecs[targets] - np.add.reduceat(terms, starts, axis=0))
+
+    def lead(self, v):
+        s = int(np.flatnonzero(v)[0])
+        return s, self.mod(v * pow(int(v[s]), self.p - 2, self.p))
+
+    def clear(self, vecs, v, s):
+        hit = np.flatnonzero(vecs[:, s])
+        vecs[hit] = self.mod(vecs[hit] - vecs[hit, s, None] * v)
+
+    @staticmethod
+    def unset(v, s):
+        v[s] = 0
+
+    @staticmethod
+    def take(vecs, keep):
+        return vecs[:, keep]
+
+
+class _EchelonBasis:
+    """A reduced row-echelon basis of vectors of length n over a field.
+
+    Every basis vector is 1 at its own pivot and 0 at every other pivot, so
+    a vector is reduced by one gather: subtract, for each of its entries at
+    a pivot, that entry times the pivot's basis vector.  Vectors are stored
+    only on the slots of ``cols``, a superset of the positions that are not
+    pivots, and the storage is narrowed whenever their count halves.  A
+    basis vector is stored without the 1 at its own pivot, so an entry of a
+    new vector either fills a slot or is reduced by the gather, never both.
+    """
+
+    def __init__(self, n, field):
+        self.n, self.field = n, field
+        self.rank = 0
+        # code[i] is the slot of position i if it is not a pivot, and
+        # -1 - r if it is the pivot of basis vector r.
+        self.code = np.arange(n, dtype=np.int64)
+        self.cols = self.code.copy()
+        self.rows = field.zeros(0, n)
+
+    def batch(self):
+        """How many vectors fit, as stored now, in the cells of _BATCH
+        vectors of full length."""
+        width = self.field.width
+        return _BATCH * width(self.n) // width(len(self.cols))
+
+    def absorb(self, owner, pos, val, count):
+        """Add ``count`` vectors to the span, given as entries (vector below
+        count, position, value) sorted by vector and position."""
+        field = self.field
+        code = self.code[pos]
+        live = val != 0
+        free = live & (code >= 0)
+        vecs = field.zeros(count, len(self.cols))
+        field.scatter(vecs, owner[free], code[free], val[free])
+        # A gather holds at most _BATCH * n cells, no more than a batch of
+        # unpacked vectors of length n.
+        step = _BATCH * self.n // field.width(len(self.cols))
+        at_pivot = np.flatnonzero(live & (code < 0))
+        for lo in range(0, len(at_pivot), step):
+            part = at_pivot[lo:lo + step]
+            whose = owner[part]
+            starts = _run_starts(whose)
+            field.subtract(vecs, whose[starts],
+                           np.take(self.rows, -1 - code[part], axis=0),
+                           val[part], starts)
+        vecs = vecs[vecs.any(axis=1)]
+        while len(vecs) and self.rank < self.n:
+            rest = vecs[1:]
+            self._add(*field.lead(vecs[0]), rest)
+            vecs = rest[rest.any(axis=1)]
+        if self.rank < self.n and 2 * (self.n - self.rank) <= len(self.cols):
+            keep = np.flatnonzero(self.code[self.cols] >= 0)
+            self.rows = field.take(self.rows[:self.rank], keep)
+            self.cols = self.cols[keep]
+            self.code[self.cols] = np.arange(len(keep), dtype=np.int64)
+
+    def _add(self, s, v, pending):
+        """Make v, reduced and 1 at its slot s, a basis vector."""
+        field = self.field
+        field.clear(pending, v, s)
+        field.clear(self.rows[:self.rank], v, s)
+        if self.rank == len(self.rows):
+            grown = field.zeros(min(self.n, max(2 * self.rank, 64)),
+                                len(self.cols))
+            grown[:self.rank] = self.rows[:self.rank]
+            self.rows = grown
+        self.rows[self.rank] = v
+        field.unset(self.rows[self.rank], s)
+        self.code[self.cols[s]] = -1 - self.rank
+        self.rank += 1
+
+
+def _sorted_entries(vec, pos, val, n, p):
+    """The entries (vector, position, value mod p) sorted by vector, then
+    position: one sort of the keys (vec * n + pos) * p + val mod p, unpacked
+    in place so that no more than three arrays of entries are held."""
+    key = vec * n + pos
+    key *= p
+    key += val % p
+    key.sort()
+    val = key % p
+    key //= p
+    pos = key % n
+    key //= n
+    return key, pos, val
+
+
+def _field_rank(m: CooMatrix, p: int) -> int:
+    """Rank over F_p: the vectors of the long side stream, in batches, into
+    a reduced echelon basis on the short side, so no dense matrix of the
+    long side is built and the work stops once the rank reaches n."""
     if m.shape[0] <= m.shape[1]:
-        return m.shape, m.row, m.col
-    return (m.shape[1], m.shape[0]), m.col, m.row
-
-
-def _rank_gf2(m: CooMatrix) -> int:
-    (nrows, ncols), row, col = _oriented(m)
-    odd = (m.val % 2).astype(bool)
-    row, col = row[odd], col[odd]
-    if len(row) == 0:
-        return 0
-    words = (ncols + 63) // 64
-    mat = np.zeros((nrows, words), dtype=np.uint64)
-    np.bitwise_or.at(
-        mat, (row, col >> 6),
-        np.left_shift(np.uint64(1), (col & 63).astype(np.uint64)))
-    rank = 0
-    for w in range(words):
-        if rank == nrows:
-            break
-        if not mat[rank:, w].any():
-            continue
-        base = w * 64
-        for b in range(64):
-            colno = base + b
-            if colno >= ncols or rank == nrows:
-                break
-            bits = (mat[rank:, w] >> np.uint64(b)) & np.uint64(1)
-            nz = np.nonzero(bits)[0]
-            if nz.size == 0:
-                continue
-            pivot = rank + int(nz[0])
-            if pivot != rank:
-                mat[[rank, pivot]] = mat[[pivot, rank]]
-            rest = rank + nz[1:]
-            if rest.size:
-                mat[rest] ^= mat[rank]
-            rank += 1
-    return rank
-
-
-_DENSE_LIMIT = 60_000_000
-
-
-def _rank_mod_p(m: CooMatrix, p: int) -> int:
-    (nrows, ncols), row, col = _oriented(m)
-    if nrows * ncols > _DENSE_LIMIT:
+        n, pos, vec = m.shape[0], m.row, m.col
+    else:
+        n, pos, vec = m.shape[1], m.col, m.row
+    field = _PackedBits() if p == 2 else _Residues(p)
+    if n * field.width(n) * 8 > _BASIS_LIMIT:
         raise LimitExceeded(
-            f"matrix {nrows}x{ncols} too large for dense mod-{p} rank")
-    a = np.zeros((nrows, ncols), dtype=np.int64)
-    a[row, col] = m.val % p
-    rank = 0
-    for colno in range(ncols):
-        if rank == nrows:
-            break
-        nz = np.nonzero(a[rank:, colno])[0]
-        if nz.size == 0:
-            continue
-        pivot = rank + int(nz[0])
-        if pivot != rank:
-            a[[rank, pivot]] = a[[pivot, rank]]
-        inv = pow(int(a[rank, colno]), p - 2, p)
-        rest = rank + nz[1:]
-        if rest.size:
-            factors = (a[rest, colno] * inv) % p
-            a[rest] = (a[rest] - factors[:, None] * a[rank]) % p
-        rank += 1
-    return rank
+            f"matrix {m.shape[0]}x{m.shape[1]} too large for a mod-{p} "
+            f"rank: its basis on the short side needs {n}^2 entries")
+    if max(m.shape) * n * p > 1 << 63:
+        raise LimitExceeded(
+            f"matrix {m.shape[0]}x{m.shape[1]} too large for a mod-{p} "
+            f"rank: its entries do not pack into 63 bits")
+    vec, pos, val = _sorted_entries(vec, pos, m.val, n, p)
+    basis = _EchelonBasis(n, field)
+    lo = 0
+    while lo < len(vec) and basis.rank < n:
+        count = basis.batch()
+        hi = int(np.searchsorted(vec, vec[lo] + count))
+        basis.absorb(vec[lo:hi] - vec[lo], pos[lo:hi], val[lo:hi], count)
+        lo = hi
+    return basis.rank
 
 
 def _rank_integer(m: CooMatrix) -> int:
@@ -352,6 +533,17 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
         y, ny = ny, y - q * ny
         g, ng = ng, g - q * ng
     return g, x, y
+
+
+def _axpy(vectors, src, dst, t):
+    """vectors[dst] += t * vectors[src] on sparse dict vectors."""
+    vdst = vectors.setdefault(dst, {})
+    for k, w in vectors.get(src, {}).items():
+        nv = vdst.get(k, 0) + t * w
+        if nv:
+            vdst[k] = nv
+        elif k in vdst:
+            del vdst[k]
 
 
 class _SparseElim:
@@ -393,14 +585,7 @@ class _SparseElim:
         for c, v in list(self.rows.get(src, {}).items()):
             self._set(dst, c, self.entry(dst, c) + t * v)
         if self.transforms:
-            u = self.left
-            udst = u.setdefault(dst, {})
-            for k, v in u.get(src, {}).items():
-                nv = udst.get(k, 0) + t * v
-                if nv:
-                    udst[k] = nv
-                elif k in udst:
-                    del udst[k]
+            _axpy(self.left, src, dst, t)
 
     def col_axpy(self, src, dst, t):
         """col dst += t * col src."""
@@ -409,14 +594,18 @@ class _SparseElim:
         for r in list(self.cols.get(src, set())):
             self._set(r, dst, self.entry(r, dst) + t * self.entry(r, src))
         if self.transforms:
-            v = self.right
-            vdst = v.setdefault(dst, {})
-            for k, w in v.get(src, {}).items():
-                nv = vdst.get(k, 0) + t * w
-                if nv:
-                    vdst[k] = nv
-                elif k in vdst:
-                    del vdst[k]
+            _axpy(self.right, src, dst, t)
+
+    def clear_unit_row(self, r, c):
+        """Clear row r with column operations when its pivot (r, c) is +-1
+        and alone in column c: each operation only zeroes one entry."""
+        a = self.rows[r][c]
+        for c2, b in list(self.rows[r].items()):
+            if c2 != c:
+                del self.rows[r][c2]
+                self.cols[c2].discard(r)
+                if self.transforms:
+                    _axpy(self.right, c, c2, -b * a)
 
     def row_combine(self, r1, r2, c):
         """Unimodular 2x2 row operation making entry (r1, c) = gcd."""
@@ -547,6 +736,9 @@ def _snf_core(m: CooMatrix, transforms: bool, need_chain: bool) -> SmithResult:
                     changed = True
             # Clear the pivot row with column operations; these can
             # reintroduce column entries, hence the outer loop.
+            if elim.entry(r, c) in (1, -1) and len(elim.cols[c]) == 1:
+                elim.clear_unit_row(r, c)
+                break
             row_entries = [c2 for c2 in sorted(elim.rows.get(r, {}))
                            if c2 != c]
             for c2 in row_entries:

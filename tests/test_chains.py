@@ -2,7 +2,9 @@
 totalization."""
 
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from gammahom.chains import (GF, QQ, ZZ, ChainComplex, CooMatrix,
@@ -11,7 +13,7 @@ from gammahom.chains import (GF, QQ, ZZ, ChainComplex, CooMatrix,
                              nullspace_mod_p, parse_ring,
                              smith_normal_form, table_from_json,
                              total_complex)
-from gammahom.errors import IntegrityError
+from gammahom.errors import IntegrityError, LimitExceeded
 
 
 def dense_mm(a, b):
@@ -87,6 +89,171 @@ def test_gf2_rank_known():
     # rows sum to zero mod 2
     assert matrix_rank(m, GF(2)) == 2
     assert matrix_rank(m, QQ) == 3
+
+
+# ---------------------------------------------------------------------------
+# Field ranks against a plain dense elimination.
+
+BIG_PRIME = 2147483647
+
+
+def dense_rank(m, p):
+    """Rank over F_p by Gaussian elimination on dense Python lists: each
+    vector of the long side is reduced against an echelon basis."""
+    dense = m.to_dense()
+    vectors = dense if m.shape[0] > m.shape[1] else list(zip(*dense))
+    n = min(m.shape)
+    basis = {}
+    for vec in vectors:
+        v = [x % p for x in vec]
+        for i in range(n):
+            if not v[i]:
+                continue
+            b = basis.get(i)
+            if b is None:
+                inv = pow(v[i], p - 2, p)
+                basis[i] = [x * inv % p for x in v]
+                break
+            f = v[i]
+            v = [(x - f * y) % p for x, y in zip(v, b)]
+        if len(basis) == n:
+            break
+    return len(basis)
+
+
+def sparse_random(rng, n, length, per_vector, values, tall=False):
+    """An n x length matrix (length x n if tall) with ``per_vector``
+    random entries in each vector of the long side."""
+    entries = {}
+    for j in range(length):
+        for i in rng.sample(range(n), per_vector):
+            entries[(j, i) if tall else (i, j)] = rng.choice(values)
+    shape = (length, n) if tall else (n, length)
+    return CooMatrix.from_entries(shape, entries)
+
+
+@pytest.mark.parametrize("p", [2, 3, BIG_PRIME])
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
+def test_field_rank_short_sides_around_word_bounds(p, n):
+    rng = random.Random(p * 1000 + n)
+    # The last row is reached only by the last vector, so the basis is
+    # complete only at the end of the stream.
+    length = 1100 if p == 2 else 600
+    for tall in (False, True):
+        m = sparse_random(rng, n - 1, length - 1, 2, (1, -1, 2, 5))
+        entries = {(r, c): v for r, c, v in m.entries()}
+        entries[(n - 1, length - 1)] = 1
+        m = CooMatrix.from_entries((n, length), entries)
+        if tall:
+            m = m.transpose()
+        assert matrix_rank(m, GF(p)) == dense_rank(m, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, BIG_PRIME])
+@pytest.mark.parametrize("length", [511, 512, 513, 1025])
+def test_field_rank_long_sides_around_the_batch(p, length):
+    rng = random.Random(p + length)
+    for n, tall in ((20, False), (33, True), (70, False)):
+        # Entries divisible by p vanish; entries at or above p reduce.
+        values = (1, -1, p, -2 * p, p + 1, 3)
+        m = sparse_random(rng, n, length, 1, values, tall)
+        assert matrix_rank(m, GF(p)) == dense_rank(m, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, BIG_PRIME])
+def test_field_rank_entries_vanishing_mod_p(p):
+    m = CooMatrix.from_entries((3, 700), {(0, 0): p, (1, 5): 2 * p,
+                                          (2, 600): -p})
+    assert m.nnz == 3
+    assert matrix_rank(m, GF(p)) == 0
+    m = CooMatrix.from_entries((3, 700), {(0, 0): p, (1, 5): p + 1,
+                                          (2, 600): 1, (1, 699): 1})
+    assert matrix_rank(m, GF(p)) == dense_rank(m, p) == 2
+
+
+@pytest.mark.parametrize("p", [2, 3, BIG_PRIME])
+@pytest.mark.parametrize("rows, cols, rank", [
+    (40, 700, 25),     # wide, rank below the short side
+    (650, 30, 30),     # tall, full rank
+    (64, 600, 63),     # one short of a full word
+])
+def test_field_rank_of_planted_rank(p, rows, cols, rank):
+    # U * D * V with U, V unimodular over Z, so invertible mod every p.
+    m = scrambled(random.Random(rows + cols), rows, cols, [1] * rank,
+                  ops=2 * min(rows, cols))
+    assert max(abs(v) for v in m.val.tolist()) < 1 << 62
+    assert matrix_rank(m, GF(p)) == dense_rank(m, p) == rank
+
+
+def test_field_rank_stops_once_the_rank_is_the_short_side(monkeypatch):
+    from gammahom import chains
+    batches = []
+    absorb = chains._EchelonBasis.absorb
+
+    def counted(self, *args):
+        batches.append(self.rank)
+        return absorb(self, *args)
+
+    monkeypatch.setattr(chains._EchelonBasis, "absorb", counted)
+    n = 50
+    entries = {(i, i): 1 for i in range(n)}
+    entries.update({(j % n, j): 1 for j in range(n, 5000)})
+    for p in (2, 3, BIG_PRIME):
+        batches.clear()
+        m = CooMatrix.from_entries((n, 5000), entries)
+        assert matrix_rank(m, GF(p)) == n
+        assert matrix_rank(m.transpose(), GF(p)) == n
+        assert batches == [0, 0]
+
+
+def test_wide_prime_field_rank_needs_no_dense_matrix():
+    # 60 x 1.1M is 66M cells, beyond what a dense F_p matrix may take.
+    # Columns are edges of a graph; vertex 59 is joined only by the last
+    # one, so the rank, 59, needs the whole stream.
+    n, length = 60, 1_100_000
+    rng = np.random.default_rng(11)
+    head = rng.integers(0, n - 1, length)
+    tail = (head + rng.integers(1, n - 1, length)) % (n - 1)
+    head[-1], tail[-1] = n - 1, 0
+    cols = np.arange(length)
+    m = CooMatrix((n, length), np.r_[head, tail], np.r_[cols, cols],
+                  np.r_[np.ones(length, np.int64), -np.ones(length, np.int64)])
+    assert matrix_rank(m, GF(3)) == n - 1
+    assert matrix_rank(m.transpose(), GF(BIG_PRIME)) == n - 1
+
+
+def test_field_rank_refuses_what_it_cannot_hold():
+    # A basis of 10^4 x 10^4 residues takes 800 MB; as bits it is 12.5 MB.
+    m = CooMatrix.from_entries((10_000, 10_000), {(0, 0): 1})
+    with pytest.raises(LimitExceeded):
+        matrix_rank(m, GF(3))
+    assert matrix_rank(m, GF(2)) == 1
+    # Keys (vector, position, value) of a 2 x 2^40 matrix over a 31-bit
+    # prime do not fit in 63 bits.
+    m = CooMatrix.from_entries((2, 1 << 40), {(0, 0): 1, (1, 5): 1})
+    with pytest.raises(LimitExceeded):
+        matrix_rank(m, GF(BIG_PRIME))
+    assert matrix_rank(m, GF(3)) == 2
+
+
+def test_gf2_rank_of_wide_sparse_matrix_allocates_little():
+    # One entry per column, on rows 0..n-2 but for the last column: the
+    # packed n x L bit matrix would take n * ceil(L / 64) * 8 bytes.
+    n, length = 4096, 300_000
+    rng = np.random.default_rng(5)
+    rows = rng.integers(0, n - 1, length)
+    rows[-1] = n - 1
+    m = CooMatrix((n, length), rows, np.arange(length),
+                  rng.choice([1, -1, 3], length))
+    packed = n * ((length + 63) // 64) * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert matrix_rank(m, GF(2)) == n
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < packed / 4
 
 
 # ---------------------------------------------------------------------------
