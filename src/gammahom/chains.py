@@ -18,6 +18,13 @@ as fit in the cells of _BATCH full-length ones.  Over F_2 a vector is
 packed into uint64 words, over an odd p it is held as int64 residues.  The
 basis, at most n^2 entries, is what a rank is refused on.
 
+Whether a chain map induces an isomorphism on homology over a field is read
+off ranks too.  For A = d_d of the source, F the map in degree d and
+B = d_{d+1} of the target, the block matrix [[A, 0], [F, B]] has rank
+rank A + dim(F(ker A) + im B), so the image of the map in homology has
+dimension rank [[A, 0], [F, B]] - rank A - rank B; no kernel basis and no
+dense matrix is built.
+
 The Smith form eliminates unit pivots first.  Boundary matrices are almost
 all +-1, and eliminating a +-1 pivot leaves the invariant factors unchanged
 apart from a 1 (Dumas, Heckenbach, Saunders, Welker 2003; Kaczynski,
@@ -830,11 +837,8 @@ def integer_kernel_basis(m: CooMatrix) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Dense exact helpers for induced maps on homology (small matrices only).
-
-def _dense_int(m: CooMatrix) -> list[list[int]]:
-    return m.to_dense()
-
+# Dense exact helpers for the integral surjectivity certificate (small
+# matrices only).
 
 def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     if not a or not b:
@@ -870,51 +874,6 @@ def _dense_to_coo(rows: list[list[int]]) -> CooMatrix:
             if v:
                 entries[(i, j)] = v
     return CooMatrix.from_entries((nrows, ncols), entries)
-
-
-def _rref_mod_p(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    a = a % p
-    nrows, ncols = a.shape
-    pivots = []
-    rank = 0
-    for colno in range(ncols):
-        if rank == nrows:
-            break
-        nz = np.nonzero(a[rank:, colno])[0]
-        if nz.size == 0:
-            continue
-        pivot = rank + int(nz[0])
-        if pivot != rank:
-            a[[rank, pivot]] = a[[pivot, rank]]
-        inv = pow(int(a[rank, colno]), p - 2, p)
-        a[rank] = (a[rank] * inv) % p
-        others = np.nonzero(a[:, colno])[0]
-        others = others[others != rank]
-        if others.size:
-            a[others] = (a[others] - a[others, colno][:, None] * a[rank]) % p
-        pivots.append(colno)
-        rank += 1
-    return a, pivots
-
-
-def nullspace_mod_p(m: CooMatrix, p: int) -> list[list[int]]:
-    """Kernel basis vectors over F_p (dense; intended for modest sizes)."""
-    nrows, ncols = m.shape
-    a = np.zeros((max(nrows, 1), ncols), dtype=np.int64)
-    if m.nnz:
-        a[m.row, m.col] = m.val % p
-    red, pivots = _rref_mod_p(a, p)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = int(-red[i, free]) % p
-        basis.append(vec)
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -1191,79 +1150,38 @@ def total_complex(mc: Multicomplex, ring: Ring, degree_bound: int,
 # ---------------------------------------------------------------------------
 # Induced maps on homology.
 
-def hstack_coo(a: CooMatrix, b: CooMatrix) -> CooMatrix:
-    """Place two sparse matrices side by side."""
-    if a.shape[0] != b.shape[0]:
-        raise ValueError("row counts differ")
-    shape = (a.shape[0], a.shape[1] + b.shape[1])
-    return CooMatrix(shape,
-                     np.concatenate([a.row, b.row]),
-                     np.concatenate([a.col, b.col + a.shape[1]]),
-                     np.concatenate([a.val, b.val]))
-
-
-def _coo_from_columns(columns: list[list[int]], nrows: int) -> CooMatrix:
-    entries = {}
-    for j, column in enumerate(columns):
-        for i, v in enumerate(column):
-            if v:
-                entries[(i, j)] = v
-    return CooMatrix.from_entries((nrows, len(columns)), entries)
-
-
 def induced_map_is_iso_field(src: ChainComplex, tgt: ChainComplex,
                              blocks: dict[int, CooMatrix], degree: int,
                              ring: Ring) -> bool:
     """Whether a chain map induces an isomorphism on degree-d homology over a
     field.
 
-    Checks equal dimensions plus surjectivity of the composite
-    cycles(src) -> cycles(tgt) -> H(tgt); the boundary side stays sparse so
-    large complexes are not densified.
+    With A = src.boundary(d), F = blocks[d] and B = tgt.boundary(d+1), the
+    block matrix M = [[A, 0], [F, B]] has rank
+    rank A + dim(F(ker A) + im B), so the image of H_d(src) in H_d(tgt) has
+    dimension rank M - rank A - rank B.  The map is an isomorphism iff the
+    two homology dimensions agree and that image fills H_d(tgt).  Every
+    answer is an exact rank of a sparse matrix: no kernel basis and no
+    dense matrix is built.
     """
-    rank_tgt_up = matrix_rank(tgt.boundary(degree + 1), ring)
-    hs = homology_dimension_field(src, degree, ring)
-    ht = (tgt.rank(degree) - matrix_rank(tgt.boundary(degree), ring)
-          - rank_tgt_up)
+    a, f, b = src.boundary(degree), blocks[degree], tgt.boundary(degree + 1)
+    if f.shape != (b.shape[0], a.shape[1]):
+        raise ValueError(f"chain map block {f.shape} does not fit the "
+                         f"complexes in degree {degree}")
+    rank_a, rank_b = matrix_rank(a, ring), matrix_rank(b, ring)
+    hs = (src.rank(degree) - rank_a
+          - matrix_rank(src.boundary(degree + 1), ring))
+    ht = tgt.rank(degree) - matrix_rank(tgt.boundary(degree), ring) - rank_b
     if hs != ht:
         return False
     if ht == 0:
         return True
-    if ring.kind == "Q":
-        kernel = integer_kernel_basis(src.boundary(degree))
-    else:
-        kernel = nullspace_mod_p(src.boundary(degree), ring.p)
-    image = _apply_sparse_to_columns(blocks[degree], kernel)
-    combined = hstack_coo(_coo_from_columns(image, tgt.rank(degree)),
-                          tgt.boundary(degree + 1))
-    return matrix_rank(combined, ring) == rank_tgt_up + ht
-
-
-def _apply_sparse_to_columns(m: CooMatrix,
-                             columns: list[list[int]]) -> list[list[int]]:
-    if not columns:
-        return []
-    peak = max((abs(v) for col in columns for v in col), default=0)
-    if peak < 1 << 30 and m.nnz:
-        stacked = np.asarray(columns, dtype=np.int64).T
-        image = np.asarray(m.to_scipy() @ stacked)
-        return [image[:, j].tolist() for j in range(image.shape[1])]
-    out = []
-    for column in columns:
-        acc = [0] * m.shape[0]
-        nonzero = {i: v for i, v in enumerate(column) if v}
-        for r, c, v in m.entries():
-            w = nonzero.get(c)
-            if w:
-                acc[r] += v * w
-        out.append(acc)
-    return out
-
-
-def homology_dimension_field(cx: ChainComplex, degree: int,
-                             ring: Ring) -> int:
-    return (cx.rank(degree) - matrix_rank(cx.boundary(degree), ring)
-            - matrix_rank(cx.boundary(degree + 1), ring))
+    rows, cols = a.shape
+    m = CooMatrix((rows + b.shape[0], cols + b.shape[1]),
+                  np.concatenate([a.row, f.row + rows, b.row + rows]),
+                  np.concatenate([a.col, f.col, b.col + cols]),
+                  np.concatenate([a.val, f.val, b.val]))
+    return matrix_rank(m, ring) - rank_a - rank_b == ht
 
 
 def induced_map_is_surjective_integer(src: ChainComplex, tgt: ChainComplex,
@@ -1280,8 +1198,8 @@ def induced_map_is_surjective_integer(src: ChainComplex, tgt: ChainComplex,
         raise LimitExceeded("integral surjectivity certificate needs dense "
                             "transforms; complex too large")
     kernel_src = integer_kernel_basis(src.boundary(degree))
-    fk = _mat_mul(_dense_int(blocks[degree]), _columns_matrix(kernel_src))
-    bcols = _dense_int(tgt.boundary(degree + 1))
+    fk = _mat_mul(blocks[degree].to_dense(), _columns_matrix(kernel_src))
+    bcols = tgt.boundary(degree + 1).to_dense()
     if fk and bcols:
         gens = [ra + rb for ra, rb in zip(fk, bcols)]
     else:

@@ -222,23 +222,19 @@ def suspension_ss(x: MSSet) -> MSSet:
     def face(idx, j, i):
         if j == 0:
             return gamma.smash(gamma.circle_face(idx[0], i),
-                               _identity_of(x.cell(idx[1:])))
-        return gamma.smash(_identity_of(FinPointedSet(idx[0])),
+                               gamma.identity_map(x.cell(idx[1:]).size))
+        return gamma.smash(gamma.identity_map(idx[0]),
                            x.face(idx[1:], j - 1, i))
 
     def degeneracy(idx, j, i):
         if j == 0:
             return gamma.smash(gamma.circle_degeneracy(idx[0], i),
-                               _identity_of(x.cell(idx[1:])))
-        return gamma.smash(_identity_of(FinPointedSet(idx[0])),
+                               gamma.identity_map(x.cell(idx[1:]).size))
+        return gamma.smash(gamma.identity_map(idx[0]),
                            x.degeneracy(idx[1:], j - 1, i))
 
     return MSSet(x.directions + 1, cell, face, degeneracy,
                  name=f"susp({x.name})")
-
-
-def _identity_of(s: FinPointedSet) -> PointedMap:
-    return gamma.identity_map(s.size)
 
 
 def diagonal_ss(x: MSSet) -> MSSet:
@@ -323,7 +319,8 @@ class MSMap:
 
 
 def identity_msmap(x: MSSet) -> MSMap:
-    return MSMap(x, x, lambda idx: _identity_of(x.cell(idx)), name="id")
+    return MSMap(x, x, lambda idx: gamma.identity_map(x.cell(idx).size),
+                 name="id")
 
 
 def compose_msmap(f: MSMap, g: MSMap) -> MSMap:

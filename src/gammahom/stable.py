@@ -33,6 +33,14 @@ from .simplicial import (DEFAULT_CELL_BUDGET, chain_map_induces_iso,
 
 DEFAULT_MAX_ITERATIONS = 10
 
+# Specialness is tested on maps between sets of at most this size, on tower
+# levels up to SPECIAL_LEVEL_BOUND.
+SPECIAL_SIZE_BOUND = 3
+SPECIAL_LEVEL_BOUND = 2
+
+# The stable-range check looks for a connected tower level up to this one.
+LEVEL_CAP = 3
+
 
 @dataclass
 class DegreeEvidence:
@@ -118,10 +126,8 @@ class StableResult:
 
 def spectrum_homology(x: GammaSpace, ring: Ring, i_max: int, *,
                       max_iterations: int = DEFAULT_MAX_ITERATIONS,
-                      cell_budget: int | None = DEFAULT_CELL_BUDGET,
-                      special_size_bound: int = 3,
-                      special_level_bound: int = 2,
-                      connectivity_shortcut: bool = True) -> StableResult:
+                      cell_budget: int | None = DEFAULT_CELL_BUDGET
+                      ) -> StableResult:
     """Homology of the spectrum attached to a normalized Gamma-space.
 
     For each degree i <= i_max the tower values H_{i+n} of the levels are
@@ -132,14 +138,14 @@ def spectrum_homology(x: GammaSpace, ring: Ring, i_max: int, *,
     """
     if i_max < 0:
         raise ValueError("i_max must be >= 0")
-    verdict = is_special(x, "bijection", size_bound=special_size_bound,
-                         level_bound=special_level_bound,
+    verdict = is_special(x, "bijection", size_bound=SPECIAL_SIZE_BOUND,
+                         level_bound=SPECIAL_LEVEL_BOUND,
                          cell_budget=cell_budget)
     if not verdict:
         try:
             verdict = is_special(
-                x, "homology", size_bound=min(special_size_bound, 2),
-                level_bound=special_level_bound, ring=ZZ,
+                x, "homology", size_bound=min(SPECIAL_SIZE_BOUND, 2),
+                level_bound=SPECIAL_LEVEL_BOUND, ring=ZZ,
                 depth=min(2, i_max), cell_budget=cell_budget)
         except LimitExceeded:
             pass
@@ -148,7 +154,7 @@ def spectrum_homology(x: GammaSpace, ring: Ring, i_max: int, *,
     unresolved = set(range(i_max + 1))
     budget_note = None
 
-    if verdict and connectivity_shortcut:
+    if verdict:
         under = underlying_space(x)
         try:
             conn = connectivity(under, i_max, cell_budget=cell_budget)
@@ -389,7 +395,6 @@ def check_smash_vanishing(x: GammaSpace, n: int, n2: int, ring: Ring,
 
 def check_stable_range(x: GammaSpace, ring: Ring, i_max: int, *,
                        cell_budget: int | None = DEFAULT_CELL_BUDGET,
-                       level_cap: int = 3,
                        **options) -> CheckReport:
     """Tower values agree throughout the certified stable range.
 
@@ -418,7 +423,7 @@ def check_stable_range(x: GammaSpace, ring: Ring, i_max: int, *,
                 f"degree {i}: {len(values)} tower values beyond i agree")
 
     found = None
-    for k in range(1, level_cap + 1):
+    for k in range(1, LEVEL_CAP + 1):
         try:
             conn = connectivity(spectrum_level(x, k).space,
                                 min(i_max + 1, 2 * k),
@@ -430,7 +435,7 @@ def check_stable_range(x: GammaSpace, ring: Ring, i_max: int, *,
             break
     if found is None:
         details.append(
-            f"no tower level with connectivity >= 1 within cap {level_cap}")
+            f"no tower level with connectivity >= 1 within cap {LEVEL_CAP}")
     else:
         k, conn = found
         stage = tower(x, k)[k]

@@ -3,14 +3,16 @@ totalization."""
 
 import random
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gammahom.chains import (GF, QQ, ZZ, ChainComplex, CooMatrix,
                              HomologyGroup, Multicomplex, Ring, homology,
-                             integer_kernel_basis, matrix_rank,
-                             nullspace_mod_p, parse_ring,
+                             induced_map_is_iso_field, integer_kernel_basis,
+                             matrix_rank, parse_ring,
                              smith_normal_form, table_from_json,
                              total_complex)
 from gammahom.errors import IntegrityError, LimitExceeded
@@ -371,20 +373,6 @@ def test_integer_kernel_basis():
         assert len(kernel) == m.shape[1] - matrix_rank(m, QQ)
 
 
-def test_nullspace_mod_p():
-    rng = random.Random(31)
-    for p in (2, 3, 5):
-        for _ in range(25):
-            m = random_coo(rng, rng.randint(1, 5), rng.randint(1, 5), -3, 3)
-            basis = nullspace_mod_p(m, p)
-            dense = m.to_dense()
-            for vec in basis:
-                image = [sum(row[c] * vec[c] for c in range(m.shape[1])) % p
-                         for row in dense]
-                assert all(v == 0 for v in image)
-            assert len(basis) == m.shape[1] - matrix_rank(m, GF(p))
-
-
 # ---------------------------------------------------------------------------
 # Homology.
 
@@ -560,3 +548,162 @@ def test_homology_group_validation():
         HomologyGroup(0, (1,))
     assert HomologyGroup(1, (2, 4)).label(ZZ) == "Z + Z/2 + Z/4"
     assert HomologyGroup(2).label(GF(2)) == "F2^2"
+
+
+# ---------------------------------------------------------------------------
+# Induced isomorphisms over a field against a dense reference.
+
+def ref_echelon(vectors, width, p):
+    """Reduced echelon form of the rows ``vectors``, of length ``width``,
+    over F_p (over Q when p is None): its nonzero rows and their pivots."""
+    if p is None:
+        norm, inv = Fraction, lambda x: 1 / x
+    else:
+        norm, inv = (lambda x: x % p), (lambda x: pow(x, p - 2, p))
+    rows = [[norm(x) for x in v] for v in vectors]
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        s = inv(rows[r][c])
+        rows[r] = [norm(x * s) for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                t = row[c]
+                rows[i] = [norm(x - t * y) for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def ref_rank(m, p):
+    return len(ref_echelon(m.to_dense(), m.shape[1], p)[1])
+
+
+def reference_iso(src, tgt, f, d, p):
+    """(iso, hs, ht) from a kernel basis of src.boundary(d), its image
+    under f, and the rank of that image together with tgt.boundary(d+1)."""
+    a, b = src.boundary(d), tgt.boundary(d + 1)
+    rows, pivots = ref_echelon(a.to_dense(), a.shape[1], p)
+    kernel = []
+    for free in sorted(set(range(a.shape[1])) - set(pivots)):
+        vec = [0] * a.shape[1]
+        vec[free] = 1
+        for row, c in zip(rows, pivots):
+            vec[c] = -row[free]
+        kernel.append(vec)
+    hs = len(kernel) - ref_rank(src.boundary(d + 1), p)
+    ht = tgt.rank(d) - ref_rank(tgt.boundary(d), p) - ref_rank(b, p)
+    if hs != ht:
+        return False, hs, ht
+    dense_f = f.to_dense()
+    image = [[sum(x * y for x, y in zip(row, v)) for row in dense_f]
+             for v in kernel]
+    spanned = image + [list(col) for col in zip(*b.to_dense())]
+    rank = len(ref_echelon(spanned, tgt.rank(d), p)[1])
+    return rank - ref_rank(b, p) == ht, hs, ht
+
+
+def unimodular(rng, n):
+    """A random integer n x n matrix of determinant 1 and its inverse."""
+    u, inv = np.eye(n, dtype=object), np.eye(n, dtype=object)
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        t = rng.choice((1, -1, 2, -2))
+        u[i] += t * u[j]
+        inv[:, j] -= t * inv[:, i]
+    return u, inv
+
+
+def coo(a, p):
+    """The integer matrix a, reduced mod p unless p is None."""
+    if p is not None:
+        a = a % p
+    r, c = np.nonzero(a)
+    return CooMatrix(a.shape, r, c, a[r, c].astype(np.int64))
+
+
+def random_chain_map(rng, p, top):
+    """A chain map f = lam + dh + hd from a direct sum S of elementary
+    complexes (a point, or Z -c-> Z in two adjacent degrees) to S plus more
+    summands, in random bases.  lam is a scalar on each summand of S, so on
+    homology f is lam on the summands of S and zero on the others.  The
+    arithmetic is in Python integers, reduced mod p at the end."""
+    def summands():
+        out = []
+        for _ in range(rng.randint(1, 4)):
+            k = rng.randint(0, top)
+            c = rng.choice((1, 2, p or 3)) if k and rng.random() < 0.6 \
+                else None
+            out.append((k, c))
+        return out
+
+    def assemble(parts):
+        basis = {d: [i for i, (k, c) in enumerate(parts)
+                     if k == d or (c is not None and k == d + 1)]
+                 for d in range(top + 2)}
+        bd = {}
+        for d in range(1, top + 2):
+            bd[d] = np.zeros((len(basis[d - 1]), len(basis[d])),
+                             dtype=object)
+            for col, i in enumerate(basis[d]):
+                k, c = parts[i]
+                if k == d and c is not None:
+                    bd[d][basis[d - 1].index(i), col] = c
+        return basis, bd
+
+    source = summands()
+    basis, bd = assemble(source)
+    target = source + summands()
+    tbasis, tbd = assemble(target)
+    lam = [rng.choice((0, 1, 2, -1, p or 3, (p or 3) + 1)) for _ in source]
+    n = {d: len(basis[d]) for d in basis}
+    h = {d: np.array([[rng.choice((0, 0, 1, -1, 2)) for _ in range(n[d])]
+                      for _ in range(n[d + 1])], dtype=object
+                     ).reshape(n[d + 1], n[d])
+         for d in range(top + 1)}
+    h[-1] = np.zeros((n[0], 0), dtype=object)
+    bd[0] = np.zeros((0, n[0]), dtype=object)
+    f = {}
+    for d in range(top + 1):
+        own = np.diag([lam[i] for i in basis[d]]).reshape(n[d], n[d])
+        f[d] = np.zeros((len(tbasis[d]), n[d]), dtype=object)
+        f[d][:n[d]] = own + bd[d + 1] @ h[d] + h[d - 1] @ bd[d]
+    # New bases: x -> u x in the source and v y in the target.
+    u = {d: unimodular(rng, n[d]) for d in range(top + 2)}
+    v = {d: unimodular(rng, len(tbasis[d])) for d in range(top + 2)}
+    for d in range(1, top + 2):
+        bd[d] = u[d - 1][0] @ bd[d] @ u[d][1]
+        tbd[d] = v[d - 1][0] @ tbd[d] @ v[d][1]
+    for d in range(top + 1):
+        f[d] = v[d][0] @ f[d] @ u[d][1]
+        if d:
+            assert np.array_equal(tbd[d] @ f[d], f[d - 1] @ bd[d])
+    ring = QQ if p is None else GF(p)
+    src = ChainComplex(ring, n,
+                       {d: coo(bd[d], p) for d in range(1, top + 2)}, top)
+    tgt = ChainComplex(ring, {d: len(b) for d, b in tbasis.items()},
+                       {d: coo(tbd[d], p) for d in range(1, top + 2)}, top)
+    return src, tgt, {d: coo(m, p) for d, m in f.items()}
+
+
+@pytest.mark.parametrize("ring", [GF(2), GF(3), GF(BIG_PRIME), QQ], ids=str)
+def test_induced_iso_over_a_field_against_dense_reference(ring):
+    rng = random.Random(47)
+    seen = Counter()
+    for _ in range(120):
+        top = rng.randint(1, 3)
+        src, tgt, blocks = random_chain_map(rng, ring.p, top)
+        for d in range(top + 1):
+            want, hs, ht = reference_iso(src, tgt, blocks[d], d, ring.p)
+            assert induced_map_is_iso_field(src, tgt, blocks, d,
+                                            ring) == want
+            seen[want, hs == ht > 0] += 1
+    # Isomorphisms and non-isomorphisms between groups of equal nonzero
+    # dimension both occur, and so do unequal dimensions.
+    assert seen[True, True] and seen[False, True] and seen[False, False]
+    with pytest.raises(ValueError):
+        induced_map_is_iso_field(src, tgt, {0: CooMatrix.identity(9)}, 0,
+                                 ring)
