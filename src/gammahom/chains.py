@@ -1,14 +1,18 @@
 """Exact linear algebra for chain complexes over Z, Q and F_p.
 
-Boundary matrices are integer sparse matrices in coordinate form.  Homology
-is read off from exact ranks: a streamed field elimination over F_p for
-primes below 2^31, and a sparse Smith normal form over the integers.
-Python integers are arbitrary precision, so integer elimination never
-overflows.
+Boundary matrices are integer sparse matrices in coordinate form, kept in
+one canonical order: column-major (by column, then row), deduplicated and
+without zeros.  Chain assembly produces that order directly: a block matrix
+is placed block by block with a counting pass over its columns
+(``place_blocks``), with no sort of the entries.  Homology is read off from
+exact ranks: a streamed field elimination over F_p for primes below 2^31,
+and a sparse Smith normal form over the integers.  Python integers are
+arbitrary precision, so integer elimination never overflows.
 
 A field rank never builds a dense matrix of the long side.  The vectors of
-the long side, of length n (the short side), are sorted once and read in
-batches, which are reduced against a reduced row-echelon basis of at most
+the long side, of length n (the short side), are read in batches (a wide
+matrix in its canonical order, a tall one after one sort), which are
+reduced against a reduced row-echelon basis of at most
 n vectors (a streaming form of the dense GF(2) elimination of Albrecht and
 Bard's M4RI work).  Because the basis is reduced, a batch is reduced by
 one gather of basis vectors; what survives is eliminated one vector at a
@@ -121,7 +125,14 @@ def _is_prime(n: int) -> bool:
 # Sparse integer matrices in coordinate form.
 
 class CooMatrix:
-    """An immutable integer sparse matrix: sorted, deduplicated triplets."""
+    """An immutable integer sparse matrix as triplets in column-major order:
+    sorted by column, then row, with no repeated position and no zero value.
+
+    Triplets in any order are brought into that order by one sort.  A
+    caller that builds them in that order already passes ``_canonical=True``;
+    the claim is then checked in one pass, and a ValueError is raised if it
+    does not hold.
+    """
 
     __slots__ = ("shape", "row", "col", "val")
 
@@ -130,7 +141,9 @@ class CooMatrix:
         row = np.asarray(row, dtype=np.int64)
         col = np.asarray(col, dtype=np.int64)
         val = np.asarray(val, dtype=np.int64)
-        if not _canonical:
+        if _canonical:
+            _check_canonical(self.shape, row, col, val)
+        else:
             row, col, val = _canonicalize(self.shape, row, col, val)
         for a in (row, col, val):
             a.setflags(write=False)
@@ -180,8 +193,13 @@ class CooMatrix:
         return dense
 
     def to_scipy(self):
-        from scipy.sparse import csr_matrix
-        return csr_matrix((self.val, (self.row, self.col)), shape=self.shape)
+        """The matrix in scipy's compressed sparse column form, read off the
+        canonical order: only the column pointers are computed."""
+        from scipy.sparse import csc_matrix
+        indptr = np.zeros(self.shape[1] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.col, minlength=self.shape[1]),
+                  out=indptr[1:])
+        return csc_matrix((self.val, self.row, indptr), shape=self.shape)
 
     def permuted(self, row_perm=None, col_perm=None) -> "CooMatrix":
         """Relabel rows/columns; perm[i] is the new index of old index i."""
@@ -201,8 +219,11 @@ class CooMatrix:
         return f"CooMatrix({self.shape[0]}x{self.shape[1]}, nnz={self.nnz})"
 
     def to_json(self) -> dict:
+        """Shape and entries; the entries are listed in row-major order."""
+        order = np.lexsort((self.col, self.row))
         return {"rows": self.shape[0], "cols": self.shape[1],
-                "entries": [[r, c, v] for r, c, v in self.entries()]}
+                "entries": np.stack([self.row[order], self.col[order],
+                                     self.val[order]], axis=1).tolist()}
 
     @classmethod
     def from_json(cls, data: dict) -> "CooMatrix":
@@ -223,20 +244,74 @@ def _run_starts(keys):
 
 
 def _canonicalize(shape, row, col, val):
+    """Triplets in any order as canonical ones: sorted column-major, with
+    the values at one position summed and zero sums dropped."""
     if len(val) == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
     if row.min() < 0 or row.max() >= shape[0] or col.min() < 0 \
             or col.max() >= shape[1]:
         raise ValueError("matrix entry out of shape bounds")
-    key = row * shape[1] + col
+    key = col * shape[0] + row
     order = np.argsort(key, kind="stable")
     key, val = key[order], val[order]
     start = _run_starts(key)
     sums = np.add.reduceat(val, start)
     keep = sums != 0
     uniq, sums = key[start[keep]], sums[keep]
-    return uniq // shape[1], uniq % shape[1], sums
+    return uniq % shape[0], uniq // shape[0], sums
+
+
+def _check_canonical(shape, row, col, val):
+    """Raise ValueError unless the triplets are canonical.  Once the keys
+    col * rows + row increase, the first and last column bound them all."""
+    if not len(row) == len(col) == len(val):
+        raise ValueError("triplet arrays differ in length")
+    if not len(val):
+        return
+    if (row.view(np.uint64) >= shape[0]).any() or col[0] < 0 \
+            or col[-1] >= shape[1]:
+        raise ValueError("matrix entry out of shape bounds")
+    key = col * shape[0] + row
+    if not (key[1:] > key[:-1]).all():
+        raise ValueError("entries are not in strictly increasing "
+                         "column-major order")
+    if not val.all():
+        raise ValueError("matrix holds an explicit zero")
+
+
+def place_blocks(shape, blocks) -> CooMatrix:
+    """The matrix of ``shape`` that holds ``sign * m`` at offset
+    (row_off, col_off) for each (row_off, col_off, m, sign) in ``blocks``.
+
+    Blocks must not overlap, and blocks that share a column must be listed
+    from top to bottom.  A column then holds its blocks' entries in the
+    order listed, so one counting pass over the columns places every entry
+    in canonical order, with no sort.  A block out of place fails the check
+    of the canonical order.
+    """
+    blocks = [blk for blk in blocks if blk[2].nnz]
+    per_block = [np.bincount(m.col, minlength=m.shape[1])
+                 for _, _, m, _ in blocks]
+    count = np.zeros(shape[1], dtype=np.int64)
+    for (_, col_off, m, _), per in zip(blocks, per_block):
+        count[col_off:col_off + m.shape[1]] += per
+    # free[c] is the next empty slot of column c.
+    free = np.zeros(shape[1], dtype=np.int64)
+    np.cumsum(count[:-1], out=free[1:])
+    row = np.empty(int(count.sum()), dtype=np.int64)
+    val = np.empty(len(row), dtype=np.int64)
+    for (row_off, col_off, m, sign), per in zip(blocks, per_block):
+        span = free[col_off:col_off + m.shape[1]]
+        # The t-th entry of the block, in column c, lands t - first[c]
+        # slots after the free slot of c.
+        dest = np.repeat(span - (np.cumsum(per) - per), per)
+        dest += np.arange(m.nnz)
+        row[dest] = m.row + row_off
+        val[dest] = m.val if sign == 1 else m.val * sign
+        span += per
+    col = np.repeat(np.arange(shape[1], dtype=np.int64), count)
+    return CooMatrix(shape, row, col, val, _canonical=True)
 
 
 def is_zero_product(a: CooMatrix, b: CooMatrix) -> bool:
@@ -480,10 +555,7 @@ def _field_rank(m: CooMatrix, p: int) -> int:
     """Rank over F_p: the vectors of the long side stream, in batches, into
     a reduced echelon basis on the short side, so no dense matrix of the
     long side is built and the work stops once the rank reaches n."""
-    if m.shape[0] <= m.shape[1]:
-        n, pos, vec = m.shape[0], m.row, m.col
-    else:
-        n, pos, vec = m.shape[1], m.col, m.row
+    n = min(m.shape)
     field = _PackedBits() if p == 2 else _Residues(p)
     if n * field.width(n) * 8 > _BASIS_LIMIT:
         raise LimitExceeded(
@@ -493,7 +565,12 @@ def _field_rank(m: CooMatrix, p: int) -> int:
         raise LimitExceeded(
             f"matrix {m.shape[0]}x{m.shape[1]} too large for a mod-{p} "
             f"rank: its entries do not pack into 63 bits")
-    vec, pos, val = _sorted_entries(vec, pos, m.val, n, p)
+    if n == m.shape[0]:
+        # The vectors are the columns: the canonical order is already by
+        # vector, then position.
+        vec, pos, val = m.col, m.row, m.val % p
+    else:
+        vec, pos, val = _sorted_entries(m.row, m.col, m.val, n, p)
     basis = _EchelonBasis(n, field)
     lo = 0
     while lo < len(vec) and basis.rank < n:
@@ -1113,31 +1190,25 @@ def total_complex(mc: Multicomplex, ring: Ring, degree_bound: int,
             pos += mc.rank(idx)
         ranks[d] = pos
 
+    # Within a column the targets lowered(idx, j) increase with j, so the
+    # blocks of idx are listed from top to bottom.
     boundaries = {}
     for d in sorted(by_degree):
         if d == 0 or d > degree_bound + 1:
             continue
-        rows_parts, cols_parts, vals_parts = [], [], []
+        blocks = []
         for idx in by_degree[d]:
             sign_exp = 0
             for j in range(mc.directions):
                 if idx[j] >= 1:
                     block = mc.differential(idx, j)
-                    if block is not None and block.nnz:
-                        sign = (-1) ** sign_exp
-                        tgt = lowered(idx, j)
-                        rows_parts.append(block.row + offsets[tgt])
-                        cols_parts.append(block.col + offsets[idx])
-                        vals_parts.append(block.val * sign)
+                    if block is not None:
+                        blocks.append((offsets[lowered(idx, j)],
+                                       offsets[idx], block,
+                                       (-1) ** sign_exp))
                 sign_exp += idx[j]
-        if rows_parts:
-            m = CooMatrix((ranks.get(d - 1, 0), ranks.get(d, 0)),
-                          np.concatenate(rows_parts),
-                          np.concatenate(cols_parts),
-                          np.concatenate(vals_parts))
-        else:
-            m = CooMatrix.zero((ranks.get(d - 1, 0), ranks.get(d, 0)))
-        boundaries[d] = m
+        boundaries[d] = place_blocks((ranks.get(d - 1, 0), ranks.get(d, 0)),
+                                     blocks)
 
     cx = ChainComplex(ring, ranks, boundaries, degree_bound)
     try:
@@ -1177,10 +1248,8 @@ def induced_map_is_iso_field(src: ChainComplex, tgt: ChainComplex,
     if ht == 0:
         return True
     rows, cols = a.shape
-    m = CooMatrix((rows + b.shape[0], cols + b.shape[1]),
-                  np.concatenate([a.row, f.row + rows, b.row + rows]),
-                  np.concatenate([a.col, f.col, b.col + cols]),
-                  np.concatenate([a.val, f.val, b.val]))
+    m = place_blocks((rows + b.shape[0], cols + b.shape[1]),
+                     [(0, 0, a, 1), (rows, 0, f, 1), (rows, cols, b, 1)])
     return matrix_rank(m, ring) - rank_a - rank_b == ht
 
 

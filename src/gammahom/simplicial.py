@@ -24,7 +24,7 @@ from . import gamma
 from .chains import (ChainComplex, CooMatrix, Multicomplex, Ring,
                      coo_mul, homology, induced_map_is_iso_field,
                      induced_map_is_surjective_integer, is_zero_product,
-                     total_complex)
+                     place_blocks, total_complex)
 from .errors import BudgetExceeded, IntegrityError
 from .gamma import FinPointedSet, PointedMap
 
@@ -436,35 +436,14 @@ class NormalizedChains:
 
         diffs: dict[tuple[MultiIndex, int], CooMatrix] = {}
         for idx, src_codes in self.codes.items():
-            n_src = len(src_codes)
-            if n_src == 0:
+            if len(src_codes) == 0:
                 continue
             for j in range(x.directions):
                 if idx[j] < 1:
                     continue
-                tgt_codes = self.codes[lowered(idx, j)]
-                rows_parts, cols_parts, vals_parts = [], [], []
-                for i in range(idx[j] + 1):
-                    table = x.face(idx, j, i).as_array
-                    hit = table[src_codes]
-                    pos = np.searchsorted(tgt_codes, hit)
-                    pos_safe = np.minimum(pos, max(len(tgt_codes) - 1, 0))
-                    valid = (hit > 0) & (len(tgt_codes) > 0)
-                    if len(tgt_codes):
-                        valid &= tgt_codes[pos_safe] == hit
-                    if not valid.any():
-                        continue
-                    rows_parts.append(pos_safe[valid])
-                    cols_parts.append(np.nonzero(valid)[0])
-                    vals_parts.append(
-                        np.full(int(valid.sum()), (-1) ** i, dtype=np.int64))
-                shape = (len(tgt_codes), n_src)
-                if rows_parts:
-                    m = CooMatrix(shape, np.concatenate(rows_parts),
-                                  np.concatenate(cols_parts),
-                                  np.concatenate(vals_parts))
-                else:
-                    m = CooMatrix.zero(shape)
+                m = _face_block([x.face(idx, j, i)
+                                 for i in range(idx[j] + 1)],
+                                src_codes, self.codes[lowered(idx, j)])
                 if m.nnz:
                     diffs[(idx, j)] = m
 
@@ -482,6 +461,62 @@ class NormalizedChains:
 
     def complex(self, ring: Ring) -> ChainComplex:
         return total_complex(self.multicomplex, ring, self.degree_bound)
+
+
+def _index_of(codes, points):
+    """An array over the points of a cell: i at the point codes[i], and
+    len(codes) at every other point (the basepoint and degenerate cells)."""
+    where = np.full(points, len(codes), dtype=np.int64)
+    where[codes] = np.arange(len(codes))
+    return where
+
+
+def _sort_rows(key):
+    """Sort each row of a narrow array in place.  Rows of two or three
+    slots go through a compare-exchange network over the columns (pairs
+    (0, 1), then (1, 2) and (0, 1) again), a few passes over the array
+    instead of one sort call per row."""
+    if key.shape[1] > 3:
+        key.sort(axis=1)
+        return
+    for i in (0, 1, 0)[:2 * key.shape[1] - 3]:
+        a, b = key[:, i], key[:, i + 1]
+        low = np.minimum(a, b)
+        np.maximum(a, b, out=b)
+        a[...] = low
+
+
+def _face_block(faces, src_codes, tgt_codes) -> CooMatrix:
+    """The unsigned alternating face sum sum_i (-1)^i d_i from the cells
+    ``src_codes`` to the cells ``tgt_codes``, given the faces d_i.
+
+    The matrix is built column by column.  The q + 1 faces of one cell are
+    sorted along a short axis, so coinciding faces fall next to each other
+    and merge into one entry (they cancel or add to +-2), and the entries
+    come out in canonical order with no sort of the whole block.
+    """
+    shape = (len(tgt_codes), len(src_codes))
+    k = len(faces)
+    # Slot (c, i) holds 2 * row + (i odd) for face i of cell c; a face that
+    # is the basepoint or degenerate gets a row of shape[0] or more.
+    where = 2 * _index_of(tgt_codes, faces[0].target.points)
+    key = np.empty((shape[1], k), dtype=np.int64)
+    for i, face in enumerate(faces):
+        key[:, i] = where[face.as_array[src_codes]]
+    key[:, 1::2] += 1
+    _sort_rows(key)
+    key = key.reshape(-1)
+    real = key < 2 * shape[0]
+    # A slot starts an entry unless it repeats the row of the slot before
+    # it in its column; an entry sums the signs of its slots.
+    starts = real.copy()
+    starts[1:] &= (key[1:] ^ key[:-1]) > 1
+    starts[::k] = real[::k]
+    first = np.flatnonzero(starts)
+    val = np.add.reduceat(np.where(real, 1 - 2 * (key & 1), 0), first)
+    first, val = first[val != 0], val[val != 0]
+    return CooMatrix(shape, key[first] >> 1, first // k, val,
+                     _canonical=True)
 
 
 def normalized_chains(x: MSSet, ring: Ring, degree_bound: int,
@@ -525,31 +560,23 @@ def chains_of_map(f: MSMap, ring: Ring, degree_bound: int,
                                             cell_budget)
     blocks: dict[int, CooMatrix] = {}
     for d in range(degree_bound + 2):
-        rows_parts, cols_parts = [], []
+        parts = []
         for idx in src.indices_of_degree(d):
             src_codes = src.codes[idx]
             if len(src_codes) == 0:
                 continue
             tgt_codes = tgt.codes[idx]
-            table = f.component(idx).as_array
-            hit = table[src_codes]
+            component = f.component(idx)
             if len(tgt_codes) == 0:
                 continue
-            pos = np.searchsorted(tgt_codes, hit)
-            pos_safe = np.minimum(pos, len(tgt_codes) - 1)
-            valid = (hit > 0) & (tgt_codes[pos_safe] == hit)
-            if not valid.any():
-                continue
-            rows_parts.append(pos_safe[valid] + tgt.offset(idx))
-            cols_parts.append(np.nonzero(valid)[0] + src.offset(idx))
-        shape = (tgt.rank(d), src.rank(d))
-        if rows_parts:
-            rows = np.concatenate(rows_parts)
-            cols = np.concatenate(cols_parts)
-            blocks[d] = CooMatrix(shape, rows, cols,
-                                  np.ones(len(rows), dtype=np.int64))
-        else:
-            blocks[d] = CooMatrix.zero(shape)
+            pos = _index_of(tgt_codes, component.target.points)[
+                component.as_array[src_codes]]
+            cols = np.flatnonzero(pos < len(tgt_codes))
+            # A cell goes to at most one cell: one entry per column.
+            m = CooMatrix((len(tgt_codes), len(src_codes)), pos[cols], cols,
+                          np.ones(len(cols), dtype=np.int64), _canonical=True)
+            parts.append((tgt.offset(idx), src.offset(idx), m, 1))
+        blocks[d] = place_blocks((tgt.rank(d), src.rank(d)), parts)
 
     source_cx = src.complex(ring)
     target_cx = tgt.complex(ring)

@@ -1,0 +1,307 @@
+"""Chain assembly in canonical order.
+
+The face blocks of normalized chains, the boundaries of total complexes, the
+blocks of chain maps and the block matrix of the induced-isomorphism test
+are built in column-major order, with no sort.  Each is checked against a
+naive construction that sorts, and the homology read off them against dense
+pure-Python references and the universal coefficient theorem.
+"""
+
+import itertools
+import math
+import random
+from fractions import Fraction
+from functools import reduce
+
+import numpy as np
+import pytest
+
+from gammahom.chains import (GF, QQ, ZZ, CooMatrix, Multicomplex, homology,
+                             place_blocks, total_complex)
+from gammahom.segal import (discrete_abelian, parse_space, spectrum_level,
+                            structure_map, tower_map)
+from gammahom.simplicial import (NormalizedChains, chains_of_map, circle,
+                                 identity_msmap, lowered, product_ss,
+                                 product_to_smash_msmap, smash_ss,
+                                 suspension_ss, wedge_ss,
+                                 wedge_to_product_msmap)
+
+
+def resorted(m):
+    """m rebuilt by the general sort from its own entries, shuffled."""
+    perm = np.random.default_rng(m.nnz).permutation(m.nnz)
+    return CooMatrix(m.shape, m.row[perm], m.col[perm], m.val[perm])
+
+
+def level(spec, n):
+    return lambda: spectrum_level(parse_space(spec), n).space
+
+
+# name: (builder, degree bound); small enough for dense references.
+SPACES = {
+    "circle": (circle, 4),
+    "circle x circle": (lambda: product_ss(circle(), circle()), 3),
+    "circle ^ circle": (lambda: smash_ss(circle(), circle()), 4),
+    "circle v circle": (lambda: wedge_ss(circle(), circle()), 3),
+    "susp(circle)": (lambda: suspension_ss(circle()), 3),
+    "t:circle level 2": (level("t:circle", 2), 4),
+    "sphere level 2": (level("sphere", 2), 4),
+    "smash(ab:2,ab:2) level 1": (level("smash(ab:2,ab:2)", 1), 2),
+    "wedge(ab:2,sphere) level 2": (level("wedge(ab:2,sphere)", 2), 3),
+    "ab:2 level 1": (level("ab:2", 1), 5),
+    "ab:2 level 2": (level("ab:2", 2), 3),
+}
+
+
+def naive_face_block(x, idx, j, src_codes, tgt_codes):
+    """The face sum of direction j at idx, one face of one cell at a time."""
+    row_of = {code: r for r, code in enumerate(tgt_codes.tolist())}
+    entries = {}
+    for col, code in enumerate(src_codes.tolist()):
+        for i in range(idx[j] + 1):
+            r = row_of.get(x.face(idx, j, i)(code))
+            if r is not None:
+                entries[r, col] = entries.get((r, col), 0) + (-1) ** i
+    return CooMatrix.from_entries((len(tgt_codes), len(src_codes)),
+                                  {rc: v for rc, v in entries.items() if v})
+
+
+def naive_total(mc, degree_bound):
+    """Boundaries of the total complex, concatenated and then sorted."""
+    by_degree = {}
+    for idx in sorted(mc.ranks):
+        by_degree.setdefault(sum(idx), []).append(idx)
+    offsets, ranks = {}, {}
+    for d, idxs in by_degree.items():
+        ranks[d] = 0
+        for idx in idxs:
+            offsets[idx] = ranks[d]
+            ranks[d] += mc.rank(idx)
+    out = {}
+    for d in range(1, degree_bound + 2):
+        rows, cols, vals = [], [], []
+        for idx in by_degree.get(d, []):
+            for j in range(mc.directions):
+                block = mc.differential(idx, j)
+                if block is None:
+                    continue
+                sign = (-1) ** sum(idx[:j])
+                for r, c, v in block.entries():
+                    rows.append(offsets[lowered(idx, j)] + r)
+                    cols.append(offsets[idx] + c)
+                    vals.append(sign * v)
+        out[d] = CooMatrix((ranks.get(d - 1, 0), ranks.get(d, 0)), rows,
+                           cols, vals)
+    return out
+
+
+def test_spaces_have_coinciding_faces():
+    # Coinciding faces merge into +-2 entries or cancel; both must occur.
+    twos = cancelled = 0
+    for build, bound in SPACES.values():
+        x = build()
+        nc = NormalizedChains(x, bound)
+        for (idx, j), m in nc.multicomplex.differentials.items():
+            twos += int((abs(m.val) == 2).sum())
+            lower = nc.codes[lowered(idx, j)]
+            slots = sum(int(np.isin(x.face(idx, j, i).as_array[
+                nc.codes[idx]], lower).sum()) for i in range(idx[j] + 1))
+            cancelled += slots - int(abs(m.val).sum())
+    assert twos and cancelled
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_normalized_chains_match_naive_assembly(name):
+    build, bound = SPACES[name]
+    x = build()
+    nc = NormalizedChains(x, bound)
+    for idx, codes in nc.codes.items():
+        for j in range(x.directions):
+            if idx[j] < 1 or not len(codes):
+                continue
+            m = nc.multicomplex.differential(idx, j)
+            want = naive_face_block(x, idx, j, codes,
+                                    nc.codes[lowered(idx, j)])
+            if m is None:
+                assert want.nnz == 0
+                continue
+            assert m == resorted(m)
+            assert m == want
+    cx = nc.complex(ZZ)
+    for d, want in naive_total(nc.multicomplex, bound).items():
+        assert cx.boundary(d) == resorted(cx.boundary(d))
+        assert cx.boundary(d) == want
+
+
+MAPS = {
+    "id(circle x circle)": (
+        lambda: identity_msmap(product_ss(circle(), circle())), 3),
+    "wedge > product": (lambda: wedge_to_product_msmap(circle(), circle()),
+                        3),
+    "product > smash": (lambda: product_to_smash_msmap(circle(), circle()),
+                        3),
+    "rho(ab:2) level 1": (
+        lambda: tower_map(structure_map(discrete_abelian([2])), 1), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_chain_map_blocks_match_naive_assembly(name):
+    build, bound = MAPS[name]
+    f = build()
+    src = NormalizedChains(f.source, bound)
+    tgt = NormalizedChains(f.target, bound)
+    chm = chains_of_map(f, ZZ, bound, source_chains=src, target_chains=tgt)
+    for d in range(bound + 2):
+        entries = {}
+        for idx in src.indices_of_degree(d):
+            row_of = {code: r for r, code
+                      in enumerate(tgt.codes[idx].tolist())}
+            for col, code in enumerate(src.codes[idx].tolist()):
+                r = row_of.get(f.component(idx)(code))
+                if r is not None:
+                    entries[tgt.offset(idx) + r, src.offset(idx) + col] = 1
+        m = chm.block(d)
+        assert m == resorted(m)
+        assert m == CooMatrix.from_entries(m.shape, entries)
+
+
+# ---------------------------------------------------------------------------
+# Random multicomplexes: tensor products of random complexes.
+
+def unimodular(rng, n):
+    """A random integer n x n matrix of determinant 1 and its inverse."""
+    u, inv = np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64)
+    for _ in range(n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        t = rng.choice((1, -1))
+        u[i] += t * u[j]
+        inv[:, j] -= t * inv[:, i]
+    return u, inv
+
+
+def random_factor(rng, top):
+    """Ranks and dense boundaries of a random complex in degrees 0..top: a
+    sum of copies of Z and of Z -c-> Z, in random bases."""
+    pieces = []
+    for _ in range(rng.randint(2, 4)):
+        k = rng.randint(0, top)
+        pieces.append((k, rng.choice((1, 2, 3, -2))
+                       if k and rng.random() < 0.7 else None))
+    basis = {d: [i for i, (k, c) in enumerate(pieces)
+                 if k == d or (c is not None and k - 1 == d)]
+             for d in range(top + 1)}
+    bases = {d: unimodular(rng, len(b)) for d, b in basis.items()}
+    boundaries = {}
+    for d in range(1, top + 1):
+        m = np.zeros((len(basis[d - 1]), len(basis[d])), dtype=np.int64)
+        for col, i in enumerate(basis[d]):
+            k, c = pieces[i]
+            if k == d and c is not None:
+                m[basis[d - 1].index(i), col] = c
+        boundaries[d] = bases[d - 1][0] @ m @ bases[d][1]
+    return {d: len(b) for d, b in basis.items()}, boundaries
+
+
+def dense_coo(a):
+    r, c = np.nonzero(a)
+    return CooMatrix(a.shape, r, c, a[r, c])
+
+
+def random_multicomplex(rng, directions, top):
+    """The tensor product of ``directions`` random complexes, cut at total
+    degree ``top``; its direction differentials commute."""
+    factors = [random_factor(rng, top) for _ in range(directions)]
+    ranks, diffs = {}, {}
+    for idx in itertools.product(range(top + 1), repeat=directions):
+        if sum(idx) > top:
+            continue
+        sizes = [ranks_j[q] for (ranks_j, _), q in zip(factors, idx)]
+        ranks[idx] = math.prod(sizes)
+        for j, q in enumerate(idx):
+            if q:
+                mats = [np.eye(s, dtype=np.int64) for s in sizes]
+                mats[j] = factors[j][1][q]
+                diffs[idx, j] = dense_coo(reduce(np.kron, mats))
+    return Multicomplex(directions, ranks, diffs)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_total_complex_matches_naive_concatenation(seed):
+    rng = random.Random(seed)
+    top = rng.randint(2, 4)
+    mc = random_multicomplex(rng, rng.randint(1, 3), top)
+    cx = total_complex(mc, ZZ, top - 1)
+    for d, want in naive_total(mc, top - 1).items():
+        assert cx.boundary(d) == want
+
+
+def test_place_blocks_needs_blocks_in_place():
+    one = CooMatrix.identity(1)
+    m = place_blocks((2, 2), [(0, 0, one, 1), (1, 0, one, -1),
+                              (1, 1, one, 1)])
+    assert m.to_dense() == [[1, 0], [-1, 1]]
+    with pytest.raises(ValueError):  # a shared column listed bottom first
+        place_blocks((2, 1), [(1, 0, one, 1), (0, 0, one, 1)])
+    with pytest.raises(ValueError):  # overlapping blocks
+        place_blocks((2, 1), [(0, 0, one, 1), (0, 0, one, 1)])
+
+
+# ---------------------------------------------------------------------------
+# Homology against dense references and the universal coefficient theorem.
+
+def dense_rank(m, p):
+    """Rank over F_p, or over Q when p is None, by Gaussian elimination on
+    Python numbers."""
+    norm = Fraction if p is None else (lambda v: v % p)
+    rows = [[norm(v) for v in row] for row in m.to_dense()]
+    rank = 0
+    for c in range(m.shape[1]):
+        hit = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if hit is None:
+            continue
+        rows[rank], rows[hit] = rows[hit], rows[rank]
+        inv = 1 / rows[rank][c] if p is None else pow(rows[rank][c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            if rows[i][c]:
+                t = rows[i][c] * inv
+                rows[i] = [norm(a - t * b) for a, b in zip(rows[i],
+                                                           rows[rank])]
+        rank += 1
+    return rank
+
+
+def check_homology(build, bound):
+    """build(ring) gives the complex over that ring, homology trusted up
+    to ``bound``."""
+    integral = homology(build(ZZ))
+    for ring in (QQ, GF(2), GF(3)):
+        cx = build(ring)
+        table = homology(cx)
+        p = ring.p
+        ranks = {d: dense_rank(cx.boundary(d), p) for d in range(bound + 2)}
+        for d in range(bound + 1):
+            dim = cx.rank(d) - ranks[d] - ranks[d + 1]
+            assert table.group(d).free_rank == dim
+            # Universal coefficients: H_d(C; F_p) has dimension the free
+            # rank of H_d(C; Z) plus the p-divisible torsion factors of
+            # H_d and H_{d-1}.
+            divisible = 0 if p is None else sum(
+                1 for e in (d, d - 1)
+                for t in integral.group(e).torsion if t % p == 0)
+            assert dim == integral.group(d).free_rank + divisible
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_homology_of_normalized_chains_against_references(name):
+    build, bound = SPACES[name]
+    nc = NormalizedChains(build(), bound)
+    check_homology(nc.complex, bound)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_homology_of_random_total_complexes_against_references(seed):
+    rng = random.Random(100 + seed)
+    top = rng.randint(2, 4)
+    mc = random_multicomplex(rng, rng.randint(1, 3), top)
+    check_homology(lambda ring: total_complex(mc, ring, top - 1), top - 1)

@@ -65,6 +65,31 @@ def test_coo_canonicalization():
         CooMatrix((1, 1), [1], [0], [1])
 
 
+def test_coo_is_column_major_and_lists_json_row_major():
+    m = CooMatrix((2, 2), [0, 1, 0], [1, 0, 0], [5, 6, 7])
+    assert list(m.entries()) == [(0, 0, 7), (1, 0, 6), (0, 1, 5)]
+    assert m.to_json()["entries"] == [[0, 0, 7], [0, 1, 5], [1, 0, 6]]
+
+
+def test_coo_canonical_claim_is_checked():
+    m = CooMatrix((3, 2), [0, 2, 1], [0, 0, 1], [1, -1, 2], _canonical=True)
+    assert list(m.entries()) == [(0, 0, 1), (2, 0, -1), (1, 1, 2)]
+    bad = [
+        ([0, 1], [1, 0], [1, 1]),  # row-major order
+        ([2, 0], [0, 0], [1, 1]),  # rows decreasing within a column
+        ([0, 0], [0, 0], [1, 1]),  # a repeated position
+        ([0], [0], [0]),  # an explicit zero
+        ([3], [0], [1]),  # row 3 would alias (0, 1) in a sort key
+        ([-1], [1], [1]),
+        ([0], [2], [1]),
+        ([0], [-1], [1]),
+        ([0, 1], [0], [1]),  # arrays of different lengths
+    ]
+    for row, col, val in bad:
+        with pytest.raises(ValueError):
+            CooMatrix((3, 2), row, col, val, _canonical=True)
+
+
 def test_coo_json_roundtrip():
     rng = random.Random(3)
     m = random_coo(rng, 4, 6, -3, 3)

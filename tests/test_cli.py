@@ -1,5 +1,6 @@
 """Command-line surface: outputs, exit codes, determinism, round trips."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -183,3 +184,20 @@ def test_table_output_deterministic(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+# SHA-256 of the dump output: entries are listed row-major, whatever order
+# the matrices are stored in, so these bytes must not change.
+@pytest.mark.parametrize("argv, digest", [
+    (("--space", "ab:2", "--ring", "z", "--level", "1", "--max-degree", "4"),
+     "3fa35ea3f2f10cb88caa91b7ecfa23a2326bd6dd9c1fbca73cb2695c7778519e"),
+    (("--space", "ab:2", "--ring", "f2", "--level", "2", "--max-degree", "5"),
+     "5993a4f6d3b1837a464d9ea47d0c1c041cb9982afa4dbec0677e0a077849ebf5"),
+    (("--space", "mu(2)*ab:2", "--ring", "f2", "--level", "2",
+      "--max-degree", "3"),
+     "f0bf9b94976624f3429239772bc7e3020e73a87b61004b2ca31d041afe627474"),
+], ids=["ab:2-z-1", "ab:2-f2-2", "mu(2)*ab:2-f2-2"])
+def test_dump_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, "dump", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
