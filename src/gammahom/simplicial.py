@@ -471,21 +471,6 @@ def _index_of(codes, points):
     return where
 
 
-def _sort_rows(key):
-    """Sort each row of a narrow array in place.  Rows of two or three
-    slots go through a compare-exchange network over the columns (pairs
-    (0, 1), then (1, 2) and (0, 1) again), a few passes over the array
-    instead of one sort call per row."""
-    if key.shape[1] > 3:
-        key.sort(axis=1)
-        return
-    for i in (0, 1, 0)[:2 * key.shape[1] - 3]:
-        a, b = key[:, i], key[:, i + 1]
-        low = np.minimum(a, b)
-        np.maximum(a, b, out=b)
-        a[...] = low
-
-
 def _face_block(faces, src_codes, tgt_codes) -> CooMatrix:
     """The unsigned alternating face sum sum_i (-1)^i d_i from the cells
     ``src_codes`` to the cells ``tgt_codes``, given the faces d_i.
@@ -504,7 +489,7 @@ def _face_block(faces, src_codes, tgt_codes) -> CooMatrix:
     for i, face in enumerate(faces):
         key[:, i] = where[face.as_array[src_codes]]
     key[:, 1::2] += 1
-    _sort_rows(key)
+    key.sort(axis=1)
     key = key.reshape(-1)
     real = key < 2 * shape[0]
     # A slot starts an entry unless it repeats the row of the slot before
@@ -566,9 +551,9 @@ def chains_of_map(f: MSMap, ring: Ring, degree_bound: int,
             if len(src_codes) == 0:
                 continue
             tgt_codes = tgt.codes[idx]
-            component = f.component(idx)
             if len(tgt_codes) == 0:
                 continue
+            component = f.component(idx)
             pos = _index_of(tgt_codes, component.target.points)[
                 component.as_array[src_codes]]
             cols = np.flatnonzero(pos < len(tgt_codes))
