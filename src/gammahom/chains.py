@@ -9,25 +9,32 @@ exact ranks: a streamed field elimination over F_p for primes below 2^31,
 and a sparse Smith normal form over the integers.  Python integers are
 arbitrary precision, so integer elimination never overflows.
 
-A field rank never builds a dense matrix of the long side.  The vectors of
-the long side, of length n (the short side), are read in batches (a wide
-matrix in its canonical order, a tall one after one sort), which are
-reduced against a reduced row-echelon basis of at most
-n vectors (a streaming form of the dense GF(2) elimination of Albrecht and
-Bard's M4RI work).  Because the basis is reduced, a batch is reduced by
-one gather of basis vectors; what survives is eliminated one vector at a
-time, and the stream stops once the rank reaches n.  Vectors are stored
-only on the positions that are not yet pivots, and a batch holds as many
-as fit in the cells of _BATCH full-length ones.  Over F_2 a vector is
-packed into uint64 words, over an odd p it is held as int64 residues.  The
-basis, at most n^2 entries, is what a rank is refused on.
+A field rank never builds a dense matrix of the long side.  The columns of
+a matrix (of its transpose if it is tall), vectors of length n, the short
+side, stream in batches into a reduced row-echelon basis of at most n
+vectors (a streaming form of the dense GF(2) elimination of Albrecht and
+Bard's M4RI work).  The lead columns go first: those whose last entry
+nonzero mod p lies on a row where no earlier column's does.  Their last
+rows differ, so they are independent; on boundary matrices they give
+almost the whole rank, and the basis narrows before the long stream.
+Because the basis is reduced, a batch is reduced by one gather of basis
+vectors.  What survives is added a block at a time: a block of up to
+eight vectors is reduced among themselves, and its pivots are cleared
+from the rest of the batch and from the basis at once, over F_2 through a
+table of the 256 sums of the block (M4RI's Four-Russians table), over F_p
+by one product.  The stream stops once the rank reaches n.  Vectors are
+stored only on the positions that are not yet pivots, and a batch holds
+as many as fit in the cells of _BATCH full-length ones.  Over F_2 a vector
+is packed into uint64 words, over an odd p it is held as int64 residues.
+The basis, at most n^2 entries, is what a rank is refused on.
 
 Whether a chain map induces an isomorphism on homology over a field is read
 off ranks too.  For A = d_d of the source, F the map in degree d and
-B = d_{d+1} of the target, the block matrix [[A, 0], [F, B]] has rank
+B = d_{d+1} of the target, the block matrix M = [[B, F], [0, A]] has rank
 rank A + dim(F(ker A) + im B), so the image of the map in homology has
-dimension rank [[A, 0], [F, B]] - rank A - rank B; no kernel basis and no
-dense matrix is built.
+dimension rank M - rank A - rank B; no kernel basis and no dense matrix is
+built.  Over F_p one basis takes B's columns, giving rank B, and is then
+extended to M's rows and fed the other columns, giving rank M.
 
 The Smith form eliminates unit pivots first.  Boundary matrices are almost
 all +-1, and eliminating a +-1 pivot leaves the invariant factors unchanged
@@ -344,17 +351,20 @@ def matrix_rank(m: CooMatrix, ring: Ring) -> int:
     return _rank_integer(m)
 
 
-# A batch of long-side vectors takes the cells of this many full-length
-# vectors.
+# A batch of vectors takes the cells of this many full-length vectors.
 _BATCH = 512
 
-# A field rank is refused when a full basis on the short side, n vectors of
-# length n, would take more bytes than this.
+# A field rank is refused when its basis, as many vectors of length n as
+# it can hold, would take more bytes than this.
 _BASIS_LIMIT = 1 << 29
 
 
 class _PackedBits:
     """Vectors over F_2: bit i of a vector is bit i & 63 of word i >> 6."""
+
+    # New pivots are cleared eight at a time, through a table of the 256
+    # sums of eight vectors.
+    block = 8
 
     @staticmethod
     def width(size):
@@ -386,15 +396,35 @@ class _PackedBits:
         return word * 64 + (bits & -bits).bit_length() - 1, v
 
     @staticmethod
-    def clear(vecs, v, s):
-        """Subtract v from every vector holding position s."""
+    def clear(vecs, i, s):
+        """Subtract vecs[i], which is 1 at s, from every other vector
+        holding s."""
         hit = np.flatnonzero(vecs[:, s >> 6] & np.uint64(1 << (s & 63)))
-        vecs[hit] ^= v
+        hit = hit[hit != i]
+        vecs[hit] ^= vecs[i]
 
     @staticmethod
-    def unset(v, s):
-        """Zero position s of v, which holds a 1 there."""
-        v[s >> 6] ^= np.uint64(1 << (s & 63))
+    def clear_block(targets, block, slots):
+        """Subtract from each vector of each array in targets its entries at
+        slots times block, whose j-th vector is 1 at slots[j] and 0 at the
+        other slots.  The entries at slots index a table of all 2^k sums of
+        the k block vectors, so one lookup clears them all (the
+        Four-Russians tables of M4RI)."""
+        k = len(slots)
+        table = np.zeros((1 << k, block.shape[1]), dtype=np.uint64)
+        for j in range(k):
+            np.bitwise_xor(table[:1 << j], block[j], out=table[1 << j:2 << j])
+        shift = (slots & 63).astype(np.uint64)
+        weight = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
+        for vecs in targets:
+            index = (vecs[:, slots >> 6] >> shift & np.uint64(1)) @ weight
+            vecs ^= table[index]
+
+    @staticmethod
+    def unset(vecs, slots):
+        """Zero each vecs[j] at slots[j], where it holds a 1."""
+        vecs[np.arange(len(slots)), slots >> 6] ^= np.left_shift(
+            np.uint64(1), (slots & 63).astype(np.uint64))
 
     @staticmethod
     def take(vecs, keep):
@@ -417,6 +447,9 @@ class _Residues:
 
     def __init__(self, p):
         self.p = p
+        # New pivots are cleared this many at a time, by one product whose
+        # sums of products below p^2 stay below 2^63.
+        self.block = min(8, ((1 << 63) - 1) // (p - 1) ** 2)
 
     @staticmethod
     def width(size):
@@ -449,13 +482,20 @@ class _Residues:
         s = int(np.flatnonzero(v)[0])
         return s, self.mod(v * pow(int(v[s]), self.p - 2, self.p))
 
-    def clear(self, vecs, v, s):
+    def clear(self, vecs, i, s):
         hit = np.flatnonzero(vecs[:, s])
-        vecs[hit] = self.mod(vecs[hit] - vecs[hit, s, None] * v)
+        hit = hit[hit != i]
+        vecs[hit] = self.mod(vecs[hit] - vecs[hit, s, None] * vecs[i])
+
+    def clear_block(self, targets, block, slots):
+        for vecs in targets:
+            coef = vecs[:, slots]
+            hit = np.flatnonzero(coef.any(axis=1))
+            vecs[hit] = self.mod(vecs[hit] - self.mod(coef[hit] @ block))
 
     @staticmethod
-    def unset(v, s):
-        v[s] = 0
+    def unset(vecs, slots):
+        vecs[np.arange(len(slots)), slots] = 0
 
     @staticmethod
     def take(vecs, keep):
@@ -463,7 +503,8 @@ class _Residues:
 
 
 class _EchelonBasis:
-    """A reduced row-echelon basis of vectors of length n over a field.
+    """A reduced row-echelon basis over F_p of vectors of length n, into
+    which the columns of sparse matrices stream.
 
     Every basis vector is 1 at its own pivot and 0 at every other pivot, so
     a vector is reduced by one gather: subtract, for each of its entries at
@@ -472,35 +513,88 @@ class _EchelonBasis:
     pivots, and the storage is narrowed whenever their count halves.  A
     basis vector is stored without the 1 at its own pivot, so an entry of a
     new vector either fills a slot or is reduced by the gather, never both.
+
+    The vectors of a batch that survive the gather are added a block at a
+    time: a block of a few of them is reduced among themselves, and its new
+    pivots are cleared from the rest of the batch and from the basis at
+    once (``clear_block``).  ``extend`` adds positions, so a basis can be
+    kept and fed the columns of a matrix with more rows.  The basis holds
+    at most min(n, vectors) vectors, ``vectors`` being how many it may be
+    given; that bounds its size, and a larger one is refused.
     """
 
-    def __init__(self, n, field):
-        self.n, self.field = n, field
-        self.rank = 0
+    def __init__(self, n, p, vectors):
+        self.field = _PackedBits() if p == 2 else _Residues(p)
+        self.p, self.vectors = p, vectors
+        self.n = self.rank = 0
         # code[i] is the slot of position i if it is not a pivot, and
         # -1 - r if it is the pivot of basis vector r.
-        self.code = np.arange(n, dtype=np.int64)
-        self.cols = self.code.copy()
-        self.rows = field.zeros(0, n)
+        self.code = np.empty(0, dtype=np.int64)
+        self.cols = self.code
+        self.rows = self.field.zeros(0, 0)
+        self.extend(n)
+
+    def extend(self, k):
+        """Add k positions after the last, zero in every basis vector."""
+        n = self.n + k
+        self.short = min(n, self.vectors)
+        if self.short * self.field.width(n) * 8 > _BASIS_LIMIT:
+            raise LimitExceeded(
+                f"a mod-{self.p} rank of {self.vectors} vectors of length "
+                f"{n} is too large: its basis needs {self.short}x{n} "
+                f"entries")
+        self.code = np.r_[self.code, len(self.cols) + np.arange(k)]
+        self.cols = np.r_[self.cols, np.arange(self.n, n)]
+        wider = self.field.zeros(len(self.rows), len(self.cols))
+        wider[:self.rank, :self.rows.shape[1]] = self.rows[:self.rank]
+        self.rows, self.n = wider, n
 
     def batch(self):
         """How many vectors fit, as stored now, in the cells of _BATCH
         vectors of full length."""
         width = self.field.width
-        return _BATCH * width(self.n) // width(len(self.cols))
+        return max(1, _BATCH * width(self.short) // width(len(self.cols)))
+
+    def absorb_columns(self, m):
+        """Add the columns of m, which has a row for each position.
+
+        The lead columns go first: those whose last entry nonzero mod p
+        lies on a row where no earlier column's does.  Their last rows
+        differ, so they are independent; they take most pivots with no
+        wasted vector, and the stored width narrows before the long
+        stream.  Then every column streams as stored, the lead ones now
+        empty.
+        """
+        if not m.nnz:
+            return
+        val = m.val % self.p
+        owner, at = _lead_entries(m.row, m.col, val, self.n)
+        self._stream(owner, m.row[at], val[at])
+        val[at] = 0
+        self._stream(m.col, m.row, val)
+
+    def _stream(self, vec, pos, val):
+        """Absorb the entries (vector, position, value mod p), sorted by
+        vector and position, in batches, until the rank reaches n."""
+        lo = 0
+        while lo < len(vec) and self.rank < self.n:
+            count = self.batch()
+            hi = int(np.searchsorted(vec, vec[lo] + count))
+            self.absorb(vec[lo:hi] - vec[lo], pos[lo:hi], val[lo:hi], count)
+            lo = hi
 
     def absorb(self, owner, pos, val, count):
         """Add ``count`` vectors to the span, given as entries (vector below
-        count, position, value) sorted by vector and position."""
+        count, position, value mod p) sorted by vector and position."""
         field = self.field
         code = self.code[pos]
         live = val != 0
         free = live & (code >= 0)
         vecs = field.zeros(count, len(self.cols))
         field.scatter(vecs, owner[free], code[free], val[free])
-        # A gather holds at most _BATCH * n cells, no more than a batch of
-        # unpacked vectors of length n.
-        step = _BATCH * self.n // field.width(len(self.cols))
+        # A gather holds at most _BATCH * short cells, no more than a batch
+        # of unpacked vectors of the short side's length.
+        step = max(1, _BATCH * self.short // field.width(len(self.cols)))
         at_pivot = np.flatnonzero(live & (code < 0))
         for lo in range(0, len(at_pivot), step):
             part = at_pivot[lo:lo + step]
@@ -511,8 +605,8 @@ class _EchelonBasis:
                            val[part], starts)
         vecs = vecs[vecs.any(axis=1)]
         while len(vecs) and self.rank < self.n:
-            rest = vecs[1:]
-            self._add(*field.lead(vecs[0]), rest)
+            rest = vecs[field.block:]
+            self._add(vecs[:field.block], rest)
             vecs = rest[rest.any(axis=1)]
         if self.rank < self.n and 2 * (self.n - self.rank) <= len(self.cols):
             keep = np.flatnonzero(self.code[self.cols] >= 0)
@@ -520,64 +614,74 @@ class _EchelonBasis:
             self.cols = self.cols[keep]
             self.code[self.cols] = np.arange(len(keep), dtype=np.int64)
 
-    def _add(self, s, v, pending):
-        """Make v, reduced and 1 at its slot s, a basis vector."""
+    def _add(self, head, rest):
+        """Make the nonzero vectors of head, reduced against the basis,
+        basis vectors: reduce them among themselves (Gauss-Jordan), then
+        clear their pivots from the rest of the batch and from the basis."""
         field = self.field
-        field.clear(pending, v, s)
-        field.clear(self.rows[:self.rank], v, s)
-        if self.rank == len(self.rows):
-            grown = field.zeros(min(self.n, max(2 * self.rank, 64)),
+        slots, kept = [], []
+        for i in range(len(head)):
+            if head[i].any():
+                s, head[i] = field.lead(head[i])
+                field.clear(head, i, s)
+                slots.append(s)
+                kept.append(i)
+        if not slots:
+            return
+        block, slots = head[kept], np.array(slots, dtype=np.int64)
+        field.clear_block((rest, self.rows[:self.rank]), block, slots)
+        top = self.rank + len(slots)
+        if top > len(self.rows):
+            grown = field.zeros(min(self.short, max(2 * top, 64)),
                                 len(self.cols))
             grown[:self.rank] = self.rows[:self.rank]
             self.rows = grown
-        self.rows[self.rank] = v
-        field.unset(self.rows[self.rank], s)
-        self.code[self.cols[s]] = -1 - self.rank
-        self.rank += 1
+        self.rows[self.rank:top] = block
+        field.unset(self.rows[self.rank:top], slots)
+        self.code[self.cols[slots]] = -1 - np.arange(self.rank, top)
+        self.rank = top
 
 
-def _sorted_entries(vec, pos, val, n, p):
-    """The entries (vector, position, value mod p) sorted by vector, then
-    position: one sort of the keys (vec * n + pos) * p + val mod p, unpacked
-    in place so that no more than three arrays of entries are held."""
-    key = vec * n + pos
-    key *= p
-    key += val % p
-    key.sort()
-    val = key % p
-    key //= p
-    pos = key % n
-    key //= n
-    return key, pos, val
+def _lead_entries(row, col, val, n):
+    """The entries of the lead columns of a matrix of n rows, in canonical
+    order with values val mod p: the columns whose last entry nonzero mod p
+    lies on a row where no earlier column's does.  Returns (owner, at):
+    entry at[t] belongs to lead column owner[t], the lead columns numbered
+    from 0 in order.  One pass over the entries, with no sort of them."""
+    start = _run_starts(col)
+    last = np.empty_like(start)
+    last[:-1] = start[1:]
+    last[-1] = len(col)
+    last -= 1
+    # Step back over the entries that vanish mod p at the end of a column;
+    # a column with none left ends up with last < start.
+    dead = np.flatnonzero(val[last] == 0)
+    while len(dead):
+        last[dead] -= 1
+        dead = dead[last[dead] >= start[dead]]
+        dead = dead[val[last[dead]] == 0]
+    end_row = row[last]
+    end_row[last < start] = n
+    # first[r] is the first column ending on row r (row n: the empty ones).
+    first = np.full(n + 1, len(last))
+    np.minimum.at(first, end_row, np.arange(len(last)))
+    lead = np.sort(first[:n][first[:n] < len(last)])
+    length = last[lead] + 1 - start[lead]
+    owner = np.repeat(np.arange(len(lead)), length)
+    at = np.arange(len(owner)) + np.repeat(
+        start[lead] - (np.cumsum(length) - length), length)
+    return owner, at
 
 
 def _field_rank(m: CooMatrix, p: int) -> int:
-    """Rank over F_p: the vectors of the long side stream, in batches, into
-    a reduced echelon basis on the short side, so no dense matrix of the
-    long side is built and the work stops once the rank reaches n."""
-    n = min(m.shape)
-    field = _PackedBits() if p == 2 else _Residues(p)
-    if n * field.width(n) * 8 > _BASIS_LIMIT:
-        raise LimitExceeded(
-            f"matrix {m.shape[0]}x{m.shape[1]} too large for a mod-{p} "
-            f"rank: its basis on the short side needs {n}^2 entries")
-    if max(m.shape) * n * p > 1 << 63:
-        raise LimitExceeded(
-            f"matrix {m.shape[0]}x{m.shape[1]} too large for a mod-{p} "
-            f"rank: its entries do not pack into 63 bits")
-    if n == m.shape[0]:
-        # The vectors are the columns: the canonical order is already by
-        # vector, then position.
-        vec, pos, val = m.col, m.row, m.val % p
-    else:
-        vec, pos, val = _sorted_entries(m.row, m.col, m.val, n, p)
-    basis = _EchelonBasis(n, field)
-    lo = 0
-    while lo < len(vec) and basis.rank < n:
-        count = basis.batch()
-        hi = int(np.searchsorted(vec, vec[lo] + count))
-        basis.absorb(vec[lo:hi] - vec[lo], pos[lo:hi], val[lo:hi], count)
-        lo = hi
+    """Rank over F_p of the columns of m, which stream into a reduced
+    echelon basis on the rows; a tall matrix is ranked as its transpose,
+    so the basis is on the short side.  No dense matrix of the long side
+    is built, and the stream stops once the rank reaches the short side."""
+    if m.shape[0] > m.shape[1]:
+        m = m.transpose()
+    basis = _EchelonBasis(m.shape[0], p, m.shape[1])
+    basis.absorb_columns(m)
     return basis.rank
 
 
@@ -1228,29 +1332,49 @@ def induced_map_is_iso_field(src: ChainComplex, tgt: ChainComplex,
     field.
 
     With A = src.boundary(d), F = blocks[d] and B = tgt.boundary(d+1), the
-    block matrix M = [[A, 0], [F, B]] has rank
+    block matrix M = [[B, F], [0, A]] has rank
     rank A + dim(F(ker A) + im B), so the image of H_d(src) in H_d(tgt) has
     dimension rank M - rank A - rank B.  The map is an isomorphism iff the
     two homology dimensions agree and that image fills H_d(tgt).  Every
     answer is an exact rank of a sparse matrix: no kernel basis and no
     dense matrix is built.
+
+    Over F_p the columns of M stream into one echelon basis.  B's come
+    first, on the target's rows alone, and give rank B.  Only if the two
+    dimensions agree and are nonzero is the basis extended by A's rows and
+    fed the columns of [F; A]; its rank is then rank M, so B is eliminated
+    once.
     """
     a, f, b = src.boundary(degree), blocks[degree], tgt.boundary(degree + 1)
     if f.shape != (b.shape[0], a.shape[1]):
         raise ValueError(f"chain map block {f.shape} does not fit the "
                          f"complexes in degree {degree}")
-    rank_a, rank_b = matrix_rank(a, ring), matrix_rank(b, ring)
+    rank_a = matrix_rank(a, ring)
     hs = (src.rank(degree) - rank_a
           - matrix_rank(src.boundary(degree + 1), ring))
+    rows, cols = b.shape[0], b.shape[1] + a.shape[1]
+    if ring.kind == "F":
+        basis = _EchelonBasis(rows, ring.p, cols)
+        basis.absorb_columns(b)
+        rank_b = basis.rank
+    else:
+        rank_b = matrix_rank(b, ring)
     ht = tgt.rank(degree) - matrix_rank(tgt.boundary(degree), ring) - rank_b
     if hs != ht:
         return False
     if ht == 0:
         return True
-    rows, cols = a.shape
-    m = place_blocks((rows + b.shape[0], cols + b.shape[1]),
-                     [(0, 0, a, 1), (rows, 0, f, 1), (rows, cols, b, 1)])
-    return matrix_rank(m, ring) - rank_a - rank_b == ht
+    if ring.kind == "F":
+        basis.extend(a.shape[0])
+        basis.absorb_columns(place_blocks(
+            (rows + a.shape[0], a.shape[1]), [(0, 0, f, 1), (rows, 0, a, 1)]))
+        rank_m = basis.rank
+    else:
+        rank_m = matrix_rank(place_blocks(
+            (rows + a.shape[0], cols),
+            [(0, 0, b, 1), (0, b.shape[1], f, 1), (rows, b.shape[1], a, 1)]),
+            ring)
+    return rank_m - rank_a - rank_b == ht
 
 
 def induced_map_is_surjective_integer(src: ChainComplex, tgt: ChainComplex,

@@ -233,6 +233,79 @@ def test_field_rank_stops_once_the_rank_is_the_short_side(monkeypatch):
         assert batches == [0, 0]
 
 
+def blocked_batch(rng, p, t, lo):
+    """A matrix whose first streamed batch gains t pivots.
+
+    Its t + 2 generators g_j are 1 on row lo + j (so they are independent),
+    random on a few rows below those, and 1 on the last row.  The lead pass
+    takes two columns: g_0 and g_0 - g_1, whose last entry, p on the last
+    row, vanishes mod p.  Every other column ends with a nonzero entry on
+    the last row, so the first batch of the stream gains the pivots of
+    g_2, ..., g_{t+1}.  Duplicates, zero columns and sums of generators that
+    come later in the batch (survivors that depend on each other) are mixed
+    in, and more such sums follow until there are more columns than rows.
+    """
+    low = range(lo + t + 2, lo + t + 10)
+    last = low[-1] + 1
+    gens = []
+    for j in range(t + 2):
+        g = {r: rng.choice((1, -1, 2, p + 1)) for r in rng.sample(low, 3)}
+        g[lo + j] = 1
+        g[last] = 1
+        gens.append(g)
+
+    def combo(*terms):
+        out = Counter()
+        for c, j in terms:
+            for r, v in gens[j].items():
+                out[r] += c * v
+        return {r: v for r, v in out.items() if v}
+
+    vanishing = combo((1, 0), (-1, 1))
+    vanishing[last] = p
+    cols = [gens[0], vanishing, {}, {r: -p for r in low[:3]}]
+    rest = list(range(2, t + 2))
+    rng.shuffle(rest)
+    for i, j in enumerate(rest):
+        cols.append(gens[j])
+        if i in (0, 5, 40):
+            k, l = rng.sample(range(t + 2), 2)
+            cols.append(combo((1, j), (1, k), (-1, l)))
+        if i in (2, 70):
+            cols.append(dict(gens[j]))
+    # More columns than rows, so that the matrix is wide.
+    while len(cols) <= last + 1:
+        cols.append(combo(*zip((1, 1, -1), rng.sample(range(t + 2), 3))))
+    entries = {(r, c): v for c, col in enumerate(cols) for r, v in col.items()}
+    return CooMatrix.from_entries((last + 1, len(cols)), entries)
+
+
+@pytest.mark.parametrize("p", [2, 3, BIG_PRIME])
+@pytest.mark.parametrize("t", [1, 7, 8, 9, 63, 64, 65, 512])
+@pytest.mark.parametrize("lo", [0, 61])
+def test_blocked_clearing_against_dense_rank(monkeypatch, p, t, lo):
+    from gammahom import chains
+    gains = []
+    absorb = chains._EchelonBasis.absorb
+
+    def counted(self, *args):
+        before = self.rank
+        absorb(self, *args)
+        gains.append(self.rank - before)
+
+    monkeypatch.setattr(chains._EchelonBasis, "absorb", counted)
+    m = blocked_batch(random.Random(p * t + lo), p, t, lo)
+    want = dense_rank(m, p)
+    assert want == t + 2
+    for tall in (False, True):
+        gains.clear()
+        assert matrix_rank(m.transpose() if tall else m, GF(p)) == want
+        # The lead pass gains 2; a batch holds 512 columns, some of them
+        # not generators.
+        assert gains[0] == 2
+        assert gains[1] == t if t < 512 else gains[1] > 500
+
+
 def test_wide_prime_field_rank_needs_no_dense_matrix():
     # 60 x 1.1M is 66M cells, beyond what a dense F_p matrix may take.
     # Columns are edges of a graph; vertex 59 is joined only by the last
@@ -255,12 +328,18 @@ def test_field_rank_refuses_what_it_cannot_hold():
     with pytest.raises(LimitExceeded):
         matrix_rank(m, GF(3))
     assert matrix_rank(m, GF(2)) == 1
-    # Keys (vector, position, value) of a 2 x 2^40 matrix over a 31-bit
-    # prime do not fit in 63 bits.
+    # A basis of 2 x 2 entries holds any rank of a 2 x 2^40 matrix, wide or
+    # tall, over any prime; nothing of length 2^40 is allocated.
     m = CooMatrix.from_entries((2, 1 << 40), {(0, 0): 1, (1, 5): 1})
-    with pytest.raises(LimitExceeded):
-        matrix_rank(m, GF(BIG_PRIME))
+    assert matrix_rank(m, GF(BIG_PRIME)) == 2
     assert matrix_rank(m, GF(3)) == 2
+    tracemalloc.start()
+    try:
+        assert matrix_rank(m.transpose(), GF(BIG_PRIME)) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_gf2_rank_of_wide_sparse_matrix_allocates_little():
@@ -714,8 +793,26 @@ def random_chain_map(rng, p, top):
     return src, tgt, {d: coo(m, p) for d, m in f.items()}
 
 
+def dense(m):
+    return np.array(m.to_dense(), dtype=object).reshape(m.shape)
+
+
+def nonzero_columns(m, p):
+    """How many columns of m hold an entry nonzero mod p."""
+    return len(np.unique(m.col[m.val % p != 0]))
+
+
 @pytest.mark.parametrize("ring", [GF(2), GF(3), GF(BIG_PRIME), QQ], ids=str)
-def test_induced_iso_over_a_field_against_dense_reference(ring):
+def test_induced_iso_over_a_field_against_dense_reference(monkeypatch, ring):
+    from gammahom import chains
+    streamed = []
+    absorb = chains._EchelonBasis.absorb
+
+    def counted(self, owner, pos, val, count):
+        streamed.append(len(np.unique(owner[val != 0])))
+        return absorb(self, owner, pos, val, count)
+
+    monkeypatch.setattr(chains._EchelonBasis, "absorb", counted)
     rng = random.Random(47)
     seen = Counter()
     for _ in range(120):
@@ -723,12 +820,35 @@ def test_induced_iso_over_a_field_against_dense_reference(ring):
         src, tgt, blocks = random_chain_map(rng, ring.p, top)
         for d in range(top + 1):
             want, hs, ht = reference_iso(src, tgt, blocks[d], d, ring.p)
+            a, f, b = src.boundary(d), blocks[d], tgt.boundary(d + 1)
+            tall = a.shape[0] + b.shape[0] > a.shape[1] + b.shape[1]
+            streamed.clear()
             assert induced_map_is_iso_field(src, tgt, blocks, d,
                                             ring) == want
             seen[want, hs == ht > 0] += 1
+            if ring.p is None or not hs == ht > 0:
+                continue
+            seen["tall"] += tall
+            # Every column of B and of [F; A] is streamed once; the three
+            # other ranks are streamed on their own.  The stream of [F; A]
+            # stops early once M = [[B, F], [0, A]] has full row rank.
+            iso = sum(streamed)
+            for m in (a, src.boundary(d + 1), tgt.boundary(d)):
+                streamed.clear()
+                matrix_rank(m, ring)
+                iso -= sum(streamed)
+            m = np.block([[dense(b), dense(f)],
+                          [np.zeros((a.shape[0], b.shape[1]), dtype=object),
+                           dense(a)]])
+            m = coo(m, ring.p)
+            most = nonzero_columns(m, ring.p)
+            full = ref_rank(m, ring.p) == m.shape[0]
+            assert iso == most or full and iso < most
     # Isomorphisms and non-isomorphisms between groups of equal nonzero
-    # dimension both occur, and so do unequal dimensions.
+    # dimension both occur, and so do unequal dimensions and, over F_p,
+    # a block matrix M with more rows than columns.
     assert seen[True, True] and seen[False, True] and seen[False, False]
+    assert ring.p is None or seen["tall"]
     with pytest.raises(ValueError):
         induced_map_is_iso_field(src, tgt, {0: CooMatrix.identity(9)}, 0,
                                  ring)
