@@ -36,6 +36,14 @@ dimension rank M - rank A - rank B; no kernel basis and no dense matrix is
 built.  Over F_p one basis takes B's columns, giving rank B, and is then
 extended to M's rows and fed the other columns, giving rank M.
 
+Over Z the map is an isomorphism iff the two groups agree and it is onto
+(a finitely generated abelian group is not isomorphic to a proper
+quotient), and onto is read off one Smith form.  With K a kernel basis of
+A, the columns of G = [F K | B] span the image cycles plus the
+boundaries, inside the target's cycles: the kernel of an integer matrix,
+so a saturated lattice, of rank z.  The map is onto iff G's Smith form
+has exactly z invariant factors, all 1.
+
 The Smith form eliminates unit pivots first.  Boundary matrices are almost
 all +-1, and eliminating a +-1 pivot leaves the invariant factors unchanged
 apart from a 1 (Dumas, Heckenbach, Saunders, Welker 2003; Kaczynski,
@@ -189,8 +197,11 @@ class CooMatrix:
             yield r, c, v
 
     def transpose(self) -> "CooMatrix":
-        return CooMatrix((self.shape[1], self.shape[0]), self.col, self.row,
-                         self.val)
+        """The transpose, in canonical order by one stable sort on the rows:
+        within a row the stored entries already go by column."""
+        order = np.argsort(self.row, kind="stable")
+        return CooMatrix((self.shape[1], self.shape[0]), self.col[order],
+                         self.row[order], self.val[order], _canonical=True)
 
     def to_dense(self) -> list[list[int]]:
         rows, cols = self.shape
@@ -1018,46 +1029,6 @@ def integer_kernel_basis(m: CooMatrix) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Dense exact helpers for the integral surjectivity certificate (small
-# matrices only).
-
-def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    if not a or not b:
-        return [[0] * (len(b[0]) if b else 0) for _ in a]
-    nk = len(b)
-    out = []
-    for row in a:
-        acc = [0] * len(b[0])
-        for k in range(nk):
-            v = row[k]
-            if v:
-                brow = b[k]
-                for j, w in enumerate(brow):
-                    if w:
-                        acc[j] += v * w
-        out.append(acc)
-    return out
-
-
-def _columns_matrix(vectors: list[list[int]]) -> list[list[int]]:
-    if not vectors:
-        return []
-    n = len(vectors[0])
-    return [[vec[i] for vec in vectors] for i in range(n)]
-
-
-def _dense_to_coo(rows: list[list[int]]) -> CooMatrix:
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    entries = {}
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v:
-                entries[(i, j)] = v
-    return CooMatrix.from_entries((nrows, ncols), entries)
-
-
-# ---------------------------------------------------------------------------
 # Chain complexes, multicomplexes, homology.
 
 @dataclass(frozen=True)
@@ -1380,46 +1351,43 @@ def induced_map_is_iso_field(src: ChainComplex, tgt: ChainComplex,
 def induced_map_is_surjective_integer(src: ChainComplex, tgt: ChainComplex,
                                       blocks: dict[int, CooMatrix],
                                       degree: int) -> bool:
-    """Surjectivity certificate for the induced map on integral homology.
+    """Whether a chain map is onto on integral homology in degree d.
 
-    Expresses image cycles and boundaries in a kernel basis of the target and
-    asks the resulting presentation to have trivial cokernel via Smith form.
-    Dense transforms limit this to complexes of modest rank.
+    With K a kernel basis of src.boundary(d), F = blocks[d] and
+    B = tgt.boundary(d+1), the columns of G = [F K | B] span
+    L = F(Z_d S) + B_d T inside Z_d T, a saturated lattice of rank
+    z = rank C_d T - rank d_d T.  L = Z_d T iff G's Smith form has exactly
+    z invariant factors, all 1.  A column that is not a cycle answers
+    False.  The kernel basis needs dense transforms, which limits this to
+    complexes of modest rank.
     """
     if max(src.rank(degree), tgt.rank(degree),
            tgt.rank(degree + 1)) > 20_000:
         raise LimitExceeded("integral surjectivity certificate needs dense "
                             "transforms; complex too large")
-    kernel_src = integer_kernel_basis(src.boundary(degree))
-    fk = _mat_mul(blocks[degree].to_dense(), _columns_matrix(kernel_src))
-    bcols = tgt.boundary(degree + 1).to_dense()
-    if fk and bcols:
-        gens = [ra + rb for ra, rb in zip(fk, bcols)]
-    else:
-        gens = fk or bcols
-    kernel_tgt = integer_kernel_basis(tgt.boundary(degree))
-    z = len(kernel_tgt)
+    dt = tgt.boundary(degree)
+    z = tgt.rank(degree) - _rank_integer(dt)
     if z == 0:
         return True
-    if not gens:
+    f, b = blocks[degree], tgt.boundary(degree + 1)
+    kernel = integer_kernel_basis(src.boundary(degree))
+    # F K and d_d F K are taken in int64.  No sum in them exceeds the
+    # largest kernel entry times the absolute sums of F and of d_d.
+    big = max((max(map(abs, vec)) for vec in kernel), default=0)
+    if big * int(np.abs(f.val).sum()) * int(np.abs(dt.val).sum()) >= 1 << 62:
+        raise LimitExceeded("integral surjectivity certificate: cycle basis "
+                            "entries too large for int64 products")
+    dense = np.asarray(kernel, dtype=np.int64).reshape(len(kernel),
+                                                       src.rank(degree))
+    kc, kr = np.nonzero(dense)
+    fk = coo_mul(f, CooMatrix((src.rank(degree), len(kernel)), kr, kc,
+                              dense[kc, kr], _canonical=True))
+    g = place_blocks((tgt.rank(degree), fk.shape[1] + b.shape[1]),
+                     [(0, 0, fk, 1), (0, fk.shape[1], b, 1)])
+    if not is_zero_product(dt, g):
         return False
-    kmat = _dense_to_coo(_columns_matrix(kernel_tgt))
-    res = _snf_core(kmat, transforms=True, need_chain=False)
-    if res.rank != z or any(d != 1 for d in res.diagonal):
-        # The kernel lattice of an integer matrix is saturated; a basis of it
-        # must have unit invariant factors.
-        raise IntegrityError("kernel basis is not saturated")
-    # Solve kmat * Y = gens: with left * kmat * right = [I; 0], the bottom
-    # rows of left * gens must vanish and Y = right * (top rows).
-    left = [list(row) for row in res.left]
-    w = _mat_mul(left, gens)
-    for row in w[z:]:
-        if any(row):
-            return False
-    right = [list(row) for row in res.right]
-    coords = _mat_mul(right, w[:z])
-    snf = _snf_core(_dense_to_coo(coords), transforms=False, need_chain=True)
-    return snf.rank == z and all(d == 1 for d in snf.diagonal)
+    diagonal = _snf_core(g, transforms=False, need_chain=True).diagonal
+    return len(diagonal) == z and all(v == 1 for v in diagonal)
 
 
 def table_from_json(data: dict) -> HomologyTable:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .chains import SCHEMA_VERSION, Ring, dumps_json, parse_ring
@@ -22,10 +22,6 @@ from .stable import (DEFAULT_MAX_ITERATIONS, StableResult,
                      check_commuting_square, check_rho_iso, check_special,
                      check_smash_vanishing, check_stable_range,
                      check_wedge_iso, spectrum_homology)
-
-_CONFIG_FIELDS = ("space", "ring", "max_degree", "max_iterations",
-                  "cell_budget", "threads", "format", "out", "level",
-                  "suite")
 
 
 @dataclass
@@ -50,6 +46,9 @@ class JobConfig:
         if self.format not in ("table", "json", "csv"):
             raise ValueError(f"unknown format {self.format!r}")
         parse_ring(self.ring)
+
+
+_CONFIG_FIELDS = tuple(field.name for field in fields(JobConfig))
 
 
 def build_parser() -> argparse.ArgumentParser:

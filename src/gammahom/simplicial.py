@@ -24,21 +24,13 @@ from . import gamma
 from .chains import (ChainComplex, CooMatrix, Multicomplex, Ring,
                      coo_mul, homology, induced_map_is_iso_field,
                      induced_map_is_surjective_integer, is_zero_product,
-                     place_blocks, total_complex)
+                     lowered, place_blocks, total_complex, total_degree)
 from .errors import BudgetExceeded, IntegrityError
 from .gamma import FinPointedSet, PointedMap
 
 MultiIndex = tuple[int, ...]
 
 DEFAULT_CELL_BUDGET = 2_000_000
-
-
-def total_degree(idx: MultiIndex) -> int:
-    return sum(idx)
-
-
-def lowered(idx: MultiIndex, j: int) -> MultiIndex:
-    return idx[:j] + (idx[j] - 1,) + idx[j + 1:]
 
 
 def raised(idx: MultiIndex, j: int) -> MultiIndex:
@@ -531,18 +523,14 @@ class ChainMap:
 
 
 def chains_of_map(f: MSMap, ring: Ring, degree_bound: int,
-                  cell_budget: int | None = DEFAULT_CELL_BUDGET,
-                  source_chains: NormalizedChains | None = None,
-                  target_chains: NormalizedChains | None = None) -> ChainMap:
+                  cell_budget: int | None = DEFAULT_CELL_BUDGET) -> ChainMap:
     """Matrix blocks of the induced map between normalized total complexes.
 
     Cells mapped to degenerate cells contribute zero; commutation with the
     differentials is asserted and failures raise IntegrityError.
     """
-    src = source_chains or NormalizedChains(f.source, degree_bound,
-                                            cell_budget)
-    tgt = target_chains or NormalizedChains(f.target, degree_bound,
-                                            cell_budget)
+    src = NormalizedChains(f.source, degree_bound, cell_budget)
+    tgt = NormalizedChains(f.target, degree_bound, cell_budget)
     blocks: dict[int, CooMatrix] = {}
     for d in range(degree_bound + 2):
         parts = []

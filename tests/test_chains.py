@@ -1,6 +1,7 @@
 """Exact linear algebra: sparse matrices, Smith form, homology,
 totalization."""
 
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -11,7 +12,9 @@ import pytest
 
 from gammahom.chains import (GF, QQ, ZZ, ChainComplex, CooMatrix,
                              HomologyGroup, Multicomplex, Ring, homology,
-                             induced_map_is_iso_field, integer_kernel_basis,
+                             induced_map_is_iso_field,
+                             induced_map_is_surjective_integer,
+                             integer_kernel_basis,
                              matrix_rank, parse_ring,
                              smith_normal_form, table_from_json,
                              total_complex)
@@ -69,6 +72,8 @@ def test_coo_is_column_major_and_lists_json_row_major():
     m = CooMatrix((2, 2), [0, 1, 0], [1, 0, 0], [5, 6, 7])
     assert list(m.entries()) == [(0, 0, 7), (1, 0, 6), (0, 1, 5)]
     assert m.to_json()["entries"] == [[0, 0, 7], [0, 1, 5], [1, 0, 6]]
+    assert list(m.transpose().entries()) == [(0, 0, 7), (1, 0, 5), (0, 1, 6)]
+    assert m.transpose().transpose() == m
 
 
 def test_coo_canonical_claim_is_checked():
@@ -763,6 +768,13 @@ def random_chain_map(rng, p, top):
     target = source + summands()
     tbasis, tbd = assemble(target)
     lam = [rng.choice((0, 1, 2, -1, p or 3, (p or 3) + 1)) for _ in source]
+    # Over Z the map is onto in degree d iff lam is a unit on every summand
+    # of S with H_d nonzero (Z, or Z/c with c > 1) and no other summand
+    # has H_d nonzero.
+    onto = {d: all(i < len(source) and math.gcd(lam[i], c or 0) == 1
+                   for i, (k, c) in enumerate(target)
+                   if (k, c) == (d, None) or k == d + 1 and c not in (1, None))
+            for d in range(top + 1)}
     n = {d: len(basis[d]) for d in basis}
     h = {d: np.array([[rng.choice((0, 0, 1, -1, 2)) for _ in range(n[d])]
                       for _ in range(n[d + 1])], dtype=object
@@ -790,7 +802,7 @@ def random_chain_map(rng, p, top):
                        {d: coo(bd[d], p) for d in range(1, top + 2)}, top)
     tgt = ChainComplex(ring, {d: len(b) for d, b in tbasis.items()},
                        {d: coo(tbd[d], p) for d in range(1, top + 2)}, top)
-    return src, tgt, {d: coo(m, p) for d, m in f.items()}
+    return src, tgt, {d: coo(m, p) for d, m in f.items()}, onto
 
 
 def dense(m):
@@ -817,7 +829,7 @@ def test_induced_iso_over_a_field_against_dense_reference(monkeypatch, ring):
     seen = Counter()
     for _ in range(120):
         top = rng.randint(1, 3)
-        src, tgt, blocks = random_chain_map(rng, ring.p, top)
+        src, tgt, blocks, _ = random_chain_map(rng, ring.p, top)
         for d in range(top + 1):
             want, hs, ht = reference_iso(src, tgt, blocks[d], d, ring.p)
             a, f, b = src.boundary(d), blocks[d], tgt.boundary(d + 1)
@@ -852,3 +864,93 @@ def test_induced_iso_over_a_field_against_dense_reference(monkeypatch, ring):
     with pytest.raises(ValueError):
         induced_map_is_iso_field(src, tgt, {0: CooMatrix.identity(9)}, 0,
                                  ring)
+
+
+# ---------------------------------------------------------------------------
+# The integral surjectivity certificate.
+
+def z_complex(ranks, boundaries):
+    return ChainComplex(ZZ, ranks, boundaries, max(ranks))
+
+
+def scalar(v):
+    return CooMatrix.from_entries((1, 1), {(0, 0): v})
+
+
+def test_integral_certificate_on_z():
+    # Z in degree 1: multiplication by 2 is injective with equal groups on
+    # both sides, but only the certificate sees that it is not onto.
+    z = z_complex({1: 1}, {})
+    assert induced_map_is_surjective_integer(z, z, {1: scalar(1)}, 1)
+    assert induced_map_is_surjective_integer(z, z, {1: scalar(-1)}, 1)
+    assert not induced_map_is_surjective_integer(z, z, {1: scalar(2)}, 1)
+    assert not induced_map_is_surjective_integer(z, z, {1: scalar(0)}, 1)
+
+
+def test_integral_certificate_on_z_mod_4():
+    # C_2 = C_1 = Z with d_2 = 4: H_1 = Z/4, on which 3 is a unit and 2 is
+    # not; 5 is 1 on homology.
+    c = z_complex({1: 1, 2: 1}, {2: scalar(4)})
+    for v, onto in ((3, True), (5, True), (-1, True), (2, False),
+                    (4, False), (0, False)):
+        blocks = {1: scalar(v), 2: scalar(v)}
+        assert induced_map_is_surjective_integer(c, c, blocks, 1) == onto
+    # H_2 = 0: every map to it is onto.
+    assert induced_map_is_surjective_integer(c, c, {2: scalar(0)}, 2)
+
+
+def test_integral_certificate_rejects_a_generator_that_is_not_a_cycle():
+    # Source: Z in degree 1.  Target: C_1 = Z^2 -> C_0 = Z, d_1 = [1, 0],
+    # whose cycles are spanned by e_2.  Sending the generator to e_1 + e_2
+    # spans a lattice of rank 1 with unit invariant factor, so the Smith
+    # form alone would accept it; it is not a cycle.
+    src = z_complex({1: 1}, {})
+    tgt = z_complex({0: 1, 1: 2},
+                    {1: CooMatrix.from_entries((1, 2), {(0, 0): 1})})
+
+    def onto(entries):
+        f = CooMatrix.from_entries((2, 1), entries)
+        return induced_map_is_surjective_integer(src, tgt, {1: f}, 1)
+
+    assert onto({(1, 0): 1})
+    assert not onto({(1, 0): 2})
+    assert not onto({(0, 0): 1})
+    assert not onto({(0, 0): 1, (1, 0): 1})
+
+
+def test_integral_certificate_against_planted_answers():
+    rng = random.Random(53)
+    seen = Counter()
+    for _ in range(150):
+        top = rng.randint(1, 3)
+        src, tgt, blocks, onto = random_chain_map(rng, None, top)
+        src = ChainComplex(ZZ, src.ranks, src.boundaries, top)
+        tgt = ChainComplex(ZZ, tgt.ranks, tgt.boundaries, top)
+        for d in range(top + 1):
+            got = induced_map_is_surjective_integer(src, tgt, blocks, d)
+            assert got == onto[d]
+            seen[got, homology(src, d).group(d) == homology(tgt, d).group(d)
+                 and not homology(tgt, d).group(d).is_zero] += 1
+    # Maps onto and not onto nonzero groups equal on both sides both occur.
+    assert seen[True, True] and seen[False, True] and seen[False, False]
+
+
+def test_integral_certificate_refuses_what_it_cannot_hold():
+    big = z_complex({1: 20_001}, {})
+    with pytest.raises(LimitExceeded):
+        induced_map_is_surjective_integer(
+            big, big, {1: CooMatrix.identity(20_001)}, 1)
+    # The source's cycles are spanned by (2^40, 1).  F = v e_2 e_1^T gives
+    # F K = (0, 2^40 v): v = 2^21 is computed in int64, and v = 2^22 is
+    # refused before any product, with no headroom left under 2^62.
+    src = z_complex({0: 1, 1: 2}, {1: CooMatrix.from_entries(
+        (1, 2), {(0, 0): 1, (0, 1): -(1 << 40)})})
+    tgt = z_complex({0: 1, 1: 2},
+                    {1: CooMatrix.from_entries((1, 2), {(0, 0): 1})})
+    for v, refused in ((1 << 21, False), (1 << 22, True)):
+        f = CooMatrix.from_entries((2, 2), {(1, 0): v})
+        if refused:
+            with pytest.raises(LimitExceeded):
+                induced_map_is_surjective_integer(src, tgt, {1: f}, 1)
+        else:
+            assert not induced_map_is_surjective_integer(src, tgt, {1: f}, 1)
