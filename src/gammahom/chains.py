@@ -42,17 +42,25 @@ quotient), and onto is read off one Smith form.  With K a kernel basis of
 A, the columns of G = [F K | B] span the image cycles plus the
 boundaries, inside the target's cycles: the kernel of an integer matrix,
 so a saturated lattice, of rank z.  The map is onto iff G's Smith form
-has exactly z invariant factors, all 1.
+has exactly z invariant factors, all 1, that is iff any diagonal form of
+G has z entries, all +-1; so no divisibility repair is run for it.
 
-The Smith form eliminates unit pivots first.  Boundary matrices are almost
-all +-1, and eliminating a +-1 pivot leaves the invariant factors unchanged
-apart from a 1 (Dumas, Heckenbach, Saunders, Welker 2003; Kaczynski,
-Mrozek, Slusarek 1998).  Each unit pivot is found from the shorter side:
-the shortest active line holding a +-1, and in it the +-1 whose crossing
-line is shortest, so a choice costs a pass over the lines rather than over
+The Smith form acts on lines.  The matrix is held both ways, rows[r] =
+{c: v} and cols[c] = {r: v}, each built from the canonical order one run
+at a time.  A flipped view swaps rows with columns and the left transform
+with the right, so one routine clears the pivot column with row
+operations and, on the flipped view, the pivot row with column
+operations.  Unit pivots go first.  Boundary matrices are almost all +-1,
+and eliminating a +-1 pivot leaves the invariant factors unchanged apart
+from a 1 (Dumas, Heckenbach, Saunders, Welker 2003; Kaczynski, Mrozek,
+Slusarek 1998).  Each unit pivot is found from the shorter side: the
+shortest active line holding a +-1, and in it the +-1 whose crossing line
+is shortest, so a choice costs a pass over the lines rather than over
 every entry.  A unit divides every entry, so no divisibility repair is
 needed after it.  When no unit is left, a Markowitz-style choice over all
-remaining entries and gcd steps finish the form.
+remaining entries picks the pivot a, and Euclid's algorithm runs by
+moving it: a line with entry b takes off b // a times the pivot line, and
+a nonzero remainder becomes the pivot, so |a| strictly falls.
 """
 
 from __future__ import annotations
@@ -722,18 +730,6 @@ class SmithResult:
         return len(self.diagonal)
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x, nx = 1, 0
-    y, ny = 0, 1
-    g, ng = a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    return g, x, y
-
-
 def _axpy(vectors, src, dst, t):
     """vectors[dst] += t * vectors[src] on sparse dict vectors."""
     vdst = vectors.setdefault(dst, {})
@@ -745,117 +741,95 @@ def _axpy(vectors, src, dst, t):
             del vdst[k]
 
 
-class _SparseElim:
-    """Shared engine for integer rank and Smith normal form.
+def _lines(m: CooMatrix) -> dict[int, dict[int, int]]:
+    """{c: {r: v}} for the columns of m that hold entries, read off the
+    canonical order one column run at a time."""
+    start = _run_starts(m.col)
+    keys = m.col[start].tolist()
+    start = start.tolist()
+    rows, vals = m.row.tolist(), m.val.tolist()
+    return {c: dict(zip(rows[s:e], vals[s:e]))
+            for c, s, e in zip(keys, start, start[1:] + [len(vals)])}
 
-    Works on a dict-of-dicts representation with Python integers, so entry
-    growth escalates to arbitrary precision automatically.
+
+class _SparseElim:
+    """Integer elimination on the lines of a sparse matrix held both ways.
+
+    ``rows[r]`` is ``{c: v}`` and ``cols[c]`` is ``{r: v}``; both hold
+    every nonzero entry as a Python integer, so growth goes to arbitrary
+    precision.  With transforms, ``left[r]`` is row r of U and ``right[c]``
+    column c of V, else both are None.  Every operation acts on lines, that
+    is on ``rows`` and ``left``.  ``flipped`` is the same store with rows
+    and columns swapped and ``left`` with ``right``, so a column operation
+    is a line operation on the flipped view.
     """
 
-    def __init__(self, m: CooMatrix, transforms: bool):
-        self.nrows, self.ncols = m.shape
-        self.rows: dict[int, dict[int, int]] = {}
-        self.cols: dict[int, set[int]] = {}
-        for r, c, v in m.entries():
-            self.rows.setdefault(r, {})[c] = v
-            self.cols.setdefault(c, set()).add(r)
-        self.transforms = transforms
+    __slots__ = ("rows", "cols", "left", "right")
+
+    def __init__(self, rows, cols, left, right):
+        self.rows, self.cols, self.left, self.right = rows, cols, left, right
+
+    @classmethod
+    def of(cls, m: CooMatrix, transforms: bool) -> "_SparseElim":
+        left = right = None
         if transforms:
-            self.left = {r: {r: 1} for r in range(self.nrows)}
-            self.right = {c: {c: 1} for c in range(self.ncols)}
+            left = {r: {r: 1} for r in range(m.shape[0])}
+            right = {c: {c: 1} for c in range(m.shape[1])}
+        return cls(_lines(m.transpose()), _lines(m), left, right)
 
-    def entry(self, r, c):
-        return self.rows.get(r, {}).get(c, 0)
+    def flipped(self) -> "_SparseElim":
+        return _SparseElim(self.cols, self.rows, self.right, self.left)
 
-    def _set(self, r, c, v):
-        row = self.rows.setdefault(r, {})
-        if v:
-            row[c] = v
-            self.cols.setdefault(c, set()).add(r)
-        else:
-            if c in row:
-                del row[c]
-                self.cols[c].discard(r)
-
-    def row_axpy(self, src, dst, t):
-        """row dst += t * row src."""
-        if t == 0:
-            return
-        for c, v in list(self.rows.get(src, {}).items()):
-            self._set(dst, c, self.entry(dst, c) + t * v)
-        if self.transforms:
+    def axpy(self, src, dst, t):
+        """Line dst += t * line src, for t nonzero."""
+        line, cols = self.rows[dst], self.cols
+        for j, v in self.rows[src].items():
+            v = line.get(j, 0) + t * v
+            if v:
+                line[j] = cols[j][dst] = v
+            else:
+                del line[j], cols[j][dst]
+        if self.left is not None:
             _axpy(self.left, src, dst, t)
 
-    def col_axpy(self, src, dst, t):
-        """col dst += t * col src."""
-        if t == 0:
-            return
-        for r in list(self.cols.get(src, set())):
-            self._set(r, dst, self.entry(r, dst) + t * self.entry(r, src))
-        if self.transforms:
-            _axpy(self.right, src, dst, t)
+    def clear(self, i, j, active):
+        """Clear cross line j on the active lines other than the pivot
+        (i, j), taking from each the multiple of line i that leaves the
+        remainder.  A nonzero remainder becomes the pivot (Euclid by moving
+        the pivot), so |pivot| strictly falls and the clearing ends.
+        Returns the line that holds the pivot at the end."""
+        cross = self.cols[j]
+        while True:
+            a = cross[i]
+            for k in sorted(cross):
+                if k != i and k in active:
+                    q = cross[k] // a
+                    if q:
+                        self.axpy(i, k, -q)
+                    if k in cross:
+                        i = k
+                        break
+            else:
+                return i
 
-    def clear_unit_row(self, r, c):
-        """Clear row r with column operations when its pivot (r, c) is +-1
-        and alone in column c: each operation only zeroes one entry."""
-        a = self.rows[r][c]
-        for c2, b in list(self.rows[r].items()):
-            if c2 != c:
-                del self.rows[r][c2]
-                self.cols[c2].discard(r)
-                if self.transforms:
-                    _axpy(self.right, c, c2, -b * a)
+    def clear_unit_line(self, i, j):
+        """Clear cross line j when line i holds nothing but the unit pivot
+        (i, j): each subtraction of line i then zeroes one entry."""
+        a, rows, cross = self.rows[i][j], self.rows, self.cols[j]
+        for k, b in cross.items():
+            if k != i:
+                del rows[k][j]
+                if self.left is not None:
+                    _axpy(self.left, i, k, -b * a)
+        cross.clear()
+        cross[i] = a
 
-    def row_combine(self, r1, r2, c):
-        """Unimodular 2x2 row operation making entry (r1, c) = gcd."""
-        a, b = self.entry(r1, c), self.entry(r2, c)
-        g, x, y = _xgcd(a, b)
-        p, q = -(b // g), a // g
-        cols = set(self.rows.get(r1, {})) | set(self.rows.get(r2, {}))
-        for cc in cols:
-            v1, v2 = self.entry(r1, cc), self.entry(r2, cc)
-            self._set(r1, cc, x * v1 + y * v2)
-            self._set(r2, cc, p * v1 + q * v2)
-        if self.transforms:
-            u = self.left
-            keys = set(u.get(r1, {})) | set(u.get(r2, {}))
-            u1, u2 = u.setdefault(r1, {}), u.setdefault(r2, {})
-            for k in keys:
-                v1, v2 = u1.get(k, 0), u2.get(k, 0)
-                for d, nv in ((u1, x * v1 + y * v2), (u2, p * v1 + q * v2)):
-                    if nv:
-                        d[k] = nv
-                    elif k in d:
-                        del d[k]
-
-    def col_combine(self, c1, c2, r):
-        """Unimodular 2x2 column operation making entry (r, c1) = gcd."""
-        a, b = self.entry(r, c1), self.entry(r, c2)
-        g, x, y = _xgcd(a, b)
-        p, q = -(b // g), a // g
-        rows = set(self.cols.get(c1, set())) | set(self.cols.get(c2, set()))
-        for rr in rows:
-            v1, v2 = self.entry(rr, c1), self.entry(rr, c2)
-            self._set(rr, c1, x * v1 + y * v2)
-            self._set(rr, c2, p * v1 + q * v2)
-        if self.transforms:
-            v = self.right
-            keys = set(v.get(c1, {})) | set(v.get(c2, {}))
-            v1d, v2d = v.setdefault(c1, {}), v.setdefault(c2, {})
-            for k in keys:
-                w1, w2 = v1d.get(k, 0), v2d.get(k, 0)
-                for d, nv in ((v1d, x * w1 + y * w2), (v2d, p * w1 + q * w2)):
-                    if nv:
-                        d[k] = nv
-                    elif k in d:
-                        del d[k]
-
-    def scale_row(self, r, s):
-        for c in list(self.rows.get(r, {})):
-            self.rows[r][c] *= s
-        if self.transforms:
-            for k in self.left.get(r, {}):
-                self.left[r][k] *= s
+    def negate(self, i):
+        """Line i times -1."""
+        for j, v in self.rows[i].items():
+            self.rows[i][j] = self.cols[j][i] = -v
+        if self.left is not None:
+            self.left[i] = {k: -v for k, v in self.left[i].items()}
 
 
 def _unit_pivot(elim: _SparseElim, active_rows, active_cols):
@@ -867,17 +841,15 @@ def _unit_pivot(elim: _SparseElim, active_rows, active_cols):
     read shortest first until one holds a unit, so a choice does not scan
     every entry.
     """
-    rows, cols = elim.rows, elim.cols
-    if len(active_rows) <= len(active_cols):
-        for r in sorted(active_rows, key=lambda r: (len(rows[r]), r)):
-            units = [c for c, v in rows[r].items() if v in (1, -1)]
-            if units:
-                return r, min(units, key=lambda c: (len(cols[c]), c))
-    else:
-        for c in sorted(active_cols, key=lambda c: (len(cols[c]), c)):
-            units = [r for r in cols[c] if rows[r][c] in (1, -1)]
-            if units:
-                return min(units, key=lambda r: (len(rows[r]), r)), c
+    flip = len(active_rows) > len(active_cols)
+    view, active = (elim.flipped(), active_cols) if flip \
+        else (elim, active_rows)
+    lines, cross = view.rows, view.cols
+    for i in sorted(active, key=lambda i: (len(lines[i]), i)):
+        units = [j for j, v in lines[i].items() if v in (1, -1)]
+        if units:
+            j = min(units, key=lambda j: (len(cross[j]), j))
+            return (j, i) if flip else (i, j)
     return None
 
 
@@ -910,65 +882,34 @@ def _pivot_spots(elim: _SparseElim, active_rows, active_cols):
 
 
 def _snf_core(m: CooMatrix, transforms: bool, need_chain: bool) -> SmithResult:
-    elim = _SparseElim(m, transforms)
-    active_rows = set(elim.rows)
-    active_cols = set(elim.cols)
+    elim = _SparseElim.of(m, transforms)
+    flip = elim.flipped()
+    rows, cols = elim.rows, elim.cols
+    active_rows, active_cols = set(rows), set(cols)
     pivots: list[tuple[int, int]] = []
 
     for r, c in _pivot_spots(elim, active_rows, active_cols):
         while True:
-            # Clear the pivot column with row operations.
-            changed = True
-            while changed:
-                changed = False
-                for r2 in sorted(elim.cols.get(c, set())):
-                    if r2 == r or r2 not in active_rows:
-                        continue
-                    a = elim.entry(r, c)
-                    b = elim.entry(r2, c)
-                    if b == 0:
-                        continue
-                    if b % a == 0:
-                        elim.row_axpy(r, r2, -(b // a))
-                    else:
-                        elim.row_combine(r, r2, c)
-                    changed = True
-            # Clear the pivot row with column operations; these can
-            # reintroduce column entries, hence the outer loop.
-            if elim.entry(r, c) in (1, -1) and len(elim.cols[c]) == 1:
-                elim.clear_unit_row(r, c)
+            # Clear the pivot column with row operations, then the pivot
+            # row with column operations.  A pivot that moves to another
+            # column takes that column's entries along, hence the loop.
+            r = elim.clear(r, c, active_rows)
+            # A unit alone in its column clears its row without fill.
+            if rows[r][c] in (1, -1) and len(cols[c]) == 1:
+                flip.clear_unit_line(c, r)
                 break
-            row_entries = [c2 for c2 in sorted(elim.rows.get(r, {}))
-                           if c2 != c]
-            for c2 in row_entries:
-                a = elim.entry(r, c)
-                b = elim.entry(r, c2)
-                if b == 0:
-                    continue
-                if b % a == 0:
-                    elim.col_axpy(c, c2, -(b // a))
-                else:
-                    elim.col_combine(c, c2, r)
-            col_dirty = any(r2 != r and r2 in active_rows
-                            for r2 in elim.cols.get(c, set()))
-            row_dirty = any(c2 != c for c2 in elim.rows.get(r, {}))
-            if col_dirty or row_dirty:
+            c = flip.clear(c, r, active_cols)
+            if any(k != r and k in active_rows for k in cols[c]):
                 continue
-            a = elim.entry(r, c)
+            a = rows[r][c]
             if need_chain and a not in (1, -1):
-                # A unit divides every entry: no bump can be found.
-                bump = None
-                for r2 in sorted(active_rows):
-                    if r2 == r:
-                        continue
-                    for c2, v in sorted(elim.rows.get(r2, {}).items()):
-                        if c2 in active_cols and v % a != 0:
-                            bump = r2
-                            break
-                    if bump is not None:
-                        break
+                # Add the first row that holds an active entry a does not
+                # divide; a unit divides every entry.
+                bump = next((k for k in sorted(active_rows) if k != r and any(
+                    v % a for j, v in rows[k].items() if j in active_cols)),
+                    None)
                 if bump is not None:
-                    elim.row_axpy(bump, r, 1)
+                    elim.axpy(bump, r, 1)
                     continue
             break
         pivots.append((r, c))
@@ -977,27 +918,26 @@ def _snf_core(m: CooMatrix, transforms: bool, need_chain: bool) -> SmithResult:
 
     diagonal = []
     for r, c in pivots:
-        v = elim.entry(r, c)
-        if v < 0:
-            elim.scale_row(r, -1)
-            v = -v
-        diagonal.append(v)
+        if rows[r][c] < 0:
+            elim.negate(r)
+        diagonal.append(rows[r][c])
 
     left = right = None
     if transforms:
+        nrows, ncols = m.shape
         row_order = [r for r, _ in pivots] + sorted(
-            set(range(elim.nrows)) - {r for r, _ in pivots})
+            set(range(nrows)) - {r for r, _ in pivots})
         col_order = [c for _, c in pivots] + sorted(
-            set(range(elim.ncols)) - {c for _, c in pivots})
+            set(range(ncols)) - {c for _, c in pivots})
         left = tuple(
             tuple(elim.left.get(row_order[i], {}).get(j, 0)
-                  for j in range(elim.nrows))
-            for i in range(elim.nrows))
+                  for j in range(nrows))
+            for i in range(nrows))
         # right is stored column-wise: right[c] is column c of V.
         right = tuple(
             tuple(elim.right.get(col_order[j], {}).get(i, 0)
-                  for j in range(elim.ncols))
-            for i in range(elim.ncols))
+                  for j in range(ncols))
+            for i in range(ncols))
     return SmithResult(m.shape, tuple(diagonal), left, right)
 
 
@@ -1357,7 +1297,9 @@ def induced_map_is_surjective_integer(src: ChainComplex, tgt: ChainComplex,
     B = tgt.boundary(d+1), the columns of G = [F K | B] span
     L = F(Z_d S) + B_d T inside Z_d T, a saturated lattice of rank
     z = rank C_d T - rank d_d T.  L = Z_d T iff G's Smith form has exactly
-    z invariant factors, all 1.  A column that is not a cycle answers
+    z invariant factors, all 1, that is iff a diagonal form of G has z
+    entries, all +-1 (their product is, up to sign, the product of the
+    invariant factors).  A column that is not a cycle answers
     False.  The kernel basis needs dense transforms, which limits this to
     complexes of modest rank.
     """
@@ -1386,7 +1328,7 @@ def induced_map_is_surjective_integer(src: ChainComplex, tgt: ChainComplex,
                      [(0, 0, fk, 1), (0, fk.shape[1], b, 1)])
     if not is_zero_product(dt, g):
         return False
-    diagonal = _snf_core(g, transforms=False, need_chain=True).diagonal
+    diagonal = _snf_core(g, transforms=False, need_chain=False).diagonal
     return len(diagonal) == z and all(v == 1 for v in diagonal)
 
 

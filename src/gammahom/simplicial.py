@@ -23,8 +23,8 @@ import numpy as np
 from . import gamma
 from .chains import (ChainComplex, CooMatrix, Multicomplex, Ring,
                      coo_mul, homology, induced_map_is_iso_field,
-                     induced_map_is_surjective_integer, is_zero_product,
-                     lowered, place_blocks, total_complex, total_degree)
+                     induced_map_is_surjective_integer, lowered,
+                     place_blocks, total_complex, total_degree)
 from .errors import BudgetExceeded, IntegrityError
 from .gamma import FinPointedSet, PointedMap
 
@@ -336,12 +336,6 @@ def smash_msmap(f: MSMap, g: MSMap) -> MSMap:
                  name=f"({f.name}^{g.name})")
 
 
-def wedge_msmap(f: MSMap, g: MSMap) -> MSMap:
-    return MSMap(wedge_ss(f.source, g.source), wedge_ss(f.target, g.target),
-                 lambda idx: gamma.wedge(f.component(idx), g.component(idx)),
-                 name=f"({f.name}v{g.name})")
-
-
 def wedge_case_msmap(f: MSMap, g: MSMap, source: MSSet | None = None) -> MSMap:
     """The map out of a level-wise wedge given components with one target."""
     if f.target is not g.target:
@@ -581,21 +575,14 @@ def chain_map_induces_iso(chm: ChainMap, degree: int) -> bool:
                                              chm.blocks, degree)
 
 
-def verify_square_zero(x: MSSet, ring: Ring, degree_bound: int):
-    """Assert d*d = 0 for the normalized chains of x (test hook)."""
-    cx = normalized_chains(x, ring, degree_bound)
-    cx.verify_boundary_condition()
-    return cx
-
-
 __all__ = [
     "MSSet", "MSMap", "MultiIndex", "NormalizedChains", "ChainMap",
     "point_object", "constant_object", "two_point_object", "circle",
     "smash_ss", "wedge_ss", "product_ss", "suspension_ss", "diagonal_ss",
     "identity_msmap", "compose_msmap", "collapse_msmap", "smash_msmap",
-    "wedge_msmap", "wedge_case_msmap", "pair_msmap",
+    "wedge_case_msmap", "pair_msmap",
     "wedge_to_product_msmap", "product_to_smash_msmap",
     "normalized_chains", "chains_of_map", "chain_map_induces_iso",
     "indices_up_to", "total_degree", "lowered", "raised",
-    "verify_square_zero", "DEFAULT_CELL_BUDGET", "is_zero_product",
+    "DEFAULT_CELL_BUDGET",
 ]

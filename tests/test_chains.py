@@ -471,7 +471,7 @@ def test_smith_form_when_unit_pivots_run_out():
 
 def test_integer_kernel_basis():
     rng = random.Random(29)
-    for _ in range(40):
+    for _ in range(150):
         m = random_coo(rng, rng.randint(1, 5), rng.randint(1, 5), -3, 3)
         kernel = integer_kernel_basis(m)
         dense = m.to_dense()
@@ -480,6 +480,14 @@ def test_integer_kernel_basis():
                      for row in dense]
             assert all(v == 0 for v in image)
         assert len(kernel) == m.shape[1] - matrix_rank(m, QQ)
+        # The vectors span the whole integer kernel, not a sublattice of
+        # finite index: as columns their Smith diagonal is all 1s.
+        if kernel:
+            columns = CooMatrix.from_entries(
+                (m.shape[1], len(kernel)),
+                {(i, j): v for j, vec in enumerate(kernel)
+                 for i, v in enumerate(vec) if v})
+            assert smith_normal_form(columns).diagonal == (1,) * len(kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -148,6 +148,20 @@ def test_check_range_json(capsys):
     assert payload["reports"][0]["check"] == "stable-range"
 
 
+
+def test_check_segal_over_z(capsys):
+    # The integral surjectivity certificate on maps between groups with
+    # torsion: rho and the wedge maps are isomorphisms onto Z/2 sums.
+    code, out, _ = run(capsys, "check", "--suite", "segal", "--space",
+                       "ab:2", "--ring", "z", "--max-degree", "1",
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    assert [r["check"] for r in payload["reports"]] == [
+        "rho-iso", "wedge-iso", "wedge-iso", "smash-vanishing"]
+    assert all(r["passed"] for r in payload["reports"])
+
 def test_check_failure_exit_one(capsys):
     # the wedge splitting needs a special input; the sphere is not special
     code, out, _ = run(capsys, "check", "--suite", "segal", "--space",
