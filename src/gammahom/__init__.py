@@ -5,12 +5,11 @@ from .chains import (GF, QQ, ZZ, ChainComplex, CooMatrix, HomologyGroup,
                      HomologyTable, Multicomplex, Ring, homology,
                      parse_ring, smith_normal_form, total_complex)
 from .errors import BudgetExceeded, IntegrityError, LimitExceeded
-from .gamma import (FinPointedSet, PartialMap, PointedMap, circle_degeneracy,
-                    circle_face, compose, compose_partial,
-                    gamma_from_partial, identity_map, mu, sharp, smash,
+from .gamma import (FinPointedSet, PointedMap, circle_degeneracy,
+                    circle_face, compose, identity_map, mu, sharp, smash,
                     standard_inclusion, wedge, wedge_inclusions)
-from .segal import (GammaMap, GammaSpace, SpecialVerdict, SpectrumLevel,
-                    counit, delooping, discrete_abelian, free_gamma_space,
+from .segal import (GammaMap, GammaSpace, SpecialVerdict, counit,
+                    delooping, discrete_abelian, free_gamma_space,
                     is_special, mu_pullback, parse_space, point_space,
                     smash_gamma, spectrum_level, sphere_space,
                     structure_map, suspension, tower_map, underlying_space,

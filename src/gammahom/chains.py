@@ -1029,23 +1029,6 @@ class HomologyTable:
                           for d, g in self.groups.items())
         return f"HomologyTable({self.ring}; {inner or '0'})"
 
-    def to_json(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "ring": self.ring.name,
-            "max_degree": self.max_degree,
-            "groups": {
-                str(d): {"free_rank": g.free_rank,
-                         "torsion": list(g.torsion)}
-                for d, g in self.groups.items()},
-        }
-
-    def render_text(self) -> str:
-        lines = ["degree  group"]
-        for d in range(self.max_degree + 1):
-            lines.append(f"{d:>6}  {self.group(d).label(self.ring)}")
-        return "\n".join(lines)
-
 
 class ChainComplex:
     """Non-negatively graded complex of free modules with sparse boundaries.
@@ -1088,10 +1071,6 @@ class ChainComplex:
                     raise IntegrityError(
                         f"boundary condition d*d != 0 at degree {d + 1}")
         self.verified = True
-
-    def euler_characteristic(self, top: int | None = None) -> int:
-        top = self.degree_bound if top is None else top
-        return sum((-1) ** d * self.rank(d) for d in range(top + 1))
 
     def permuted(self, perms: dict[int, list[int]]) -> "ChainComplex":
         """Reorder the basis in selected degrees (perm[i] = new position)."""
@@ -1159,13 +1138,30 @@ def homology(cx: ChainComplex,
 
 class Multicomplex:
     """A k-direction complex: ranks per multidegree, one unsigned
-    differential per direction, commuting between distinct directions."""
+    differential per direction, commuting between distinct directions.
+
+    The basis of the total complex is laid out here, once: in each total
+    degree the multi-indices come in lexicographic order (``by_degree``),
+    each block starting at ``offsets[idx]``, and ``degree_ranks[d]`` is the
+    rank in total degree d.
+    """
 
     def __init__(self, directions: int, ranks: dict[tuple, int],
                  differentials: dict[tuple[tuple, int], CooMatrix]):
         self.directions = directions
         self.ranks = {idx: r for idx, r in ranks.items()}
         self.differentials = differentials
+        self.by_degree: dict[int, list[tuple]] = {}
+        for idx in sorted(self.ranks):
+            self.by_degree.setdefault(total_degree(idx), []).append(idx)
+        self.offsets: dict[tuple, int] = {}
+        self.degree_ranks: dict[int, int] = {}
+        for d, idxs in sorted(self.by_degree.items()):
+            pos = 0
+            for idx in idxs:
+                self.offsets[idx] = pos
+                pos += self.ranks[idx]
+            self.degree_ranks[d] = pos
 
     def rank(self, idx) -> int:
         return self.ranks.get(tuple(idx), 0)
@@ -1191,28 +1187,15 @@ def total_complex(mc: Multicomplex, ring: Ring, degree_bound: int,
     the per-direction differentials were not commuting and raises
     IntegrityError.
     """
-    by_degree: dict[int, list[tuple]] = {}
-    for idx in mc.ranks:
-        by_degree.setdefault(total_degree(idx), []).append(idx)
-    for d in by_degree:
-        by_degree[d].sort()
-    offsets: dict[tuple, int] = {}
-    ranks: dict[int, int] = {}
-    for d, idxs in sorted(by_degree.items()):
-        pos = 0
-        for idx in idxs:
-            offsets[idx] = pos
-            pos += mc.rank(idx)
-        ranks[d] = pos
-
+    offsets, ranks = mc.offsets, mc.degree_ranks
     # Within a column the targets lowered(idx, j) increase with j, so the
     # blocks of idx are listed from top to bottom.
     boundaries = {}
-    for d in sorted(by_degree):
+    for d, idxs in sorted(mc.by_degree.items()):
         if d == 0 or d > degree_bound + 1:
             continue
         blocks = []
-        for idx in by_degree[d]:
+        for idx in idxs:
             sign_exp = 0
             for j in range(mc.directions):
                 if idx[j] >= 1:
@@ -1330,13 +1313,6 @@ def induced_map_is_surjective_integer(src: ChainComplex, tgt: ChainComplex,
         return False
     diagonal = _snf_core(g, transforms=False, need_chain=False).diagonal
     return len(diagonal) == z and all(v == 1 for v in diagonal)
-
-
-def table_from_json(data: dict) -> HomologyTable:
-    ring = parse_ring(data["ring"])
-    groups = {int(d): HomologyGroup(g["free_rank"], tuple(g["torsion"]))
-              for d, g in data["groups"].items()}
-    return HomologyTable(ring, groups, data["max_degree"])
 
 
 def dumps_json(data: dict) -> str:

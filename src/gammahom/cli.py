@@ -118,33 +118,31 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"gammahom: {exc}", file=sys.stderr)
         return 2
+    command = {"compute": _cmd_compute, "check": _cmd_check,
+               "dump": _cmd_dump}[args.command]
     try:
-        if args.command == "compute":
-            return _cmd_compute(config, space, ring)
-        if args.command == "check":
-            return _cmd_check(config, space, ring)
-        if args.command == "dump":
-            return _cmd_dump(config, space, ring)
+        text, code = command(config, space, ring)
     except LimitExceeded as exc:
         print(f"gammahom: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"gammahom: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable command")
-
-
-def _emit(config: JobConfig, text: str):
-    if config.out:
-        Path(config.out).write_text(text, encoding="utf-8")
-    else:
+    if not config.out:
         sys.stdout.write(text)
+        return code
+    try:
+        Path(config.out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"gammahom: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 # ---------------------------------------------------------------------------
 # compute
 
-def _cmd_compute(config: JobConfig, space, ring: Ring) -> int:
+def _cmd_compute(config: JobConfig, space, ring: Ring) -> tuple[str, int]:
     result = spectrum_homology(
         space, ring, config.max_degree,
         max_iterations=config.max_iterations,
@@ -157,8 +155,7 @@ def _cmd_compute(config: JobConfig, space, ring: Ring) -> int:
         text = _compute_csv(result)
     else:
         text = _compute_table(result)
-    _emit(config, text)
-    return 0 if result.all_stable else 3
+    return text, 0 if result.all_stable else 3
 
 
 def _compute_table(result: StableResult) -> str:
@@ -200,7 +197,7 @@ def _compute_csv(result: StableResult) -> str:
 # ---------------------------------------------------------------------------
 # check
 
-def _cmd_check(config: JobConfig, space, ring: Ring) -> int:
+def _cmd_check(config: JobConfig, space, ring: Ring) -> tuple[str, int]:
     kw = dict(cell_budget=config.cell_budget,
               max_iterations=config.max_iterations)
     reports = []
@@ -239,25 +236,22 @@ def _cmd_check(config: JobConfig, space, ring: Ring) -> int:
         text = "\n".join(lines) + "\n"
     else:
         text = "\n".join(r.render_text() for r in reports) + "\n"
-    _emit(config, text)
-    return 0 if all(r.passed for r in reports) else 1
+    return text, 0 if all(r.passed for r in reports) else 1
 
 
 # ---------------------------------------------------------------------------
 # dump
 
-def _cmd_dump(config: JobConfig, space, ring: Ring) -> int:
-    level = spectrum_level(space, config.level)
-    complex_ = normalized_chains(level.space, ring, config.max_degree,
-                                 config.cell_budget)
+def _cmd_dump(config: JobConfig, space, ring: Ring) -> tuple[str, int]:
+    complex_ = normalized_chains(spectrum_level(space, config.level), ring,
+                                 config.max_degree, config.cell_budget)
     payload = complex_.to_json()
     payload.update({
         "command": "dump",
         "space": config.space,
         "level": config.level,
     })
-    _emit(config, dumps_json(payload))
-    return 0
+    return dumps_json(payload), 0
 
 
 if __name__ == "__main__":

@@ -7,9 +7,9 @@ entries or more is held as one read-only int64 array (8 bytes a point) and
 composed, smashed and wedged with numpy; its tuple view is built only when
 read.  Shorter tables stay Python tuples, because for the many small maps of
 the circle and of small Gamma-objects the per-call cost of numpy outweighs
-the loop it replaces.  Finite sets with
-partially defined maps present an equivalent category; ``gamma_from_partial``
-and ``sharp`` convert partial data into pointed maps.
+the loop it replaces.  ``sharp`` runs an injection backwards as a pointed
+map, sending the points outside its image to the basepoint; the specialness
+check builds its splitting maps from it.
 
 The smash product uses the mixed-radix pairing ``(i, j) -> (i-1)*m + j`` and
 the wedge uses block numbering.  These choices make smash strictly
@@ -168,61 +168,6 @@ def compose(f: PointedMap, g: PointedMap) -> PointedMap:
         return PointedMap(f.source, g.target, g.as_array[f.as_array])
     gt = g._table
     return PointedMap(f.source, g.target, tuple(gt[v] for v in f._table))
-
-
-# ---------------------------------------------------------------------------
-# Partially defined maps of plain finite sets.
-
-@dataclass(frozen=True)
-class PartialMap:
-    """A partially defined map between the plain finite sets {1..n}.
-
-    ``domain`` lists the elements of the source where the map is defined (the
-    injective leg of the span) and ``action`` their images in the target.
-    """
-
-    source_size: int
-    target_size: int
-    domain: tuple[int, ...]
-    action: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.source_size < 0 or self.target_size < 0:
-            raise ValueError("sizes must be non-negative")
-        if len(self.domain) != len(self.action):
-            raise ValueError("domain and action lengths differ")
-        if len(set(self.domain)) != len(self.domain):
-            raise ValueError("domain elements must be distinct")
-        if any(x < 1 or x > self.source_size for x in self.domain):
-            raise ValueError("domain element out of source range")
-        if any(y < 1 or y > self.target_size for y in self.action):
-            raise ValueError("action value out of target range")
-
-
-def compose_partial(p: PartialMap, q: PartialMap) -> PartialMap:
-    """The composite q∘p, defined on the pullback of the domains."""
-    if p.target_size != q.source_size:
-        raise ValueError("cannot compose: sizes do not match")
-    qmap = dict(zip(q.domain, q.action))
-    dom, act = [], []
-    for x, y in zip(p.domain, p.action):
-        if y in qmap:
-            dom.append(x)
-            act.append(qmap[y])
-    return PartialMap(p.source_size, q.target_size, tuple(dom), tuple(act))
-
-
-def gamma_from_partial(p: PartialMap) -> PointedMap:
-    """Turn a partial map into a pointed map by adding a basepoint.
-
-    Elements where the map is defined go to their image; everything else is
-    sent to the new distinguished point 0.
-    """
-    table = [0] * (p.source_size + 1)
-    for x, y in zip(p.domain, p.action):
-        table[x] = y
-    return PointedMap(FinPointedSet(p.source_size),
-                      FinPointedSet(p.target_size), tuple(table))
 
 
 def sharp(images: Sequence[int], target_size: int) -> PointedMap:

@@ -42,6 +42,8 @@ class GammaSpace:
         self._component_fn = component_fn
         self._at: dict[int, MSSet] = {}
         self._maps: dict[PointedMap, MSMap] = {}
+        # [self, B self, ..., B^n self], started by ``tower``.
+        self._tower: list[GammaSpace] | None = None
 
     def at(self, n: int) -> MSSet:
         """The value on [n]+."""
@@ -325,12 +327,6 @@ def _all_pointed_maps(a: int, b: int):
         yield PointedMap(FinPointedSet(a), FinPointedSet(b), t)
 
 
-def identity_gamma_map(x: GammaSpace) -> GammaMap:
-    return GammaMap(x, x,
-                    lambda n, idx: gamma.identity_map(x.at(n).cell(idx).size),
-                    name=f"id({x.name})")
-
-
 def counit(x: GammaSpace) -> GammaMap:
     """The assembly map from the free Gamma-space on the underlying object.
 
@@ -385,39 +381,35 @@ def underlying_map(g: GammaMap) -> MSMap:
     return g.at(1)
 
 
-def free_gamma_map(h: MSMap, source: GammaSpace | None = None,
-                   target: GammaSpace | None = None) -> GammaMap:
+def free_gamma_map(h: MSMap) -> GammaMap:
     """The free Gamma-space construction applied to a map of objects."""
-    src = source or free_gamma_space(h.source)
-    tgt = target or free_gamma_space(h.target)
 
     def component(n, idx):
         return gamma.smash(h.component(idx), gamma.identity_map(n))
 
-    return GammaMap(src, tgt, component, name=f"free({h.name})")
+    return GammaMap(free_gamma_space(h.source), free_gamma_space(h.target),
+                    component, name=f"free({h.name})")
 
 
-def delooping_map(g: GammaMap, source: GammaSpace | None = None,
-                  target: GammaSpace | None = None) -> GammaMap:
-    src = source or delooping(g.source)
-    tgt = target or delooping(g.target)
+def delooping_map(g: GammaMap, source: GammaSpace,
+                  target: GammaSpace) -> GammaMap:
+    """The delooping of g, between the given deloopings of its ends."""
 
     def component(m, idx):
         return g.at(idx[0] * m).component(idx[1:])
 
-    return GammaMap(src, tgt, component, name=f"B({g.name})")
+    return GammaMap(source, target, component, name=f"B({g.name})")
 
 
-def suspension_map(g: GammaMap, source: GammaSpace | None = None,
-                   target: GammaSpace | None = None) -> GammaMap:
-    src = source or suspension(g.source)
-    tgt = target or suspension(g.target)
+def suspension_map(g: GammaMap, source: GammaSpace,
+                   target: GammaSpace) -> GammaMap:
+    """The suspension of g, between the given suspensions of its ends."""
 
     def component(m, idx):
         return gamma.smash(gamma.identity_map(idx[0]),
                            g.at(m).component(idx[1:]))
 
-    return GammaMap(src, tgt, component, name=f"sigma({g.name})")
+    return GammaMap(source, target, component, name=f"sigma({g.name})")
 
 
 def block_inclusion_maps(n: int, n2: int, x: GammaSpace,
@@ -443,17 +435,17 @@ def block_inclusion_maps(n: int, n2: int, x: GammaSpace,
 
 
 def wedge_case_gamma(f: GammaMap, g: GammaMap,
-                     source: GammaSpace | None = None) -> GammaMap:
-    """The map out of a wedge of Gamma-spaces with components f and g."""
+                     source: GammaSpace) -> GammaMap:
+    """The map out of ``source``, a wedge of the sources of f and g, with
+    components f and g."""
     if f.target is not g.target:
         raise ValueError("wedge_case needs a shared target Gamma-space")
-    src = source or wedge_gamma(f.source, g.source)
 
     def component(n, idx):
         return gamma.wedge_case(f.at(n).component(idx),
                                 g.at(n).component(idx))
 
-    return GammaMap(src, f.target, component,
+    return GammaMap(source, f.target, component,
                     name=f"[{f.name},{g.name}]")
 
 
@@ -521,31 +513,22 @@ def is_special(x: GammaSpace, mode: str = "bijection", size_bound: int = 3,
 # ---------------------------------------------------------------------------
 # Spectrum levels.
 
-@dataclass(frozen=True)
-class SpectrumLevel:
-    """One level of the tower: the underlying object of the n-fold
-    delooping."""
-
-    n: int
-    space: MSSet
-    source: str
-
-
 def tower(x: GammaSpace, n: int) -> list[GammaSpace]:
     """The iterated deloopings [x, Bx, ..., B^n x], cached on x."""
-    cache = getattr(x, "_tower", None)
-    if cache is None:
-        cache = [x]
-        x._tower = cache
+    if x._tower is None:
+        x._tower = [x]
+    cache = x._tower
     while len(cache) <= n:
         cache.append(delooping(cache[-1]))
     return cache
 
 
-def spectrum_level(x: GammaSpace, n: int) -> SpectrumLevel:
+def spectrum_level(x: GammaSpace, n: int) -> MSSet:
+    """Level n of the tower: the underlying object of the n-fold
+    delooping."""
     if n < 0:
         raise ValueError("spectrum levels are indexed by n >= 0")
-    return SpectrumLevel(n, underlying_space(tower(x, n)[n]), x.name)
+    return underlying_space(tower(x, n)[n])
 
 
 def tower_map(g: GammaMap, n: int) -> MSMap:

@@ -323,8 +323,8 @@ def compose_msmap(f: MSMap, g: MSMap) -> MSMap:
                  name=f"{g.name}.{f.name}")
 
 
-def collapse_msmap(x: MSSet, target: MSSet | None = None) -> MSMap:
-    tgt = target or point_object(x.directions)
+def collapse_msmap(x: MSSet) -> MSMap:
+    tgt = point_object(x.directions)
     return MSMap(x, tgt,
                  lambda idx: gamma.constant_map(x.cell(idx), tgt.cell(idx)),
                  name="collapse")
@@ -336,23 +336,21 @@ def smash_msmap(f: MSMap, g: MSMap) -> MSMap:
                  name=f"({f.name}^{g.name})")
 
 
-def wedge_case_msmap(f: MSMap, g: MSMap, source: MSSet | None = None) -> MSMap:
+def wedge_case_msmap(f: MSMap, g: MSMap) -> MSMap:
     """The map out of a level-wise wedge given components with one target."""
     if f.target is not g.target:
         raise ValueError("wedge_case needs a shared target object")
-    src = source or wedge_ss(f.source, g.source)
-    return MSMap(src, f.target,
+    return MSMap(wedge_ss(f.source, g.source), f.target,
                  lambda idx: gamma.wedge_case(f.component(idx),
                                               g.component(idx)),
                  name=f"[{f.name},{g.name}]")
 
 
-def pair_msmap(f: MSMap, g: MSMap, target: MSSet | None = None) -> MSMap:
+def pair_msmap(f: MSMap, g: MSMap) -> MSMap:
     """The map into a level-wise product given components with one source."""
     if f.source is not g.source:
         raise ValueError("pair needs a shared source object")
-    tgt = target or product_ss(f.target, g.target)
-    return MSMap(f.source, tgt,
+    return MSMap(f.source, product_ss(f.target, g.target),
                  lambda idx: gamma.pair(f.component(idx), g.component(idx)),
                  name=f"({f.name},{g.name})")
 
@@ -380,8 +378,8 @@ class NormalizedChains:
     Materializes levels of total degree <= degree_bound + 1, removes
     basepoints and degenerate cells, and assembles one unsigned alternating
     face-sum matrix per direction; ``complex`` totalizes with Koszul signs.
-    Basis order is deterministic: multi-indices by (total degree, lex), then
-    cell code ascending.
+    Within a level the cells come in ascending code order; ``multicomplex``
+    lays out the levels.
     """
 
     def __init__(self, x: MSSet, degree_bound: int,
@@ -391,8 +389,6 @@ class NormalizedChains:
         self.x = x
         self.degree_bound = degree_bound
         self.codes: dict[MultiIndex, np.ndarray] = {}
-        self._offsets: dict[MultiIndex, int] = {}
-        self._by_degree: dict[int, list[MultiIndex]] = {}
 
         top = degree_bound + 1
         for idx in indices_up_to(x.directions, top):
@@ -409,16 +405,6 @@ class NormalizedChains:
                     images = x.degeneracy(below, j, i).as_array[1:]
                     alive[images] = False
             self.codes[idx] = np.nonzero(alive)[0]
-            self._by_degree.setdefault(total_degree(idx), []).append(idx)
-
-        ranks: dict[MultiIndex, int] = {}
-        for d in sorted(self._by_degree):
-            self._by_degree[d].sort()
-            pos = 0
-            for idx in self._by_degree[d]:
-                self._offsets[idx] = pos
-                pos += len(self.codes[idx])
-                ranks[idx] = len(self.codes[idx])
 
         diffs: dict[tuple[MultiIndex, int], CooMatrix] = {}
         for idx, src_codes in self.codes.items():
@@ -433,17 +419,8 @@ class NormalizedChains:
                 if m.nnz:
                     diffs[(idx, j)] = m
 
+        ranks = {idx: len(codes) for idx, codes in self.codes.items()}
         self.multicomplex = Multicomplex(x.directions, ranks, diffs)
-
-    def rank(self, degree: int) -> int:
-        return sum(len(self.codes[idx])
-                   for idx in self._by_degree.get(degree, []))
-
-    def indices_of_degree(self, degree: int) -> list[MultiIndex]:
-        return list(self._by_degree.get(degree, []))
-
-    def offset(self, idx: MultiIndex) -> int:
-        return self._offsets[idx]
 
     def complex(self, ring: Ring) -> ChainComplex:
         return total_complex(self.multicomplex, ring, self.degree_bound)
@@ -525,10 +502,11 @@ def chains_of_map(f: MSMap, ring: Ring, degree_bound: int,
     """
     src = NormalizedChains(f.source, degree_bound, cell_budget)
     tgt = NormalizedChains(f.target, degree_bound, cell_budget)
+    src_layout, tgt_layout = src.multicomplex, tgt.multicomplex
     blocks: dict[int, CooMatrix] = {}
     for d in range(degree_bound + 2):
         parts = []
-        for idx in src.indices_of_degree(d):
+        for idx in src_layout.by_degree.get(d, ()):
             src_codes = src.codes[idx]
             if len(src_codes) == 0:
                 continue
@@ -542,8 +520,10 @@ def chains_of_map(f: MSMap, ring: Ring, degree_bound: int,
             # A cell goes to at most one cell: one entry per column.
             m = CooMatrix((len(tgt_codes), len(src_codes)), pos[cols], cols,
                           np.ones(len(cols), dtype=np.int64), _canonical=True)
-            parts.append((tgt.offset(idx), src.offset(idx), m, 1))
-        blocks[d] = place_blocks((tgt.rank(d), src.rank(d)), parts)
+            parts.append((tgt_layout.offsets[idx], src_layout.offsets[idx],
+                          m, 1))
+        blocks[d] = place_blocks((tgt_layout.degree_ranks.get(d, 0),
+                                  src_layout.degree_ranks.get(d, 0)), parts)
 
     source_cx = src.complex(ring)
     target_cx = tgt.complex(ring)

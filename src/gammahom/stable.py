@@ -173,7 +173,7 @@ def spectrum_homology(x: GammaSpace, ring: Ring, i_max: int, *,
     for n in range(max_iterations + 1):
         if not unresolved:
             break
-        level = spectrum_level(x, n).space
+        level = spectrum_level(x, n)
         reach = _feasible_degree_bound(level, i_max + n, cell_budget)
         if reach < min(unresolved) + n:
             budget_note = (f"level {n}: cells above total degree "
@@ -281,9 +281,15 @@ class CheckReport:
 
 
 def _compare_towers_via_map(gmap: GammaMap, ring: Ring, d_max: int,
-                            left: StableResult, right: StableResult,
-                            cell_budget) -> tuple[bool, list[str]]:
-    """Equal stable tables plus induced isomorphism degree by degree."""
+                            cell_budget, options: dict,
+                            ) -> tuple[bool, list[str], dict]:
+    """Equal stable tables of the source and the target of gmap, plus an
+    induced isomorphism degree by degree; returns the verdict, the details
+    and both tables as evidence."""
+    left = spectrum_homology(gmap.source, ring, d_max,
+                             cell_budget=cell_budget, **options)
+    right = spectrum_homology(gmap.target, ring, d_max,
+                              cell_budget=cell_budget, **options)
     ok = True
     details = []
     for side, result in (("source", left), ("target", right)):
@@ -318,7 +324,7 @@ def _compare_towers_via_map(gmap: GammaMap, ring: Ring, d_max: int,
                 ok = False
                 details.append(f"degree {i}: induced map not an "
                                f"isomorphism at level {n}")
-    return ok, details
+    return ok, details, {"source": left.to_json(), "target": right.to_json()}
 
 
 def check_rho_iso(x: GammaSpace, ring: Ring, d_max: int, *,
@@ -326,18 +332,11 @@ def check_rho_iso(x: GammaSpace, ring: Ring, d_max: int, *,
                   **options) -> CheckReport:
     """The suspension-to-delooping comparison induces an isomorphism on
     stable homology up to d_max."""
-    rho = structure_map(x)
-    left = spectrum_homology(rho.source, ring, d_max,
-                             cell_budget=cell_budget, **options)
-    right = spectrum_homology(rho.target, ring, d_max,
-                              cell_budget=cell_budget, **options)
-    ok, details = _compare_towers_via_map(rho, ring, d_max, left, right,
-                                          cell_budget)
+    ok, details, evidence = _compare_towers_via_map(
+        structure_map(x), ring, d_max, cell_budget, options)
     return CheckReport("rho-iso", ok,
                        {"space": x.name, "ring": ring.name, "d_max": d_max,
-                        "cell_budget": cell_budget}, details,
-                       evidence={"source": left.to_json(),
-                                 "target": right.to_json()})
+                        "cell_budget": cell_budget}, details, evidence)
 
 
 def check_wedge_iso(x: GammaSpace, n: int, n2: int, ring: Ring, d_max: int,
@@ -351,18 +350,12 @@ def check_wedge_iso(x: GammaSpace, n: int, n2: int, ring: Ring, d_max: int,
     if not verdict:
         return CheckReport("wedge-iso", False, params,
                            [f"precondition failed: {verdict.describe()}"])
-    first, second, target = block_inclusion_maps(n, n2, x)
-    source = wedge_gamma(first.source, second.source)
-    folded = wedge_case_gamma(first, second, source=source)
-    left = spectrum_homology(source, ring, d_max, cell_budget=cell_budget,
-                             **options)
-    right = spectrum_homology(target, ring, d_max, cell_budget=cell_budget,
-                              **options)
-    ok, details = _compare_towers_via_map(folded, ring, d_max, left, right,
-                                          cell_budget)
-    return CheckReport("wedge-iso", ok, params, details,
-                       evidence={"source": left.to_json(),
-                                 "target": right.to_json()})
+    first, second, _ = block_inclusion_maps(n, n2, x)
+    folded = wedge_case_gamma(first, second,
+                              wedge_gamma(first.source, second.source))
+    ok, details, evidence = _compare_towers_via_map(
+        folded, ring, d_max, cell_budget, options)
+    return CheckReport("wedge-iso", ok, params, details, evidence)
 
 
 def check_smash_vanishing(x: GammaSpace, n: int, n2: int, ring: Ring,
@@ -425,7 +418,7 @@ def check_stable_range(x: GammaSpace, ring: Ring, i_max: int, *,
     found = None
     for k in range(1, LEVEL_CAP + 1):
         try:
-            conn = connectivity(spectrum_level(x, k).space,
+            conn = connectivity(spectrum_level(x, k),
                                 min(i_max + 1, 2 * k),
                                 cell_budget=cell_budget)
         except LimitExceeded:
@@ -439,14 +432,9 @@ def check_stable_range(x: GammaSpace, ring: Ring, i_max: int, *,
     else:
         k, conn = found
         stage = tower(x, k)[k]
-        top = min(2 * conn - 1, i_max)
-        tau = counit(stage)
-        left = spectrum_homology(tau.source, ring, top,
-                                 cell_budget=cell_budget, **options)
-        right = spectrum_homology(stage, ring, top,
-                                  cell_budget=cell_budget, **options)
-        sub_ok, sub_details = _compare_towers_via_map(
-            tau, ring, top, left, right, cell_budget)
+        sub_ok, sub_details, _ = _compare_towers_via_map(
+            counit(stage), ring, min(2 * conn - 1, i_max), cell_budget,
+            options)
         ok = ok and sub_ok
         details.append(
             f"level {k} has connectivity {conn}; assembly comparison in "

@@ -182,9 +182,9 @@ def test_criterion_9_linear_algebra_oracles():
     # on the complexes behind the acceptance computations
     samples = [
         NormalizedChains(circle(), 3),
-        NormalizedChains(spectrum_level(discrete_abelian([2]), 1).space, 4),
-        NormalizedChains(spectrum_level(discrete_abelian([2]), 2).space, 4),
-        NormalizedChains(spectrum_level(sphere_space(), 2).space, 4),
+        NormalizedChains(spectrum_level(discrete_abelian([2]), 1), 4),
+        NormalizedChains(spectrum_level(discrete_abelian([2]), 2), 4),
+        NormalizedChains(spectrum_level(sphere_space(), 2), 4),
     ]
     for chains in samples:
         over_z = chains.complex(ZZ)

@@ -34,7 +34,7 @@ def resorted(m):
 
 
 def level(spec, n):
-    return lambda: spectrum_level(parse_space(spec), n).space
+    return lambda: spectrum_level(parse_space(spec), n)
 
 
 # name: (builder, degree bound); small enough for dense references.
@@ -66,8 +66,9 @@ def naive_face_block(x, idx, j, src_codes, tgt_codes):
                                   {rc: v for rc, v in entries.items() if v})
 
 
-def naive_total(mc, degree_bound):
-    """Boundaries of the total complex, concatenated and then sorted."""
+def naive_layout(mc):
+    """Multi-indices per total degree in lexicographic order, the offset of
+    each block and the rank per total degree."""
     by_degree = {}
     for idx in sorted(mc.ranks):
         by_degree.setdefault(sum(idx), []).append(idx)
@@ -77,6 +78,12 @@ def naive_total(mc, degree_bound):
         for idx in idxs:
             offsets[idx] = ranks[d]
             ranks[d] += mc.rank(idx)
+    return by_degree, offsets, ranks
+
+
+def naive_total(mc, degree_bound):
+    """Boundaries of the total complex, concatenated and then sorted."""
+    by_degree, offsets, ranks = naive_layout(mc)
     out = {}
     for d in range(1, degree_bound + 2):
         rows, cols, vals = [], [], []
@@ -154,17 +161,20 @@ def test_chain_map_blocks_match_naive_assembly(name):
     tgt = NormalizedChains(f.target, bound)
     chm = chains_of_map(f, ZZ, bound)
     source_cx, target_cx = src.complex(ZZ), tgt.complex(ZZ)
+    by_degree, src_offsets, _ = naive_layout(src.multicomplex)
+    _, tgt_offsets, _ = naive_layout(tgt.multicomplex)
     for d in range(bound + 2):
         assert chm.source.boundary(d) == source_cx.boundary(d)
         assert chm.target.boundary(d) == target_cx.boundary(d)
         entries = {}
-        for idx in src.indices_of_degree(d):
+        for idx in by_degree.get(d, []):
             row_of = {code: r for r, code
                       in enumerate(tgt.codes[idx].tolist())}
             for col, code in enumerate(src.codes[idx].tolist()):
                 r = row_of.get(f.component(idx)(code))
                 if r is not None:
-                    entries[tgt.offset(idx) + r, src.offset(idx) + col] = 1
+                    entries[tgt_offsets[idx] + r,
+                            src_offsets[idx] + col] = 1
         m = chm.block(d)
         assert m == resorted(m)
         assert m == CooMatrix.from_entries(m.shape, entries)

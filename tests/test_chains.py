@@ -16,8 +16,7 @@ from gammahom.chains import (GF, QQ, ZZ, ChainComplex, CooMatrix,
                              induced_map_is_surjective_integer,
                              integer_kernel_basis,
                              matrix_rank, parse_ring,
-                             smith_normal_form, table_from_json,
-                             total_complex)
+                             smith_normal_form, total_complex)
 from gammahom.errors import IntegrityError, LimitExceeded
 
 
@@ -585,8 +584,6 @@ def test_complex_json_roundtrip():
                       {1: CooMatrix.from_entries((1, 1), {(0, 0): 2})}, 1)
     again = ChainComplex.from_json(cx.to_json())
     assert homology(again) == homology(cx)
-    table = homology(cx)
-    assert table_from_json(table.to_json()) == table
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,17 @@ def test_compute_out_file(tmp_path, capsys):
     assert payload["degrees"][0]["label"] == "0"
 
 
+@pytest.mark.parametrize("where", ["missing/table.json", "."])
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys, where):
+    # A missing directory, or a path that is a directory.
+    code, out, err = run(capsys, "compute", "--space", "point", "--ring",
+                         "q", "--max-degree", "1", "--out",
+                         str(tmp_path / where))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("gammahom: ")
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     config = tmp_path / "job.json"
     config.write_text(json.dumps({"space": "ab:2", "ring": "z",
@@ -179,7 +190,7 @@ def test_dump_roundtrip(capsys):
     assert payload["level"] == 1
     rebuilt = ChainComplex.from_json(payload)
     direct = normalized_chains(
-        spectrum_level(parse_space("ab:2"), 1).space, parse_ring("z"), 3)
+        spectrum_level(parse_space("ab:2"), 1), parse_ring("z"), 3)
     assert homology(rebuilt) == homology(direct)
 
 

@@ -1,5 +1,5 @@
-"""Category-level tests: pointed sets, partial maps, smash/wedge, the
-simplicial circle."""
+"""Category-level tests: pointed sets, smash/wedge, the simplicial
+circle."""
 
 import itertools
 import random
@@ -7,10 +7,9 @@ import random
 import numpy as np
 import pytest
 
-from gammahom.gamma import (FinPointedSet, PartialMap, PointedMap,
-                            circle_degeneracy, circle_face, compose,
-                            compose_partial, constant_map,
-                            gamma_from_partial, identity_map, mu, pair,
+from gammahom.gamma import (FinPointedSet, PointedMap, circle_degeneracy,
+                            circle_face, compose, constant_map,
+                            identity_map, mu, pair,
                             product, product_to_smash, sharp, smash,
                             standard_inclusion, wedge, wedge_case,
                             wedge_inclusions, wedge_to_product)
@@ -79,43 +78,6 @@ def test_associativity_sampled_size_four():
         assert compose(compose(f, g), h) == compose(f, compose(g, h))
         assert compose(identity_map(a), f) == f
         assert compose(f, identity_map(b)) == f
-
-
-# ---------------------------------------------------------------------------
-# Partial maps.
-
-def all_partial_maps(a, b):
-    elements = list(range(1, a + 1))
-    for size in range(a + 1):
-        for dom in itertools.combinations(elements, size):
-            for act in itertools.product(range(1, b + 1), repeat=size):
-                yield PartialMap(a, b, dom, act)
-
-
-def test_gamma_from_partial_examples():
-    p = PartialMap(2, 1, (1,), (1,))
-    assert gamma_from_partial(p).table == (0, 1, 0)
-    empty = PartialMap(3, 2, (), ())
-    assert gamma_from_partial(empty).table == (0, 0, 0, 0)
-    bijection = PartialMap(2, 2, (1, 2), (2, 1))
-    g = gamma_from_partial(bijection)
-    assert sorted(g.table[1:]) == [1, 2]
-
-
-def test_partial_map_validation():
-    with pytest.raises(ValueError):
-        PartialMap(2, 1, (1, 1), (1, 1))
-    with pytest.raises(ValueError):
-        PartialMap(2, 1, (3,), (1,))
-
-
-def test_gamma_functorial_exhaustive():
-    for a, b, c in itertools.product(range(3), repeat=3):
-        for p in all_partial_maps(a, b):
-            for q in all_partial_maps(b, c):
-                lhs = gamma_from_partial(compose_partial(p, q))
-                rhs = compose(gamma_from_partial(p), gamma_from_partial(q))
-                assert lhs == rhs
 
 
 # ---------------------------------------------------------------------------

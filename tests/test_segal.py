@@ -10,8 +10,7 @@ from gammahom.chains import ZZ
 from gammahom.gamma import FinPointedSet, PointedMap, identity_map
 from gammahom.segal import (GammaMap, _abelian_action, block_inclusion_maps,
                             counit, delooping, discrete_abelian,
-                            free_gamma_space,
-                            identity_gamma_map, is_special, mu_pullback,
+                            free_gamma_space, is_special, mu_pullback,
                             parse_space, point_space, smash_gamma,
                             spectrum_level, sphere_space, structure_map,
                             suspension, tower_map, underlying_space,
@@ -244,8 +243,8 @@ def test_delooping_preserves_specialness_in_homology_mode():
 
 def test_spectrum_levels():
     ab = discrete_abelian([2])
-    assert spectrum_level(ab, 0).space is underlying_space(ab)
-    level_two = spectrum_level(ab, 2).space
+    assert spectrum_level(ab, 0) is underlying_space(ab)
+    level_two = spectrum_level(ab, 2)
     assert level_two.directions == 2
     for q1, q2 in itertools.product(range(3), repeat=2):
         assert level_two.cell((q1, q2)).points == 2 ** (q1 * q2)
@@ -259,6 +258,17 @@ def test_tower_map_endpoints():
     level = tower_map(rho, 2)
     assert level.source.directions == 3
     level.component((1, 1, 1))
+
+
+def test_tower_map_ends_are_the_spectrum_levels():
+    # The check suites compare towers built by spectrum_homology through
+    # maps built by tower_map; both must reach the same level objects.
+    ab = discrete_abelian([2])
+    for g in (structure_map(ab), counit(ab)):
+        for n in range(3):
+            level = tower_map(g, n)
+            assert level.source is spectrum_level(g.source, n)
+            assert level.target is spectrum_level(g.target, n)
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +358,6 @@ def test_gamma_map_direction_mismatch():
     with pytest.raises(ValueError):
         GammaMap(discrete_abelian([2]), delooping(discrete_abelian([2])),
                  lambda n, idx: identity_map(0))
-
-
-def test_identity_gamma_map():
-    ab = discrete_abelian([2])
-    ident = identity_gamma_map(ab)
-    assert ident.at(2).component(()).is_identity
 
 
 # ---------------------------------------------------------------------------

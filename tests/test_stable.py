@@ -91,8 +91,7 @@ def test_budget_exhaustion_gives_partial_result():
 def test_connectivity_examples():
     assert connectivity(circle(), 3) == 0
     assert connectivity(suspension_ss(circle()), 3) == 1
-    assert connectivity(spectrum_level(discrete_abelian([2]), 1).space,
-                        3) == 0
+    assert connectivity(spectrum_level(discrete_abelian([2]), 1), 3) == 0
     assert connectivity(point_space().at(1), 2) == 2
 
 
