@@ -6,8 +6,7 @@ without zeros.  Chain assembly produces that order directly: a block matrix
 is placed block by block with a counting pass over its columns
 (``place_blocks``), with no sort of the entries.  Homology is read off from
 exact ranks: a streamed field elimination over F_p for primes below 2^31,
-and a sparse Smith normal form over the integers.  Python integers are
-arbitrary precision, so integer elimination never overflows.
+and a sparse Smith normal form over the integers.
 
 A field rank never builds a dense matrix of the long side.  The columns of
 a matrix (of its transpose if it is tall), vectors of length n, the short
@@ -28,6 +27,22 @@ as many as fit in the cells of _BATCH full-length ones.  Over F_2 a vector
 is packed into uint64 words, over an odd p it is held as int64 residues.
 The basis, at most n^2 entries, is what a rank is refused on.
 
+Over Z the same stream takes the unit pivots of a Smith form without
+transforms, in int64.  Only a +-1 entry becomes a pivot, scaled to +1, so
+nothing is divided and every step is unimodular.  The lead columns are
+those whose last entry is +-1, taken by last row, so each keeps that entry
+as its pivot.  A vector left with no +-1 is set aside, and the set-aside
+vectors stream again, round after round, until a round brings no new
+pivot.  They are then the remainder S, on the rows that are not pivots,
+and SNF(M) = I_k + SNF(S) for k unit pivots, so the line engine below sees
+S alone.  int64 never wraps: every stored entry stays within +-2^29, so an
+entry less eight products of two stays below 2^62; a gather is bounded by
+the sum of its coefficients before it runs, and every result is checked.
+If a bound trips, or the basis would pass the size a rank is refused on,
+the line engine takes the whole matrix in Python integers, which are
+arbitrary precision.  With transforms (integer kernel bases) the line
+engine takes it in any case.
+
 Whether a chain map induces an isomorphism on homology over a field is read
 off ranks too.  For A = d_d of the source, F the map in degree d and
 B = d_{d+1} of the target, the block matrix M = [[B, F], [0, A]] has rank
@@ -45,7 +60,7 @@ so a saturated lattice, of rank z.  The map is onto iff G's Smith form
 has exactly z invariant factors, all 1, that is iff any diagonal form of
 G has z entries, all +-1; so no divisibility repair is run for it.
 
-The Smith form acts on lines.  The matrix is held both ways, rows[r] =
+The line engine acts on lines.  The matrix is held both ways, rows[r] =
 {c: v} and cols[c] = {r: v}, each built from the canonical order one run
 at a time.  A flipped view swaps rows with columns and the left transform
 with the right, so one routine clears the pivot column with row
@@ -521,9 +536,65 @@ class _Residues:
         return vecs[:, keep]
 
 
+# Over Z every stored entry stays within +-_INT_TOP: an entry less eight
+# products of two entries, the most one clearing step forms, stays below
+# 2^62, so int64 never wraps before a result is checked.
+_INT_TOP = 1 << 29
+
+
+class _Int64Overflow(ArithmeticError):
+    """An integer elimination in int64 would store an entry beyond
+    +-_INT_TOP."""
+
+
+class _Integers(_Residues):
+    """Vectors over Z as int64 entries, each within +-_INT_TOP.
+
+    Only a +-1 entry becomes a pivot, so nothing is ever divided; ``lead``
+    answers None for a vector with no unit, which the basis sets aside.
+    ``mod`` reduces nothing: it checks that a result stays within the
+    bound and raises _Int64Overflow if it does not.
+    """
+
+    block = 8
+
+    def __init__(self):
+        pass
+
+    @staticmethod
+    def mod(x):
+        if x.size and (x.max() > _INT_TOP or x.min() < -_INT_TOP):
+            raise _Int64Overflow
+        return x
+
+    def subtract(self, vecs, targets, rows, coef, starts):
+        # A segment of coefficients summing to s in absolute value changes
+        # an entry by at most s * _INT_TOP.
+        s = int(np.add.reduceat(np.abs(coef), starts).max())
+        if (s + 1) * _INT_TOP >= 1 << 63:
+            raise _Int64Overflow
+        vecs[targets] = self.mod(vecs[targets] - np.add.reduceat(
+            rows * coef[:, None], starts, axis=0))
+
+    @staticmethod
+    def lead(v):
+        """The last +-1 position of v and v scaled to 1 there, or None."""
+        units = np.flatnonzero(np.abs(v) == 1)
+        if not len(units):
+            return None
+        s = int(units[-1])
+        return s, (v if v[s] == 1 else -v)
+
+    def clear_block(self, targets, block, slots):
+        for vecs in targets:
+            coef = vecs[:, slots]
+            hit = np.flatnonzero(coef.any(axis=1))
+            vecs[hit] = self.mod(vecs[hit] - coef[hit] @ block)
+
+
 class _EchelonBasis:
-    """A reduced row-echelon basis over F_p of vectors of length n, into
-    which the columns of sparse matrices stream.
+    """A reduced row-echelon basis over F_p, or over Z for p = 0, of
+    vectors of length n, into which the columns of sparse matrices stream.
 
     Every basis vector is 1 at its own pivot and 0 at every other pivot, so
     a vector is reduced by one gather: subtract, for each of its entries at
@@ -540,12 +611,23 @@ class _EchelonBasis:
     kept and fed the columns of a matrix with more rows.  The basis holds
     at most min(n, vectors) vectors, ``vectors`` being how many it may be
     given; that bounds its size, and a larger one is refused.
+
+    Over Z a pivot must be +-1, so the basis spans a direct summand of Z^n
+    and every step is unimodular.  A vector that keeps no +-1 entry after
+    reduction is set aside (``spare``) as entries on its positions, tagged
+    with the rank it was reduced against; ``remainder`` streams the stale
+    ones again until no more pivots come.
     """
 
     def __init__(self, n, p, vectors):
-        self.field = _PackedBits() if p == 2 else _Residues(p)
+        self.field = _PackedBits() if p == 2 else \
+            _Residues(p) if p else _Integers()
         self.p, self.vectors = p, vectors
         self.n = self.rank = 0
+        # Over Z: (rank, owner, position, value) per set-aside block, the
+        # owners numbered on across blocks, ``spared`` of them so far.
+        self.spare = []
+        self.spared = 0
         # code[i] is the slot of position i if it is not a pivot, and
         # -1 - r if it is the pivot of basis vector r.
         self.code = np.empty(0, dtype=np.int64)
@@ -562,8 +644,8 @@ class _EchelonBasis:
                 f"a mod-{self.p} rank of {self.vectors} vectors of length "
                 f"{n} is too large: its basis needs {self.short}x{n} "
                 f"entries")
-        self.code = np.r_[self.code, len(self.cols) + np.arange(k)]
-        self.cols = np.r_[self.cols, np.arange(self.n, n)]
+        self.code = np.concatenate((self.code, len(self.cols) + np.arange(k)))
+        self.cols = np.concatenate((self.cols, np.arange(self.n, n)))
         wider = self.field.zeros(len(self.rows), len(self.cols))
         wider[:self.rank, :self.rows.shape[1]] = self.rows[:self.rank]
         self.rows, self.n = wider, n
@@ -582,12 +664,13 @@ class _EchelonBasis:
         differ, so they are independent; they take most pivots with no
         wasted vector, and the stored width narrows before the long
         stream.  Then every column streams as stored, the lead ones now
-        empty.
+        empty.  Over Z only columns whose last entry is +-1 lead, taken
+        by last row: each keeps that entry, which becomes its pivot.
         """
         if not m.nnz:
             return
-        val = m.val % self.p
-        owner, at = _lead_entries(m.row, m.col, val, self.n)
+        val = m.val % self.p if self.p else self.field.mod(m.val.copy())
+        owner, at = _lead_entries(m.row, m.col, val, self.n, unit=not self.p)
         self._stream(owner, m.row[at], val[at])
         val[at] = 0
         self._stream(m.col, m.row, val)
@@ -606,8 +689,10 @@ class _EchelonBasis:
         """Add ``count`` vectors to the span, given as entries (vector below
         count, position, value mod p) sorted by vector and position."""
         field = self.field
-        code = self.code[pos]
         live = val != 0
+        if not live.any():
+            return
+        code = self.code[pos]
         free = live & (code >= 0)
         vecs = field.zeros(count, len(self.cols))
         field.scatter(vecs, owner[free], code[free], val[free])
@@ -622,11 +707,11 @@ class _EchelonBasis:
             field.subtract(vecs, whose[starts],
                            np.take(self.rows, -1 - code[part], axis=0),
                            val[part], starts)
-        vecs = vecs[vecs.any(axis=1)]
+        vecs = self._usable(vecs)
         while len(vecs) and self.rank < self.n:
             rest = vecs[field.block:]
             self._add(vecs[:field.block], rest)
-            vecs = rest[rest.any(axis=1)]
+            vecs = self._usable(rest)
         if self.rank < self.n and 2 * (self.n - self.rank) <= len(self.cols):
             keep = np.flatnonzero(self.code[self.cols] >= 0)
             self.rows = field.take(self.rows[:self.rank], keep)
@@ -636,37 +721,90 @@ class _EchelonBasis:
     def _add(self, head, rest):
         """Make the nonzero vectors of head, reduced against the basis,
         basis vectors: reduce them among themselves (Gauss-Jordan), then
-        clear their pivots from the rest of the batch and from the basis."""
+        clear their pivots from the rest of the batch and from the basis.
+        Over Z a vector of head left with no +-1 is set aside instead."""
         field = self.field
-        slots, kept = [], []
+        slots, kept, spare = [], [], []
         for i in range(len(head)):
             if head[i].any():
-                s, head[i] = field.lead(head[i])
+                got = field.lead(head[i])
+                if got is None:
+                    spare.append(i)
+                    continue
+                s, head[i] = got
                 field.clear(head, i, s)
                 slots.append(s)
                 kept.append(i)
-        if not slots:
-            return
-        block, slots = head[kept], np.array(slots, dtype=np.int64)
-        field.clear_block((rest, self.rows[:self.rank]), block, slots)
-        top = self.rank + len(slots)
-        if top > len(self.rows):
-            grown = field.zeros(min(self.short, max(2 * top, 64)),
-                                len(self.cols))
-            grown[:self.rank] = self.rows[:self.rank]
-            self.rows = grown
-        self.rows[self.rank:top] = block
-        field.unset(self.rows[self.rank:top], slots)
-        self.code[self.cols[slots]] = -1 - np.arange(self.rank, top)
-        self.rank = top
+        if slots:
+            block, slots = head[kept], np.array(slots, dtype=np.int64)
+            field.clear_block((rest, self.rows[:self.rank]), block, slots)
+            top = self.rank + len(slots)
+            if top > len(self.rows):
+                grown = field.zeros(min(self.short, max(2 * top, 64)),
+                                    len(self.cols))
+                grown[:self.rank] = self.rows[:self.rank]
+                self.rows = grown
+            self.rows[self.rank:top] = block
+            field.unset(self.rows[self.rank:top], slots)
+            self.code[self.cols[slots]] = -1 - np.arange(self.rank, top)
+            self.rank = top
+        if spare:
+            # The pivots of the block were cleared from these too.
+            self._set_aside(head[spare])
+
+    def _usable(self, vecs):
+        """The vectors that may give a pivot: the nonzero ones, and over Z
+        only those holding a +-1; the others over Z are set aside."""
+        if self.p or not len(vecs):
+            return vecs[vecs.any(axis=1)]
+        unit = (np.abs(vecs) == 1).any(axis=1)
+        self._set_aside(vecs[~unit])
+        return vecs[unit]
+
+    def _set_aside(self, vecs):
+        """Keep the nonzero vectors of vecs, reduced against the basis as it
+        is, as entries on their positions."""
+        owner, slot = np.nonzero(vecs)
+        if len(owner):
+            self.spare.append((self.rank, owner + self.spared,
+                               self.cols[slot], vecs[owner, slot]))
+            self.spared += len(vecs)
+
+    def remainder(self) -> CooMatrix:
+        """Over Z, once every column is absorbed: the set-aside vectors,
+        all reduced against the final basis, as the columns of a matrix on
+        the positions that are not pivots.  Vectors set aside before the
+        last pivot came are streamed again, round after round, until a
+        round brings no new pivot."""
+        def joined(parts):
+            return [np.concatenate(a) for a in list(zip(*parts))[1:]]
+
+        while self.rank < self.n:
+            stale = [part for part in self.spare if part[0] < self.rank]
+            if not stale:
+                break
+            self.spare = [part for part in self.spare if part[0] == self.rank]
+            self._stream(*joined(stale))
+        if self.rank == self.n or not self.spare:
+            return CooMatrix.zero((self.n - self.rank, 0))
+        owner, pos, val = joined(self.spare)
+        # The owners numbered without gaps, and the free positions too.
+        col = np.zeros(len(owner), dtype=np.int64)
+        col[_run_starts(owner)[1:]] = 1
+        np.cumsum(col, out=col)
+        row = np.cumsum(self.code >= 0) - 1
+        return CooMatrix((self.n - self.rank, int(col[-1]) + 1), row[pos],
+                         col, val, _canonical=True)
 
 
-def _lead_entries(row, col, val, n):
+def _lead_entries(row, col, val, n, unit=False):
     """The entries of the lead columns of a matrix of n rows, in canonical
     order with values val mod p: the columns whose last entry nonzero mod p
     lies on a row where no earlier column's does.  Returns (owner, at):
     entry at[t] belongs to lead column owner[t], the lead columns numbered
-    from 0 in order.  One pass over the entries, with no sort of them."""
+    from 0 in order.  One pass over the entries, with no sort of them.
+    With ``unit`` (over Z) a column counts only if its last entry is +-1,
+    and the lead columns are numbered by their last row."""
     start = _run_starts(col)
     last = np.empty_like(start)
     last[:-1] = start[1:]
@@ -681,10 +819,14 @@ def _lead_entries(row, col, val, n):
         dead = dead[val[last[dead]] == 0]
     end_row = row[last]
     end_row[last < start] = n
+    if unit:
+        end_row[np.abs(val[last]) != 1] = n
     # first[r] is the first column ending on row r (row n: the empty ones).
     first = np.full(n + 1, len(last))
     np.minimum.at(first, end_row, np.arange(len(last)))
-    lead = np.sort(first[:n][first[:n] < len(last)])
+    lead = first[:n][first[:n] < len(last)]
+    if not unit:
+        lead = np.sort(lead)
     length = last[lead] + 1 - start[lead]
     owner = np.repeat(np.arange(len(lead)), length)
     at = np.arange(len(owner)) + np.repeat(
@@ -881,7 +1023,41 @@ def _pivot_spots(elim: _SparseElim, active_rows, active_cols):
             yield spot
 
 
+def _unit_reduction(m: CooMatrix) -> tuple[int, CooMatrix]:
+    """(k, S) with SNF(m) = I_k + SNF(S): the columns of m (of its
+    transpose if it is tall) stream into an echelon basis over Z whose k
+    pivots are all +-1, and S is the remainder, the vectors with no unit
+    left, on the rows that are not pivots.  Raises _Int64Overflow when an
+    entry would leave the int64 bound, LimitExceeded when the basis would
+    be too large."""
+    if m.shape[0] > m.shape[1]:
+        m = m.transpose()
+    basis = _EchelonBasis(m.shape[0], 0, m.shape[1])
+    basis.absorb_columns(m)
+    rest = basis.remainder()  # its rounds may add pivots
+    return basis.rank, rest
+
+
 def _snf_core(m: CooMatrix, transforms: bool, need_chain: bool) -> SmithResult:
+    """The Smith form of m (``need_chain``) or a diagonal form with the same
+    length and the same product.  Without transforms the unit pivots are
+    taken first by the int64 stream and the line engine sees only the
+    remainder; if the stream cannot hold the matrix, the line engine takes
+    all of it in Python integers."""
+    if not transforms and m.nnz:
+        try:
+            units, rest = _unit_reduction(m)
+        except (_Int64Overflow, LimitExceeded):
+            pass
+        else:
+            tail = _snf_lines(rest, False, need_chain).diagonal \
+                if rest.nnz else ()
+            return SmithResult(m.shape, (1,) * units + tail)
+    return _snf_lines(m, transforms, need_chain)
+
+
+def _snf_lines(m: CooMatrix, transforms: bool, need_chain: bool
+               ) -> SmithResult:
     elim = _SparseElim.of(m, transforms)
     flip = elim.flipped()
     rows, cols = elim.rows, elim.cols

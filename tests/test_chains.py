@@ -51,9 +51,13 @@ def test_ring_parsing():
         parse_ring("r")
     with pytest.raises(ValueError):
         Ring("F", 9)
-    # A prime above 2^31 would overflow the int64 elimination.
+    # A prime above 2^31 would overflow the int64 elimination; it is
+    # refused before any primality test, so a 40-digit one is refused at
+    # once.
     with pytest.raises(ValueError):
         parse_ring("f4294967311")
+    with pytest.raises(ValueError):
+        parse_ring("f1000000000000000000000000000000000000003")
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +470,162 @@ def test_smith_form_when_unit_pivots_run_out():
     assert all(abs(v) != 1 for r, c, v in m.entries() if r >= 5)
     assert_smith_form(m, [1] * 6 + [2])
     assert_smith_form(m.transpose(), [1] * 6 + [2])
+
+
+# ---------------------------------------------------------------------------
+# The unit stream of the Smith form without transforms, against the line
+# engine on the whole matrix.
+
+@pytest.fixture
+def stream_runs(monkeypatch):
+    """What each unit stream gave: (units, remainder), or the exception
+    that sent the whole matrix to the line engine instead."""
+    from gammahom import chains
+    runs = []
+    reduce = chains._unit_reduction
+
+    def recorded(m):
+        try:
+            out = reduce(m)
+        except Exception as exc:
+            runs.append(exc)
+            raise
+        runs.append(out)
+        return out
+
+    monkeypatch.setattr(chains, "_unit_reduction", recorded)
+    return runs
+
+
+def assert_stream_matches_lines(m, runs):
+    """The Smith form through the stream is the line engine's on all of m;
+    without the divisibility repair the diagonal form has the same length
+    and the same all-units verdict; the Q rank is its length; and every
+    stream ran to the end in int64.  Returns the line engine's diagonal."""
+    from gammahom import chains
+    want = chains._snf_lines(m, False, True).diagonal
+    assert smith_normal_form(m).diagonal == want
+    loose = chains._snf_lines(m, False, False).diagonal
+    got = chains._snf_core(m, False, False).diagonal
+    assert len(got) == len(loose) == len(want)
+    assert (set(got) <= {1}) == (set(loose) <= {1}) == (set(want) <= {1})
+    assert matrix_rank(m, QQ) == matrix_rank(m, ZZ) == len(want)
+    assert runs and all(isinstance(run, tuple) for run in runs)
+    return want
+
+
+@pytest.mark.parametrize("rows, cols, factors", [
+    (30, 70, [1] * 25 + [2, 6]),      # wide
+    (70, 30, [1] * 20 + [3, 3, 9]),   # tall
+    (20, 20, [2] * 8 + [4]),          # no unit pivot at all
+])
+def test_unit_stream_of_planted_diagonal(stream_runs, rows, cols, factors):
+    rng = random.Random(rows * 7 + cols)
+    for _ in range(3):
+        m = scrambled(rng, rows, cols, factors, ops=min(rows, cols))
+        assert assert_stream_matches_lines(m, stream_runs) == tuple(factors)
+        assert assert_stream_matches_lines(m.transpose(), stream_runs) \
+            == tuple(factors)
+
+
+@pytest.mark.parametrize("length", [511, 512, 513, 1025, 1537])
+def test_unit_stream_across_batches(stream_runs, length):
+    # The last two rows are reached only by even entries, every 97th
+    # column, so those columns leave a remainder; the batch holds 512
+    # full-length columns.
+    rng = random.Random(length)
+    for n, tall in ((24, False), (40, True)):
+        m = sparse_random(rng, n - 2, length, 3, (1, -1, 1, 2, -2, 3))
+        entries = {(r, c): v for r, c, v in m.entries()}
+        for c in range(length % 97, length, 97):
+            entries[(n - 2, c)] = rng.choice((2, -2, 4))
+            entries[(n - 1, c)] = rng.choice((2, 6, -4))
+        m = CooMatrix.from_entries((n, length), entries)
+        if tall:
+            m = m.transpose()
+        stream_runs.clear()
+        assert_stream_matches_lines(m, stream_runs)
+        units, rest = stream_runs[0]
+        assert units and rest.nnz
+
+
+def test_unit_stream_takes_units_over_several_rounds(stream_runs):
+    # Row 3 is led by L = e3.  B = e0 + e1 + e3 reduces to e0 + e1, a
+    # pivot on row 1.  A = 3e0 + 2e1 + 2e4 holds no unit until B is a
+    # pivot (A - 2B' = e0 + 2e4), and A2 = 2e0 + 3e4 none until A is one
+    # (A2 - 2A' = -e4): each is set aside once more than the one before.
+    # D = 2e5 is left over, with the empty row 2.
+    cols = [{3: 1}, {0: 1, 1: 1, 3: 1}, {0: 3, 1: 2, 4: 2}, {0: 2, 4: 3},
+            {5: 2}, {3: 1}, {3: 1}]
+    m = CooMatrix.from_entries(
+        (6, len(cols)), {(r, c): v for c, col in enumerate(cols)
+                         for r, v in col.items()})
+    assert assert_stream_matches_lines(m, stream_runs) == (1, 1, 1, 1, 2)
+    units, rest = stream_runs[0]
+    assert units == 4
+    assert rest.shape == (2, 1) and list(rest.entries()) == [(1, 0, 2)]
+
+
+def test_unit_stream_on_a_boundary_of_the_package(stream_runs):
+    # d_7 of the level-3 normalized chains of ab:2, 346 x 11085: the
+    # boundary that `compute --space ab:2 --ring z --max-degree 3` reaches.
+    # Its unit pivots leave a remainder with about 4500 columns.
+    from gammahom.segal import parse_space, spectrum_level
+    from gammahom.simplicial import NormalizedChains
+    nc = NormalizedChains(spectrum_level(parse_space("ab:2"), 3), 6)
+    m = nc.complex(ZZ).boundary(7)
+    assert m.shape == (346, 11085)
+    want = assert_stream_matches_lines(m, stream_runs)
+    assert want == (1,) * 323 + (2,)
+    for units, rest in stream_runs:
+        assert units >= 300 and rest.nnz
+    stream_runs.clear()
+    assert smith_normal_form(m.transpose()).diagonal == want
+    assert matrix_rank(m.transpose(), QQ) == len(want)
+    assert stream_runs[0][1].nnz
+
+
+def test_unit_stream_falls_back_to_python_integers(stream_runs):
+    from gammahom import chains
+    # c_i = 2 e_i + e_{i+1} for i < 70, and 3 e_0.  Each c_i leads on row
+    # i + 1; reduced against c_{i-1} it is (-2)^i on row 0, which would
+    # pass 2^69 in int64.  Z^71 / lattice = Z/3.
+    k = 70
+    entries = {(i, i): 2 for i in range(k)}
+    entries.update({(i + 1, i): 1 for i in range(k)})
+    entries[(0, k)] = 3
+    m = CooMatrix.from_entries((k + 1, k + 1), entries)
+    assert smith_normal_form(m).diagonal == (1,) * k + (3,)
+    assert matrix_rank(m, QQ) == k + 1
+    assert all(isinstance(run, chains._Int64Overflow) for run in stream_runs)
+    assert len(stream_runs) == 2
+    # c_i = 2^29 e_0 + e_{i+1} for i < 64, and v = 2^29 (e_1 + ... + e_64):
+    # v reduces to -2^64 e_0, which int64 would wrap to exactly 0.
+    top = 1 << 29
+    entries = {(0, i): top for i in range(64)}
+    entries.update({(i + 1, i): 1 for i in range(64)})
+    entries.update({(i + 1, 64): top for i in range(64)})
+    m = CooMatrix.from_entries((65, 65), entries)
+    stream_runs.clear()
+    assert smith_normal_form(m).diagonal == (1,) * 64 + (1 << 64,)
+    assert isinstance(stream_runs[0], chains._Int64Overflow)
+    # An entry beyond the int64 bound goes to the line engine at once.
+    stream_runs.clear()
+    assert smith_normal_form(scalar(1 << 40)).diagonal == (1 << 40,)
+    assert isinstance(stream_runs[0], chains._Int64Overflow)
+
+
+def test_unit_stream_falls_back_when_the_basis_is_too_large(
+        stream_runs, monkeypatch):
+    from gammahom import chains
+    m = scrambled(random.Random(5), 30, 60, [1] * 20 + [2, 4], ops=30)
+    want = chains._snf_lines(m, False, True).diagonal
+    # A basis of 30 x 30 int64 entries takes 7200 bytes.
+    monkeypatch.setattr(chains, "_BASIS_LIMIT", 7000)
+    assert smith_normal_form(m).diagonal == want == (1,) * 20 + (2, 4)
+    assert matrix_rank(m.transpose(), QQ) == 22
+    assert len(stream_runs) == 2
+    assert all(isinstance(run, LimitExceeded) for run in stream_runs)
 
 
 def test_integer_kernel_basis():
