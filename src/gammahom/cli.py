@@ -38,6 +38,16 @@ class JobConfig:
     suite: str = "segal"
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value is None and field.default is None:
+                continue
+            kind = int if field.type == "int" else str
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(
+                    f"config field {field.name!r} must be "
+                    f"{'an integer' if kind is int else 'a string'}, "
+                    f"got {json.dumps(value, default=repr)}")
         if self.max_degree < 0 or self.max_iterations < 0 or self.level < 0:
             raise ValueError("degree, iteration and level bounds must be "
                              ">= 0")
@@ -92,6 +102,9 @@ def _load_config(args: argparse.Namespace) -> JobConfig:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as handle:
             data = json.load(handle)
+        if not isinstance(data, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON "
+                             "object of fields")
         unknown = set(data) - set(_CONFIG_FIELDS)
         if unknown:
             raise ValueError(f"unknown config fields {sorted(unknown)}")

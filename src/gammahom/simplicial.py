@@ -16,7 +16,6 @@ simplicial sets while computing the same homology.
 from __future__ import annotations
 
 from functools import cache
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -43,10 +42,14 @@ def indices_up_to(directions: int, degree: int) -> list[MultiIndex]:
     """
     if directions == 0:
         return [()]
-    out = [idx for idx in iter_product(range(degree + 1), repeat=directions)
-           if sum(idx) <= degree]
-    out.sort(key=lambda idx: (sum(idx), idx))
-    return out
+    # by_total[t]: the compositions of t into the trailing directions, in
+    # lexicographic order; each pass puts one more direction in front.
+    by_total = [[(t,)] for t in range(degree + 1)]
+    for _ in range(directions - 1):
+        by_total = [[(first,) + rest for first in range(t + 1)
+                     for rest in by_total[t - first]]
+                    for t in range(degree + 1)]
+    return [idx for level in by_total for idx in level]
 
 
 class MSSet:
@@ -380,6 +383,11 @@ class NormalizedChains:
     face-sum matrix per direction; ``complex`` totalizes with Koszul signs.
     Within a level the cells come in ascending code order; ``multicomplex``
     lays out the levels.
+
+    Only the structure maps that can reach a cell off the basepoint are
+    built.  A degeneracy into or out of a level that holds the basepoint
+    alone marks no cell degenerate, and a face block into a level with no
+    cells is the zero matrix; skipping them changes no code and no matrix.
     """
 
     def __init__(self, x: MSSet, degree_bound: int,
@@ -391,17 +399,19 @@ class NormalizedChains:
         self.codes: dict[MultiIndex, np.ndarray] = {}
 
         top = degree_bound + 1
+        sizes: dict[MultiIndex, int] = {}
         for idx in indices_up_to(x.directions, top):
             cell = x.cell(idx)
             if cell_budget is not None and cell.points > cell_budget:
                 raise BudgetExceeded(idx, cell.points, cell_budget)
+            sizes[idx] = cell.size
             alive = np.ones(cell.points, dtype=bool)
             alive[0] = False
-            for j in range(x.directions):
+            for j in range(x.directions if cell.size else 0):
                 if idx[j] < 1:
                     continue
                 below = lowered(idx, j)
-                for i in range(idx[j]):
+                for i in range(idx[j] if sizes[below] else 0):
                     images = x.degeneracy(below, j, i).as_array[1:]
                     alive[images] = False
             self.codes[idx] = np.nonzero(alive)[0]
@@ -413,9 +423,12 @@ class NormalizedChains:
             for j in range(x.directions):
                 if idx[j] < 1:
                     continue
+                tgt_codes = self.codes[lowered(idx, j)]
+                if len(tgt_codes) == 0:
+                    continue
                 m = _face_block([x.face(idx, j, i)
                                  for i in range(idx[j] + 1)],
-                                src_codes, self.codes[lowered(idx, j)])
+                                src_codes, tgt_codes)
                 if m.nnz:
                     diffs[(idx, j)] = m
 

@@ -20,10 +20,10 @@ from gammahom.chains import (GF, QQ, ZZ, CooMatrix, Multicomplex, homology,
                              place_blocks, total_complex)
 from gammahom.segal import (discrete_abelian, parse_space, spectrum_level,
                             structure_map, tower_map)
-from gammahom.simplicial import (NormalizedChains, chains_of_map, circle,
-                                 identity_msmap, lowered, product_ss,
-                                 product_to_smash_msmap, smash_ss,
-                                 suspension_ss, wedge_ss,
+from gammahom.simplicial import (MSSet, NormalizedChains, chains_of_map,
+                                 circle, identity_msmap, indices_up_to,
+                                 lowered, product_ss, product_to_smash_msmap,
+                                 raised, smash_ss, suspension_ss, wedge_ss,
                                  wedge_to_product_msmap)
 
 
@@ -138,6 +138,80 @@ def test_normalized_chains_match_naive_assembly(name):
     for d, want in naive_total(nc.multicomplex, bound).items():
         assert cx.boundary(d) == resorted(cx.boundary(d))
         assert cx.boundary(d) == want
+
+
+# ---------------------------------------------------------------------------
+# Which structure maps assembly builds.
+
+def recording(x):
+    """x with the same levels and maps, and the list of the faces and
+    degeneracies asked of it, as (kind, idx, j)."""
+    calls = []
+
+    def face(idx, j, i):
+        calls.append(("face", idx, j))
+        return x.face(idx, j, i)
+
+    def degeneracy(idx, j, i):
+        calls.append(("degeneracy", idx, j))
+        return x.degeneracy(idx, j, i)
+
+    return MSSet(x.directions, x.cell, face, degeneracy, name=x.name), calls
+
+
+@pytest.mark.parametrize("build, bound", [
+    (level("ab:2", 2), 3),
+    (lambda: smash_ss(circle(), circle()), 4),
+], ids=["ab:2 level 2", "circle ^ circle"])
+def test_assembly_builds_no_map_that_misses_every_cell(build, bound):
+    # A degeneracy into or out of a level that holds the basepoint alone
+    # marks no cell, and a face into a level with no cells gives a zero
+    # block: assembly asks for neither.
+    x, calls = recording(build())
+    nc = NormalizedChains(x, bound)
+    assert {kind for kind, _, _ in calls} == {"face", "degeneracy"}
+    for kind, idx, j in calls:
+        if kind == "degeneracy":
+            assert x.cell(idx).size and x.cell(raised(idx, j)).size, idx
+        else:
+            assert len(nc.codes[lowered(idx, j)]), idx
+
+
+def naive_chains(x, bound):
+    """Codes and multicomplex of the normalized chains, marking degenerate
+    cells with every degeneracy and building every face block."""
+    codes = {}
+    for idx in indices_up_to(x.directions, bound + 1):
+        alive = np.ones(x.cell(idx).points, dtype=bool)
+        alive[0] = False
+        for j in range(x.directions):
+            for i in range(idx[j]):
+                alive[x.degeneracy(lowered(idx, j), j, i).as_array] = False
+        codes[idx] = np.flatnonzero(alive)
+    diffs = {}
+    for idx in codes:
+        for j in range(x.directions):
+            if idx[j]:
+                m = naive_face_block(x, idx, j, codes[idx],
+                                     codes[lowered(idx, j)])
+                if m.nnz:
+                    diffs[idx, j] = m
+    ranks = {idx: len(c) for idx, c in codes.items()}
+    return codes, Multicomplex(x.directions, ranks, diffs)
+
+
+@pytest.mark.parametrize("spec", ["ab:2", "sphere", "B(ab:2)", "mu(2)*ab:2",
+                                  "wedge(ab:2,sphere)"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_normalized_chains_match_every_map_built(spec, n):
+    bound = 4
+    nc = NormalizedChains(spectrum_level(parse_space(spec), n), bound)
+    codes, mc = naive_chains(spectrum_level(parse_space(spec), n), bound)
+    assert nc.codes.keys() == codes.keys()
+    for idx, want in codes.items():
+        assert np.array_equal(nc.codes[idx], want), idx
+    assert nc.multicomplex.offsets == mc.offsets
+    assert nc.multicomplex.differentials == mc.differentials
 
 
 MAPS = {

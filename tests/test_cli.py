@@ -93,6 +93,23 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert len(out.splitlines()) == 2  # header plus one degree
 
 
+@pytest.mark.parametrize("data, names", [
+    ({"space": "sphere", "cell_budget": None}, ("'cell_budget'", "null")),
+    ({"space": "sphere", "cell_budget": True}, ("'cell_budget'", "true")),
+    ({"space": "sphere", "ring": 2}, ("'ring'", "string")),
+    ([1, 2], ("JSON object",)),
+], ids=["null budget", "bool budget", "int ring", "array"])
+def test_config_file_of_wrong_type_is_a_usage_error(tmp_path, capsys, data,
+                                                    names):
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps(data))
+    code, out, err = run(capsys, "compute", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("gammahom: ")
+    assert all(name in err for name in names)
+
+
 def test_usage_errors_exit_two(capsys):
     assert run(capsys, "compute", "--space", "bogus:")[0] == 2
     assert run(capsys, "compute", "--space", "ab:2", "--ring", "f9")[0] == 2

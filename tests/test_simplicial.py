@@ -1,5 +1,7 @@
 """Multisimplicial sets, their constructions and normalized chains."""
 
+from itertools import product
+
 import pytest
 
 from gammahom import gamma
@@ -57,6 +59,17 @@ def hand_nerve_z2():
 
     return MSSet(1, lambda idx: FinPointedSet(2 ** idx[0] - 1), face,
                  degeneracy, name="nerveZ2")
+
+
+def test_indices_up_to_match_the_filtered_product():
+    # The definition: every tuple over range(degree + 1) of total degree at
+    # most degree, by total degree and then lexicographically.
+    for k in range(6):
+        for degree in range(8):
+            want = sorted((idx for idx in product(range(degree + 1), repeat=k)
+                           if sum(idx) <= degree),
+                          key=lambda idx: (sum(idx), idx))
+            assert indices_up_to(k, degree) == want
 
 
 def test_levelwise_sizes():
