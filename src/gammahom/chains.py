@@ -2,20 +2,28 @@
 
 Boundary matrices are integer sparse matrices in coordinate form, kept in
 one canonical order: column-major (by column, then row), deduplicated and
-without zeros.  Chain assembly produces that order directly: a block matrix
-is placed block by block with a counting pass over its columns
-(``place_blocks``), with no sort of the entries.  Homology is read off from
-exact ranks: a streamed field elimination over F_p for primes below 2^31,
-and a sparse Smith normal form over the integers.
+without zeros.  Chain assembly produces that order directly: a total
+boundary is the concatenation of its column strips (``total_complex``),
+and a block matrix is placed block by block with a counting pass over its
+columns (``place_blocks``), with no sort of the entries.  Homology is read
+off from exact ranks: a streamed field elimination over F_p for primes
+below 2^31, and a sparse Smith normal form over the integers.  Whether a
+product of boundaries vanishes is tested with the rows of the first packed
+as digits of 64-bit words (``is_zero_product``), and no product matrix is
+built.
 
 A field rank never builds a dense matrix of the long side.  The columns of
 a matrix (of its transpose if it is tall), vectors of length n, the short
 side, stream in batches into a reduced row-echelon basis of at most n
 vectors (a streaming form of the dense GF(2) elimination of Albrecht and
-Bard's M4RI work).  The lead columns go first: those whose last entry
-nonzero mod p lies on a row where no earlier column's does.  Their last
-rows differ, so they are independent; on boundary matrices they give
-almost the whole rank, and the basis narrows before the long stream.
+Bard's M4RI work).  The lead columns are seeded first: those whose last
+entry nonzero mod p lies on a row where no earlier column's does.  Their
+last rows differ, so they are independent, and where no basis vector holds
+that row a lead becomes a basis vector by substitution, with that entry as
+its pivot: in rounds of dependency depth, each reduced against the leads
+it reaches, with no elimination among them (structural pivots, as in
+Dumas, Heckenbach, Saunders and Welker 2003).  On boundary matrices they
+give almost the whole rank, and the basis narrows before the long stream.
 Because the basis is reduced, a batch is reduced by one gather of basis
 vectors.  What survives is added a block at a time: a block of up to
 eight vectors is reduced among themselves, and its pivots are cleared
@@ -30,10 +38,10 @@ The basis, at most n^2 entries, is what a rank is refused on.
 Over Z the same stream takes the unit pivots of a Smith form without
 transforms, in int64.  Only a +-1 entry becomes a pivot, scaled to +1, so
 nothing is divided and every step is unimodular.  The lead columns are
-those whose last entry is +-1, taken by last row, so each keeps that entry
-as its pivot.  A vector left with no +-1 is set aside, and the set-aside
-vectors stream again, round after round, until a round brings no new
-pivot.  They are then the remainder S, on the rows that are not pivots,
+those whose last entry is +-1, seeded the same way, so each keeps that
+entry as its pivot.  A vector left with no +-1 is set aside, and the
+set-aside vectors stream again, round after round, until a round brings no
+new pivot.  They are then the remainder S, on the rows that are not pivots,
 and SNF(M) = I_k + SNF(S) for k unit pivots, so the line engine below sees
 S alone.  int64 never wraps: every stored entry stays within +-2^29, so an
 entry less eight products of two stays below 2^62; a gather is bounded by
@@ -355,20 +363,68 @@ def place_blocks(shape, blocks) -> CooMatrix:
     return CooMatrix(shape, row, col, val, _canonical=True)
 
 
+def _abs_max(val) -> int:
+    """The largest absolute value in an int64 array, as a Python integer."""
+    return max(int(val.max()), -int(val.min()))
+
+
+# The columns of b that one packed product takes at a time.
+_PRODUCT_CHUNK = 1 << 16
+
+
 def is_zero_product(a: CooMatrix, b: CooMatrix) -> bool:
-    """Whether the integer product a*b vanishes (entries stay small here)."""
+    """Whether the integer product a*b vanishes, with no product matrix
+    built.
+
+    An entry of a*b is a sum of at most c products, c the most entries in a
+    column of b, so it is below B = max|a| max|b| c in absolute value.  With
+    2^(w-1) > B, the rows of a are packed 64 // w to a 64-bit word, row i
+    of a group as the digit of weight 2^(w i).  A column of b times the
+    words gives the entries of a*b in that column as balanced base-2^w
+    digits, each below half a digit, so their sum is below 2^63 and it is
+    zero mod 2^64, where uint64 products wrap, only if every digit is.
+    Raises LimitExceeded when w would reach 64.
+    """
     if a.shape[1] != b.shape[0]:
         raise ValueError("shape mismatch in product")
     if a.nnz == 0 or b.nnz == 0:
         return True
-    prod = a.to_scipy() @ b.to_scipy()
-    return prod.count_nonzero() == 0
+    per_col = np.bincount(b.col, minlength=b.shape[1])
+    w = (_abs_max(a.val) * _abs_max(b.val) * int(per_col.max())
+         ).bit_length() + 1
+    if w >= 64:
+        raise LimitExceeded("a product of integer matrices has entries too "
+                            "large to test for zero in 64-bit words")
+    g = 64 // w
+    packed = np.zeros((a.shape[1], -(-a.shape[0] // g)), dtype=np.uint64)
+    shift = (a.row % g * w).astype(np.uint64)
+    np.add.at(packed, (a.col, a.row // g), a.val.view(np.uint64) << shift)
+    from scipy.sparse import csr_matrix
+    start = np.zeros(b.shape[1] + 1, dtype=np.int64)
+    np.cumsum(per_col, out=start[1:])
+    data = b.val.view(np.uint64)
+    # The columns of b, a chunk at a time, are the rows of b's transpose.
+    for lo in range(0, b.shape[1], _PRODUCT_CHUNK):
+        hi = min(lo + _PRODUCT_CHUNK, b.shape[1])
+        s, e = start[lo], start[hi]
+        part = csr_matrix((data[s:e], b.row[s:e], start[lo:hi + 1] - s),
+                          shape=(hi - lo, b.shape[0]))
+        if (part @ packed).any():
+            return False
+    return True
 
 
 def coo_mul(a: CooMatrix, b: CooMatrix) -> CooMatrix:
-    """Integer sparse product (entries are expected to stay small)."""
+    """Integer sparse product in int64.  Raises LimitExceeded when a sum of
+    products could pass 2^63: max|a| max|b| times the most terms a sum can
+    have, the fewer of the most entries in a row of a and in a column of
+    b."""
     if a.nnz == 0 or b.nnz == 0:
         return CooMatrix.zero((a.shape[0], b.shape[1]))
+    terms = min(int(np.bincount(a.row).max()), int(np.bincount(b.col).max()))
+    if _abs_max(a.val) * _abs_max(b.val) * terms >= 1 << 63:
+        raise LimitExceeded("a product of integer matrices could pass the "
+                            "int64 bound")
     prod = (a.to_scipy() @ b.to_scipy()).tocoo()
     return CooMatrix((a.shape[0], b.shape[1]), prod.row, prod.col, prod.data)
 
@@ -428,6 +484,19 @@ class _PackedBits:
         word = int(np.flatnonzero(v)[0])
         bits = int(v[word])
         return word * 64 + (bits & -bits).bit_length() - 1, v
+
+    @staticmethod
+    def held(vecs, slots):
+        """Whether any of the vectors is nonzero at each of the slots."""
+        word = np.bitwise_or.reduce(vecs, axis=0) if len(vecs) \
+            else np.zeros(vecs.shape[1], dtype=np.uint64)
+        return (word[slots >> 6] >> (slots & 63).astype(np.uint64)
+                & np.uint64(1)).astype(bool)
+
+    @staticmethod
+    def scale(vecs, pivots):
+        """Each vecs[i] divided by pivots[i], nonzero mod p."""
+        return vecs
 
     @staticmethod
     def clear(vecs, i, s):
@@ -516,6 +585,16 @@ class _Residues:
         s = int(np.flatnonzero(v)[0])
         return s, self.mod(v * pow(int(v[s]), self.p - 2, self.p))
 
+    @staticmethod
+    def held(vecs, slots):
+        return vecs.any(axis=0)[slots]
+
+    def scale(self, vecs, pivots):
+        unique, back = np.unique(pivots, return_inverse=True)
+        inverse = np.array([pow(int(v), self.p - 2, self.p) for v in unique],
+                           dtype=np.int64)
+        return self.mod(vecs * inverse[back.reshape(-1), None])
+
     def clear(self, vecs, i, s):
         hit = np.flatnonzero(vecs[:, s])
         hit = hit[hit != i]
@@ -584,6 +663,11 @@ class _Integers(_Residues):
             return None
         s = int(units[-1])
         return s, (v if v[s] == 1 else -v)
+
+    @staticmethod
+    def scale(vecs, pivots):
+        # A pivot is +-1, its own inverse.
+        return vecs * pivots[:, None]
 
     def clear_block(self, targets, block, slots):
         for vecs in targets:
@@ -659,21 +743,62 @@ class _EchelonBasis:
     def absorb_columns(self, m):
         """Add the columns of m, which has a row for each position.
 
-        The lead columns go first: those whose last entry nonzero mod p
-        lies on a row where no earlier column's does.  Their last rows
-        differ, so they are independent; they take most pivots with no
-        wasted vector, and the stored width narrows before the long
-        stream.  Then every column streams as stored, the lead ones now
-        empty.  Over Z only columns whose last entry is +-1 lead, taken
-        by last row: each keeps that entry, which becomes its pivot.
+        The lead columns are seeded first (``_seed``), then every column
+        streams as stored, the seeded ones now empty.
         """
         if not m.nnz:
             return
         val = m.val % self.p if self.p else self.field.mod(m.val.copy())
         owner, at = _lead_entries(m.row, m.col, val, self.n, unit=not self.p)
-        self._stream(owner, m.row[at], val[at])
-        val[at] = 0
+        val[at[self._seed(owner, m.row[at], val[at])]] = 0
         self._stream(m.col, m.row, val)
+
+    def _seed(self, owner, pos, val):
+        """Install lead columns by substitution, with no elimination, and
+        return which of their entries were taken.
+
+        The entries (lead column, position, value mod p) are sorted by
+        column and position, and the last entry of each column lies on a
+        position where no other's does.  Where that position is not a
+        pivot and no basis vector holds it, the column becomes a basis
+        vector with it as pivot: reduced against the basis, it is 0 at
+        every other pivot and so is every basis vector at this one.  A
+        column with an entry at another seeded column's pivot is reduced
+        against that one's basis vector, so it comes in a later round;
+        those entries lie above the pivot, so the rounds end.  A round
+        scatters the free entries, gathers the installed rows for the
+        others and divides by the pivot.
+        """
+        field = self.field
+        end = np.ones(len(owner), dtype=bool)
+        np.not_equal(owner[1:], owner[:-1], out=end[:-1])
+        pivot = pos[end]
+        seeded = self.code[pivot] >= 0
+        seeded[seeded] = ~field.held(self.rows[:self.rank],
+                                     self.code[pivot[seeded]])
+        taken = seeded[owner]
+        live = taken & (val != 0)
+        owner = (np.cumsum(seeded) - 1)[owner[live]]
+        pos, val, end = pos[live], val[live], end[live]
+        pivot, pivot_val = pos[end], val[end]
+        lead_at = np.full(self.n, -1, dtype=np.int64)
+        lead_at[pivot] = np.arange(len(pivot))
+        dep = lead_at[pos]
+        dep[end] = -1
+        # (column, the column whose pivot it holds an entry at)
+        needs, needed = owner[dep >= 0], dep[dep >= 0]
+        pending = np.ones(len(pivot), dtype=bool)
+        while pending.any():
+            ready = pending.copy()
+            ready[needs[pending[needed]]] = False
+            pending &= ~ready
+            at = np.flatnonzero(ready[owner] & ~end)
+            vecs = self._reduced((np.cumsum(ready) - 1)[owner[at]], pos[at],
+                                 val[at], int(ready.sum()))
+            self._install(field.scale(vecs, pivot_val[ready]),
+                          self.code[pivot[ready]])
+        self._narrow()
+        return taken
 
     def _stream(self, vec, pos, val):
         """Absorb the entries (vector, position, value mod p), sorted by
@@ -685,21 +810,19 @@ class _EchelonBasis:
             self.absorb(vec[lo:hi] - vec[lo], pos[lo:hi], val[lo:hi], count)
             lo = hi
 
-    def absorb(self, owner, pos, val, count):
-        """Add ``count`` vectors to the span, given as entries (vector below
-        count, position, value mod p) sorted by vector and position."""
+    def _reduced(self, owner, pos, val, count):
+        """``count`` vectors, given as entries (vector below count,
+        position, value mod p) sorted by vector and position, reduced
+        against the basis by one gather and stored on the slots."""
         field = self.field
-        live = val != 0
-        if not live.any():
-            return
         code = self.code[pos]
-        free = live & (code >= 0)
+        free = code >= 0
         vecs = field.zeros(count, len(self.cols))
         field.scatter(vecs, owner[free], code[free], val[free])
         # A gather holds at most _BATCH * short cells, no more than a batch
         # of unpacked vectors of the short side's length.
         step = max(1, _BATCH * self.short // field.width(len(self.cols)))
-        at_pivot = np.flatnonzero(live & (code < 0))
+        at_pivot = np.flatnonzero(~free)
         for lo in range(0, len(at_pivot), step):
             part = at_pivot[lo:lo + step]
             whose = owner[part]
@@ -707,14 +830,28 @@ class _EchelonBasis:
             field.subtract(vecs, whose[starts],
                            np.take(self.rows, -1 - code[part], axis=0),
                            val[part], starts)
-        vecs = self._usable(vecs)
+        return vecs
+
+    def absorb(self, owner, pos, val, count):
+        """Add ``count`` vectors to the span, given as entries (vector below
+        count, position, value mod p) sorted by vector and position."""
+        live = val != 0
+        if not live.any():
+            return
+        vecs = self._usable(self._reduced(owner[live], pos[live], val[live],
+                                          count))
         while len(vecs) and self.rank < self.n:
-            rest = vecs[field.block:]
-            self._add(vecs[:field.block], rest)
+            rest = vecs[self.field.block:]
+            self._add(vecs[:self.field.block], rest)
             vecs = self._usable(rest)
+        self._narrow()
+
+    def _narrow(self):
+        """Store the vectors on the free positions alone once at most half
+        of the slots are free."""
         if self.rank < self.n and 2 * (self.n - self.rank) <= len(self.cols):
             keep = np.flatnonzero(self.code[self.cols] >= 0)
-            self.rows = field.take(self.rows[:self.rank], keep)
+            self.rows = self.field.take(self.rows[:self.rank], keep)
             self.cols = self.cols[keep]
             self.code[self.cols] = np.arange(len(keep), dtype=np.int64)
 
@@ -738,19 +875,24 @@ class _EchelonBasis:
         if slots:
             block, slots = head[kept], np.array(slots, dtype=np.int64)
             field.clear_block((rest, self.rows[:self.rank]), block, slots)
-            top = self.rank + len(slots)
-            if top > len(self.rows):
-                grown = field.zeros(min(self.short, max(2 * top, 64)),
-                                    len(self.cols))
-                grown[:self.rank] = self.rows[:self.rank]
-                self.rows = grown
-            self.rows[self.rank:top] = block
-            field.unset(self.rows[self.rank:top], slots)
-            self.code[self.cols[slots]] = -1 - np.arange(self.rank, top)
-            self.rank = top
+            field.unset(block, slots)
+            self._install(block, slots)
         if spare:
             # The pivots of the block were cleared from these too.
             self._set_aside(head[spare])
+
+    def _install(self, block, slots):
+        """Make the vectors of block, each 0 at every pivot and at its own
+        slot, basis vectors with their pivots at slots."""
+        top = self.rank + len(slots)
+        if top > len(self.rows):
+            grown = self.field.zeros(min(self.short, max(2 * top, 64)),
+                                     len(self.cols))
+            grown[:self.rank] = self.rows[:self.rank]
+            self.rows = grown
+        self.rows[self.rank:top] = block
+        self.code[self.cols[slots]] = -1 - np.arange(self.rank, top)
+        self.rank = top
 
     def _usable(self, vecs):
         """The vectors that may give a pivot: the nonzero ones, and over Z
@@ -802,9 +944,9 @@ def _lead_entries(row, col, val, n, unit=False):
     order with values val mod p: the columns whose last entry nonzero mod p
     lies on a row where no earlier column's does.  Returns (owner, at):
     entry at[t] belongs to lead column owner[t], the lead columns numbered
-    from 0 in order.  One pass over the entries, with no sort of them.
-    With ``unit`` (over Z) a column counts only if its last entry is +-1,
-    and the lead columns are numbered by their last row."""
+    from 0 by their last row.  One pass over the entries, with no sort of
+    them.  With ``unit`` (over Z) a column counts only if its last entry is
+    +-1."""
     start = _run_starts(col)
     last = np.empty_like(start)
     last[:-1] = start[1:]
@@ -825,8 +967,6 @@ def _lead_entries(row, col, val, n, unit=False):
     first = np.full(n + 1, len(last))
     np.minimum.at(first, end_row, np.arange(len(last)))
     lead = first[:n][first[:n] < len(last)]
-    if not unit:
-        lead = np.sort(lead)
     length = last[lead] + 1 - start[lead]
     owner = np.repeat(np.arange(len(lead)), length)
     at = np.arange(len(owner)) + np.repeat(
@@ -1313,20 +1453,14 @@ def homology(cx: ChainComplex,
 # Multicomplexes and their total complex.
 
 class Multicomplex:
-    """A k-direction complex: ranks per multidegree, one unsigned
-    differential per direction, commuting between distinct directions.
-
-    The basis of the total complex is laid out here, once: in each total
-    degree the multi-indices come in lexicographic order (``by_degree``),
-    each block starting at ``offsets[idx]``, and ``degree_ranks[d]`` is the
-    rank in total degree d.
+    """The ranks of a multicomplex per multi-index, and the basis of its
+    total complex laid out once: in each total degree the multi-indices come
+    in lexicographic order (``by_degree``), each block starting at
+    ``offsets[idx]``, and ``degree_ranks[d]`` is the rank in total degree d.
     """
 
-    def __init__(self, directions: int, ranks: dict[tuple, int],
-                 differentials: dict[tuple[tuple, int], CooMatrix]):
-        self.directions = directions
-        self.ranks = {idx: r for idx, r in ranks.items()}
-        self.differentials = differentials
+    def __init__(self, ranks: dict[tuple, int]):
+        self.ranks = dict(ranks)
         self.by_degree: dict[int, list[tuple]] = {}
         for idx in sorted(self.ranks):
             self.by_degree.setdefault(total_degree(idx), []).append(idx)
@@ -1339,12 +1473,6 @@ class Multicomplex:
                 pos += self.ranks[idx]
             self.degree_ranks[d] = pos
 
-    def rank(self, idx) -> int:
-        return self.ranks.get(tuple(idx), 0)
-
-    def differential(self, idx, j) -> CooMatrix | None:
-        return self.differentials.get((tuple(idx), j))
-
 
 def lowered(idx: tuple, j: int) -> tuple:
     return idx[:j] + (idx[j] - 1,) + idx[j + 1:]
@@ -1354,35 +1482,32 @@ def total_degree(idx) -> int:
     return sum(idx)
 
 
-def total_complex(mc: Multicomplex, ring: Ring, degree_bound: int,
-                  ) -> ChainComplex:
-    """Total complex of a multicomplex, with the Koszul sign (-1)^(q_1+..+
-    q_{j-1}) on the direction-j differential.
+def total_complex(mc: Multicomplex, strips: dict, ring: Ring,
+                  degree_bound: int) -> ChainComplex:
+    """Total complex of a multicomplex given by its column strips.
 
-    The assembled boundaries are checked to square to zero; a failure means
-    the per-direction differentials were not commuting and raises
+    ``strips[idx]`` is (row, col, val), the columns of multi-index idx in
+    the boundary of total degree |idx|, in canonical order and in the
+    layout of the total complex: the direction-j differential carries the
+    Koszul sign (-1)^(q_1+..+q_{j-1}).  In the layout's order the strips
+    concatenate to each boundary in canonical order, which one check
+    confirms.
+
+    The boundaries are checked to square to zero; a failure means the
+    per-direction differentials were not commuting and raises
     IntegrityError.
     """
-    offsets, ranks = mc.offsets, mc.degree_ranks
-    # Within a column the targets lowered(idx, j) increase with j, so the
-    # blocks of idx are listed from top to bottom.
+    ranks = mc.degree_ranks
     boundaries = {}
     for d, idxs in sorted(mc.by_degree.items()):
         if d == 0 or d > degree_bound + 1:
             continue
-        blocks = []
-        for idx in idxs:
-            sign_exp = 0
-            for j in range(mc.directions):
-                if idx[j] >= 1:
-                    block = mc.differential(idx, j)
-                    if block is not None:
-                        blocks.append((offsets[lowered(idx, j)],
-                                       offsets[idx], block,
-                                       (-1) ** sign_exp))
-                sign_exp += idx[j]
-        boundaries[d] = place_blocks((ranks.get(d - 1, 0), ranks.get(d, 0)),
-                                     blocks)
+        parts = [strips[idx] for idx in idxs if idx in strips]
+        row, col, val = (np.concatenate(
+            [part[t] for part in parts] or [np.empty(0, dtype=np.int64)],
+            dtype=np.int64) for t in range(3))
+        boundaries[d] = CooMatrix((ranks.get(d - 1, 0), ranks.get(d, 0)),
+                                  row, col, val, _canonical=True)
 
     cx = ChainComplex(ring, ranks, boundaries, degree_bound)
     try:

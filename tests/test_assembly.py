@@ -1,9 +1,10 @@
 """Chain assembly in canonical order.
 
-The face blocks of normalized chains, the boundaries of total complexes, the
-blocks of chain maps and the block matrix of the induced-isomorphism test
-are built in column-major order, with no sort.  Each is checked against a
-naive construction that sorts, and the homology read off them against dense
+The boundaries of normalized chains, assembled one column strip per
+multi-index, the boundaries of total complexes, the blocks of chain maps
+and the block matrix of the induced-isomorphism test are built in
+column-major order, with no sort.  Each is checked against a naive
+construction that sorts, and the homology read off them against dense
 pure-Python references and the universal coefficient theorem.
 """
 
@@ -18,6 +19,8 @@ import pytest
 
 from gammahom.chains import (GF, QQ, ZZ, CooMatrix, Multicomplex, homology,
                              place_blocks, total_complex)
+from gammahom.errors import IntegrityError
+from gammahom.gamma import FinPointedSet, constant_map, identity_map
 from gammahom.segal import (discrete_abelian, parse_space, spectrum_level,
                             structure_map, tower_map)
 from gammahom.simplicial import (MSSet, NormalizedChains, chains_of_map,
@@ -66,30 +69,46 @@ def naive_face_block(x, idx, j, src_codes, tgt_codes):
                                   {rc: v for rc, v in entries.items() if v})
 
 
-def naive_layout(mc):
+def naive_layout(ranks):
     """Multi-indices per total degree in lexicographic order, the offset of
     each block and the rank per total degree."""
     by_degree = {}
-    for idx in sorted(mc.ranks):
+    for idx in sorted(ranks):
         by_degree.setdefault(sum(idx), []).append(idx)
-    offsets, ranks = {}, {}
+    offsets, degree_ranks = {}, {}
     for d, idxs in by_degree.items():
-        ranks[d] = 0
+        degree_ranks[d] = 0
         for idx in idxs:
-            offsets[idx] = ranks[d]
-            ranks[d] += mc.rank(idx)
-    return by_degree, offsets, ranks
+            offsets[idx] = degree_ranks[d]
+            degree_ranks[d] += ranks[idx]
+    return by_degree, offsets, degree_ranks
 
 
-def naive_total(mc, degree_bound):
-    """Boundaries of the total complex, concatenated and then sorted."""
-    by_degree, offsets, ranks = naive_layout(mc)
+def naive_blocks(x, codes):
+    """The face sum of every direction j at every level idx, as
+    {(idx, j): matrix} for the nonzero ones."""
+    blocks = {}
+    for idx in codes:
+        for j in range(x.directions):
+            if idx[j]:
+                m = naive_face_block(x, idx, j, codes[idx],
+                                     codes[lowered(idx, j)])
+                if m.nnz:
+                    blocks[idx, j] = m
+    return blocks
+
+
+def naive_total(ranks, blocks, degree_bound):
+    """Boundaries of the total complex of the multicomplex with these
+    ranks and direction blocks {(idx, j): matrix}, with the Koszul sign
+    (-1)^(q_1+..+q_{j-1}) on direction j, concatenated and then sorted."""
+    by_degree, offsets, degree_ranks = naive_layout(ranks)
     out = {}
     for d in range(1, degree_bound + 2):
         rows, cols, vals = [], [], []
         for idx in by_degree.get(d, []):
-            for j in range(mc.directions):
-                block = mc.differential(idx, j)
+            for j in range(len(idx)):
+                block = blocks.get((idx, j))
                 if block is None:
                     continue
                 sign = (-1) ** sum(idx[:j])
@@ -97,8 +116,8 @@ def naive_total(mc, degree_bound):
                     rows.append(offsets[lowered(idx, j)] + r)
                     cols.append(offsets[idx] + c)
                     vals.append(sign * v)
-        out[d] = CooMatrix((ranks.get(d - 1, 0), ranks.get(d, 0)), rows,
-                           cols, vals)
+        out[d] = CooMatrix((degree_ranks.get(d - 1, 0),
+                            degree_ranks.get(d, 0)), rows, cols, vals)
     return out
 
 
@@ -108,7 +127,7 @@ def test_spaces_have_coinciding_faces():
     for build, bound in SPACES.values():
         x = build()
         nc = NormalizedChains(x, bound)
-        for (idx, j), m in nc.multicomplex.differentials.items():
+        for (idx, j), m in naive_blocks(x, nc.codes).items():
             twos += int((abs(m.val) == 2).sum())
             lower = nc.codes[lowered(idx, j)]
             slots = sum(int(np.isin(x.face(idx, j, i).as_array[
@@ -122,22 +141,41 @@ def test_normalized_chains_match_naive_assembly(name):
     build, bound = SPACES[name]
     x = build()
     nc = NormalizedChains(x, bound)
-    for idx, codes in nc.codes.items():
-        for j in range(x.directions):
-            if idx[j] < 1 or not len(codes):
-                continue
-            m = nc.multicomplex.differential(idx, j)
-            want = naive_face_block(x, idx, j, codes,
-                                    nc.codes[lowered(idx, j)])
-            if m is None:
-                assert want.nnz == 0
-                continue
-            assert m == resorted(m)
-            assert m == want
+    ranks = {idx: len(codes) for idx, codes in nc.codes.items()}
     cx = nc.complex(ZZ)
-    for d, want in naive_total(nc.multicomplex, bound).items():
+    naive = naive_total(ranks, naive_blocks(x, nc.codes), bound)
+    assert sorted(naive) == list(range(1, bound + 2))
+    for d, want in naive.items():
         assert cx.boundary(d) == resorted(cx.boundary(d))
         assert cx.boundary(d) == want
+
+
+def unit_square(commuting):
+    """A 2-direction MSSet with one cell at every level: the face d_0 of
+    each direction is the identity into the square (0, 0), (1, 0), (0, 1),
+    (1, 1), and every other face, and every degeneracy, is the constant
+    map.  Unless ``commuting``, d_0 in direction 1 at (1, 1) is constant
+    too, so the direction-0 face of (1, 1) meets (0, 0) and the other does
+    not."""
+    cell = FinPointedSet(1)
+    ident, const = identity_map(1), constant_map(cell, cell)
+
+    def face(idx, j, i):
+        square = idx in ((1, 0), (0, 1)) or idx == (1, 1) and (
+            j == 0 or commuting)
+        return ident if i == 0 and square else const
+
+    return MSSet(2, lambda idx: cell, face, lambda idx, j, i: const,
+                 name="square")
+
+
+def test_faces_that_do_not_commute_are_refused():
+    # Degree 1 is (0, 1), (1, 0) and degree 2 is (0, 2), (1, 1), (2, 0).
+    cx = NormalizedChains(unit_square(True), 1).complex(ZZ)
+    assert cx.boundary(1).to_dense() == [[1, 1]]
+    assert cx.boundary(2).to_dense() == [[0, 1, 0], [0, -1, 0]]
+    with pytest.raises(IntegrityError, match="sign consistency failed"):
+        NormalizedChains(unit_square(False), 1).complex(ZZ)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +216,9 @@ def test_assembly_builds_no_map_that_misses_every_cell(build, bound):
 
 
 def naive_chains(x, bound):
-    """Codes and multicomplex of the normalized chains, marking degenerate
-    cells with every degeneracy and building every face block."""
+    """Codes and direction blocks of the normalized chains, marking
+    degenerate cells with every degeneracy and building every face
+    block."""
     codes = {}
     for idx in indices_up_to(x.directions, bound + 1):
         alive = np.ones(x.cell(idx).points, dtype=bool)
@@ -188,16 +227,7 @@ def naive_chains(x, bound):
             for i in range(idx[j]):
                 alive[x.degeneracy(lowered(idx, j), j, i).as_array] = False
         codes[idx] = np.flatnonzero(alive)
-    diffs = {}
-    for idx in codes:
-        for j in range(x.directions):
-            if idx[j]:
-                m = naive_face_block(x, idx, j, codes[idx],
-                                     codes[lowered(idx, j)])
-                if m.nnz:
-                    diffs[idx, j] = m
-    ranks = {idx: len(c) for idx, c in codes.items()}
-    return codes, Multicomplex(x.directions, ranks, diffs)
+    return codes, naive_blocks(x, codes)
 
 
 @pytest.mark.parametrize("spec", ["ab:2", "sphere", "B(ab:2)", "mu(2)*ab:2",
@@ -206,12 +236,15 @@ def naive_chains(x, bound):
 def test_normalized_chains_match_every_map_built(spec, n):
     bound = 4
     nc = NormalizedChains(spectrum_level(parse_space(spec), n), bound)
-    codes, mc = naive_chains(spectrum_level(parse_space(spec), n), bound)
+    codes, blocks = naive_chains(spectrum_level(parse_space(spec), n), bound)
     assert nc.codes.keys() == codes.keys()
     for idx, want in codes.items():
         assert np.array_equal(nc.codes[idx], want), idx
-    assert nc.multicomplex.offsets == mc.offsets
-    assert nc.multicomplex.differentials == mc.differentials
+    ranks = {idx: len(c) for idx, c in codes.items()}
+    assert nc.multicomplex.offsets == naive_layout(ranks)[1]
+    cx = nc.complex(ZZ)
+    for d, want in naive_total(ranks, blocks, bound).items():
+        assert cx.boundary(d) == want, d
 
 
 MAPS = {
@@ -235,8 +268,8 @@ def test_chain_map_blocks_match_naive_assembly(name):
     tgt = NormalizedChains(f.target, bound)
     chm = chains_of_map(f, ZZ, bound)
     source_cx, target_cx = src.complex(ZZ), tgt.complex(ZZ)
-    by_degree, src_offsets, _ = naive_layout(src.multicomplex)
-    _, tgt_offsets, _ = naive_layout(tgt.multicomplex)
+    by_degree, src_offsets, _ = naive_layout(src.multicomplex.ranks)
+    _, tgt_offsets, _ = naive_layout(tgt.multicomplex.ranks)
     for d in range(bound + 2):
         assert chm.source.boundary(d) == source_cx.boundary(d)
         assert chm.target.boundary(d) == target_cx.boundary(d)
@@ -297,8 +330,9 @@ def dense_coo(a):
 
 
 def random_multicomplex(rng, directions, top):
-    """The tensor product of ``directions`` random complexes, cut at total
-    degree ``top``; its direction differentials commute."""
+    """The ranks and direction blocks {(idx, j): matrix} of the tensor
+    product of ``directions`` random complexes, cut at total degree
+    ``top``; its direction differentials commute."""
     factors = [random_factor(rng, top) for _ in range(directions)]
     ranks, diffs = {}, {}
     for idx in itertools.product(range(top + 1), repeat=directions):
@@ -311,16 +345,37 @@ def random_multicomplex(rng, directions, top):
                 mats = [np.eye(s, dtype=np.int64) for s in sizes]
                 mats[j] = factors[j][1][q]
                 diffs[idx, j] = dense_coo(reduce(np.kron, mats))
-    return Multicomplex(directions, ranks, diffs)
+    return ranks, diffs
+
+
+def koszul_strips(ranks, blocks):
+    """The column strip of each multi-index: its direction blocks, the
+    Koszul sign applied, in the layout of the total complex."""
+    _, offsets, degree_ranks = naive_layout(ranks)
+    strips = {}
+    for idx in ranks:
+        entries = {}
+        for j in range(len(idx)):
+            block = blocks.get((idx, j))
+            if block is not None:
+                for r, c, v in block.entries():
+                    entries[offsets[lowered(idx, j)] + r, c] = \
+                        (-1) ** sum(idx[:j]) * v
+        if entries:
+            m = CooMatrix.from_entries(
+                (degree_ranks[sum(idx) - 1], ranks[idx]), entries)
+            strips[idx] = (m.row, offsets[idx] + m.col, m.val)
+    return strips
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_total_complex_matches_naive_concatenation(seed):
     rng = random.Random(seed)
     top = rng.randint(2, 4)
-    mc = random_multicomplex(rng, rng.randint(1, 3), top)
-    cx = total_complex(mc, ZZ, top - 1)
-    for d, want in naive_total(mc, top - 1).items():
+    ranks, blocks = random_multicomplex(rng, rng.randint(1, 3), top)
+    cx = total_complex(Multicomplex(ranks), koszul_strips(ranks, blocks),
+                       ZZ, top - 1)
+    for d, want in naive_total(ranks, blocks, top - 1).items():
         assert cx.boundary(d) == want
 
 
@@ -391,5 +446,7 @@ def test_homology_of_normalized_chains_against_references(name):
 def test_homology_of_random_total_complexes_against_references(seed):
     rng = random.Random(100 + seed)
     top = rng.randint(2, 4)
-    mc = random_multicomplex(rng, rng.randint(1, 3), top)
-    check_homology(lambda ring: total_complex(mc, ring, top - 1), top - 1)
+    ranks, blocks = random_multicomplex(rng, rng.randint(1, 3), top)
+    mc, strips = Multicomplex(ranks), koszul_strips(ranks, blocks)
+    check_homology(lambda ring: total_complex(mc, strips, ring, top - 1),
+                   top - 1)

@@ -126,6 +126,106 @@ def test_gf2_rank_known():
     assert matrix_rank(m, QQ) == 3
 
 
+def digits_per_word(a, b):
+    """How many rows of a the packed product puts in one 64-bit word:
+    64 // w for the least w with 2^(w-1) > max|a| max|b| c, c the most
+    entries in a column of b."""
+    most = max(Counter(b.col.tolist()).values())
+    bound = max(map(abs, a.val.tolist())) * max(map(abs, b.val.tolist())) \
+        * most
+    return 64 // (bound.bit_length() + 1)
+
+
+def vanishing_pair(rng, rows, inner, cols, used):
+    """Integer a (rows x 2 inner + 1) and b with a b = 0: a = [A | A | 0],
+    b = [B; -B; 0], entries of A and B in {+-1, +-2, 3, -7}; b holds
+    entries only in the columns ``used``."""
+    values = (1, -1, 2, -2, 3, -7)
+    a, b = {}, {}
+    for r in range(rows):
+        for k in rng.sample(range(inner), min(inner, 3)):
+            a[r, k] = a[r, inner + k] = rng.choice(values)
+    for c in used:
+        for k in rng.sample(range(inner), min(inner, 2)):
+            b[k, c] = rng.choice(values)
+            b[inner + k, c] = -b[k, c]
+    return a, b
+
+
+def test_zero_product_against_python_integer_products():
+    from gammahom.chains import _PRODUCT_CHUNK, is_zero_product
+    rng = random.Random(41)
+    seen = Counter()
+    for width in (5, 300, _PRODUCT_CHUNK + 200):
+        # Wide b has more columns than rows, tall b fewer; most columns of
+        # the widest are empty, and some columns of every b are.
+        inner = 4 if width > 300 else 12
+        used = sorted(rng.sample(range(width), min(width - 1, 60)))
+        used[-1] = width - 1
+        for rows in (1, "g", "g+1", 98):
+            a, b = vanishing_pair(rng, 98, inner, width, used)
+            b = CooMatrix.from_entries((2 * inner + 1, width), b)
+            if rows != 98:
+                g = digits_per_word(CooMatrix.from_entries(
+                    (98, 2 * inner + 1), a), b)
+                rows = {1: 1, "g": g, "g+1": g + 1}[rows]
+            a = CooMatrix.from_entries(
+                (rows, 2 * inner + 1),
+                {(r, k): v for (r, k), v in a.items() if r < rows})
+            g = digits_per_word(a, b)
+            # One more entry of a in the last column and of b in its last
+            # row make a b nonzero at one place: the first or the last digit
+            # of a word, in the first column or in the last (the last chunk
+            # of the widest b).
+            for row in {0, min(g, rows) - 1, rows - 1}:
+                for col in (used[0], width - 1):
+                    for va, vb in ((1, 1), (-7, 3)):
+                        one_a = CooMatrix.from_entries(a.shape, {
+                            **{(r, k): v for r, k, v in a.entries()},
+                            (row, 2 * inner): va})
+                        one_b = CooMatrix.from_entries(b.shape, {
+                            **{(k, c): v for k, c, v in b.entries()},
+                            (2 * inner, col): vb})
+                        for x, y in ((a, b), (one_a, b), (a, one_b),
+                                     (one_a, one_b)):
+                            # The empty columns of y give zero columns.
+                            keep = {c: i for i, c in
+                                    enumerate(sorted(set(y.col.tolist())))}
+                            dense_y = [[0] * len(keep) for _ in
+                                       range(y.shape[0])]
+                            for k, c, v in y.entries():
+                                dense_y[k][keep[c]] = v
+                            want = not (np.array(x.to_dense(), dtype=object)
+                                        @ np.array(dense_y, dtype=object)
+                                        ).any()
+                            assert is_zero_product(x, y) == want
+                            seen[want, row % g == g - 1, col == width - 1] \
+                                += 1
+    assert seen[True, False, False] and seen[False, False, False]
+    assert seen[False, True, False] and seen[False, False, True]
+    with pytest.raises(ValueError):
+        is_zero_product(CooMatrix.identity(2), CooMatrix.identity(3))
+
+
+def test_integer_products_refuse_to_wrap():
+    # 2^32 * 2^32 is 2^64, which int64 and uint64 both wrap to 0.
+    from gammahom.chains import coo_mul, is_zero_product
+    big = CooMatrix((1, 1), [0], [0], [1 << 32])
+    with pytest.raises(LimitExceeded):
+        is_zero_product(big, big)
+    with pytest.raises(LimitExceeded):
+        coo_mul(big, big)
+    # So does a sum of two products of 2^62.
+    row = CooMatrix((1, 2), [0, 0], [0, 1], [1 << 31, 1 << 31])
+    col = CooMatrix((2, 1), [0, 1], [0, 0], [1 << 31, 1 << 31])
+    with pytest.raises(LimitExceeded):
+        coo_mul(row, col)
+    # Below the bounds the answers are exact.
+    small = CooMatrix((1, 1), [0], [0], [1 << 30])
+    assert coo_mul(small, small).val.tolist() == [1 << 60]
+    assert not is_zero_product(small, CooMatrix((1, 1), [0], [0], [4]))
+
+
 # ---------------------------------------------------------------------------
 # Field ranks against a plain dense elimination.
 
@@ -231,24 +331,35 @@ def test_field_rank_stops_once_the_rank_is_the_short_side(monkeypatch):
 
     monkeypatch.setattr(chains._EchelonBasis, "absorb", counted)
     n = 50
+    # Column i < n is e_i, a lead: the seed alone reaches rank n, and
+    # nothing streams.
     entries = {(i, i): 1 for i in range(n)}
     entries.update({(j % n, j): 1 for j in range(n, 5000)})
+    # Every column ends on row n - 1, so only column 0 leads; the first
+    # batch of 512 columns reaches rank n, and the nine batches after it
+    # are never absorbed.
+    ending = {(n - 1, j): 1 for j in range(5000)}
+    ending.update({(j % n, j): 1 for j in range(5000) if j % n < n - 1})
     for p in (2, 3, BIG_PRIME):
         batches.clear()
         m = CooMatrix.from_entries((n, 5000), entries)
         assert matrix_rank(m, GF(p)) == n
         assert matrix_rank(m.transpose(), GF(p)) == n
-        assert batches == [0, 0]
+        assert batches == []
+        m = CooMatrix.from_entries((n, 5000), ending)
+        assert matrix_rank(m, GF(p)) == n
+        assert matrix_rank(m.transpose(), GF(p)) == n
+        assert batches == [1, 1]
 
 
 def blocked_batch(rng, p, t, lo):
     """A matrix whose first streamed batch gains t pivots.
 
     Its t + 2 generators g_j are 1 on row lo + j (so they are independent),
-    random on a few rows below those, and 1 on the last row.  The lead pass
-    takes two columns: g_0 and g_0 - g_1, whose last entry, p on the last
-    row, vanishes mod p.  Every other column ends with a nonzero entry on
-    the last row, so the first batch of the stream gains the pivots of
+    random on a few rows below those, and 1 on the last row.  The seed
+    takes two lead columns: g_0 and g_0 - g_1, whose last entry, p on the
+    last row, vanishes mod p.  Every other column ends with a nonzero entry
+    on the last row, so the first batch of the stream gains the pivots of
     g_2, ..., g_{t+1}.  Duplicates, zero columns and sums of generators that
     come later in the batch (survivors that depend on each other) are mixed
     in, and more such sums follow until there are more columns than rows.
@@ -299,7 +410,7 @@ def test_blocked_clearing_against_dense_rank(monkeypatch, p, t, lo):
     def counted(self, *args):
         before = self.rank
         absorb(self, *args)
-        gains.append(self.rank - before)
+        gains.append((before, self.rank - before))
 
     monkeypatch.setattr(chains._EchelonBasis, "absorb", counted)
     m = blocked_batch(random.Random(p * t + lo), p, t, lo)
@@ -308,10 +419,11 @@ def test_blocked_clearing_against_dense_rank(monkeypatch, p, t, lo):
     for tall in (False, True):
         gains.clear()
         assert matrix_rank(m.transpose() if tall else m, GF(p)) == want
-        # The lead pass gains 2; a batch holds 512 columns, some of them
-        # not generators.
-        assert gains[0] == 2
-        assert gains[1] == t if t < 512 else gains[1] > 500
+        # The seed installs 2 before the stream; a batch holds 512
+        # columns, some of them not generators.
+        before, gain = gains[0]
+        assert before == 2
+        assert gain == t if t < 512 else gain > 500
 
 
 def test_wide_prime_field_rank_needs_no_dense_matrix():
@@ -368,6 +480,145 @@ def test_gf2_rank_of_wide_sparse_matrix_allocates_little():
     finally:
         tracemalloc.stop()
     assert peak < packed / 4
+
+
+# ---------------------------------------------------------------------------
+# Lead seeding: lead columns installed by substitution.
+
+def echelon_vectors(basis):
+    """The vectors of an echelon basis on all n positions, as rows of
+    Python integers, and the pivot of each."""
+    rows = basis.rows[:basis.rank]
+    if basis.p == 2:
+        rows = np.unpackbits(rows.astype("<u8").view(np.uint8), axis=1,
+                             bitorder="little")
+    vecs = np.zeros((basis.rank, basis.n), dtype=object)
+    vecs[:, basis.cols] = rows[:, :len(basis.cols)].astype(object)
+    pivots = [int(np.flatnonzero(basis.code == -1 - r)[0])
+              for r in range(basis.rank)]
+    vecs[range(basis.rank), pivots] = 1
+    return vecs, pivots
+
+
+def assert_reduced_basis_of(basis, m, p):
+    """The basis is reduced (each vector 1 at its pivot, 0 at the others)
+    and spans the columns of m over F_p."""
+    vecs, pivots = echelon_vectors(basis)
+    at_pivots = vecs[:, pivots] % p if len(pivots) else vecs
+    assert (at_pivots == np.eye(basis.rank, dtype=np.int64)).all()
+    both = {(r, c): v for r, c, v in m.entries()}
+    both.update({(r, m.shape[1] + i): int(v) for i, vec in enumerate(vecs)
+                 for r, v in enumerate(vec) if v})
+    joined = CooMatrix.from_entries((m.shape[0], m.shape[1] + basis.rank),
+                                    both)
+    assert dense_rank(joined, p) == dense_rank(m, p) == basis.rank
+
+
+@pytest.fixture
+def seed_rounds(monkeypatch):
+    """The number of vectors each round of every seed installs, one list
+    per seed."""
+    from gammahom import chains
+    seeds = []
+    seed, install = chains._EchelonBasis._seed, chains._EchelonBasis._install
+
+    def seeding(self, *args):
+        seeds.append([])
+        try:
+            return seed(self, *args)
+        finally:
+            seeds.append(None)
+
+    def installing(self, block, slots):
+        if seeds and seeds[-1] is not None:
+            seeds[-1].append(len(slots))
+        return install(self, block, slots)
+
+    monkeypatch.setattr(chains._EchelonBasis, "_seed", seeding)
+    monkeypatch.setattr(chains._EchelonBasis, "_install", installing)
+    return lambda: [s for s in seeds if s is not None]
+
+
+def lead_chains(rng, n, depth, pivot_values, values):
+    """An n-row matrix whose lead columns come first and depend on each
+    other in chains ``depth`` long: every third row is ended by no column,
+    lead k ends on the k-th other row with a value from ``pivot_values``,
+    holds one on the pivot row of lead k - 1 unless k is a multiple of
+    ``depth``, and entries from ``values`` on a few of the rows no column
+    ends on.
+    Columns that end on the pivot rows again follow."""
+    free = [r for r in range(n) if r % 3 == 0]
+    ends = [r for r in range(n) if r % 3]
+    cols = []
+    for k, r in enumerate(ends):
+        col = {r: rng.choice(pivot_values)}
+        if k % depth:
+            col[ends[k - 1]] = rng.choice(pivot_values)
+        for f in rng.sample([f for f in free if f < r], min(2, r // 3)):
+            col[f] = rng.choice(values)
+        cols.append(col)
+    for _ in range(2 * n):
+        r = rng.choice(ends)
+        col = {x: rng.choice(values) for x in rng.sample(range(r), min(3, r))}
+        col[r] = rng.choice(pivot_values)
+        cols.append(col)
+    return CooMatrix.from_entries(
+        (n, len(cols)), {(r, c): v for c, col in enumerate(cols)
+                         for r, v in col.items()})
+
+
+@pytest.mark.parametrize("p", [2, 3, BIG_PRIME])
+@pytest.mark.parametrize("depth", [3, 5])
+def test_seed_of_lead_chains(seed_rounds, p, depth):
+    from gammahom import chains
+    rng = random.Random(p + depth)
+    # Values p and 2p vanish mod p; a pivot value does not.
+    values = (1, -1, 2, p, 3, -2 * p)
+    pivot_values = (1, -1, p + 1, 3) if p == 2 else (1, -1, 2, p - 1, 5)
+    for n in (10, 64, 130):
+        m = lead_chains(rng, n, depth, pivot_values, values)
+        basis = chains._EchelonBasis(n, p, m.shape[1])
+        basis.absorb_columns(m)
+        assert_reduced_basis_of(basis, m, p)
+        # Two thirds of the rows are led, in rounds as deep as the chains.
+        (rounds,) = seed_rounds()[-1:]
+        assert sum(rounds) == len([r for r in range(n) if r % 3])
+        assert len(rounds) == min(depth, sum(rounds))
+        assert matrix_rank(m, GF(p)) == matrix_rank(m.transpose(), GF(p)) \
+            == dense_rank(m, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, BIG_PRIME])
+def test_seed_of_a_resumed_basis(seed_rounds, p):
+    # B's columns touch rows 0..n-4 only.  [F; A] on n + k rows has leads
+    # ending on the untouched rows n-3..n-1 and on the added rows, which are
+    # seeded, and leads ending on rows the basis holds, which stream.
+    from gammahom import chains
+    rng = random.Random(p)
+    n, k = 40, 12
+    values = (1, -1, 2, 3)
+    b = sparse_random(rng, n - 3, 90, 3, values)
+    b = CooMatrix((n, 90), b.row, b.col, b.val)
+    cols = []
+    for r in list(range(n - 3, n)) + list(range(n, n + k)) \
+            + rng.sample(range(n - 3), 6):
+        col = {x: rng.choice(values) for x in rng.sample(range(r), min(4, r))}
+        col[r] = 1
+        cols.append(col)
+    cols.append({n + 2: 1, n - 1: 1, 0: 2})  # depends on two seeded leads
+    fa = CooMatrix.from_entries(
+        (n + k, len(cols)), {(r, c): v for c, col in enumerate(cols)
+                             for r, v in col.items()})
+    basis = chains._EchelonBasis(n, p, 90 + len(cols))
+    basis.absorb_columns(b)
+    assert basis.rank == dense_rank(b, p)
+    basis.extend(k)
+    basis.absorb_columns(fa)
+    (first, second) = seed_rounds()
+    assert sum(second) >= 3 + k and len(second) >= 2
+    both = CooMatrix((n + k, 90 + fa.shape[1]), np.r_[b.row, fa.row],
+                     np.r_[b.col, fa.col + 90], np.r_[b.val, fa.val])
+    assert_reduced_basis_of(basis, both, p)
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +900,37 @@ def test_integer_kernel_basis():
             assert smith_normal_form(columns).diagonal == (1,) * len(kernel)
 
 
+@pytest.mark.parametrize("depth", [3, 6])
+def test_unit_stream_seeds_lead_chains(stream_runs, seed_rounds, depth):
+    # Every lead ends on +-1; the entries in {2, -2, 3} leave a remainder.
+    rng = random.Random(depth)
+    for n in (12, 60):
+        m = lead_chains(rng, n, depth, (1, -1), (1, -1, 2, -2, 3))
+        assert_stream_matches_lines(m, stream_runs)
+        assert_stream_matches_lines(m.transpose(), stream_runs)
+        rounds = seed_rounds()
+        assert max(len(r) for r in rounds) >= 3
+
+
+def test_unit_stream_seed_trips_the_int64_bound(stream_runs, seed_rounds):
+    from gammahom import chains
+    # Lead i ends with 1 on row i, holds X = 2^20 on row i - 1 and 1 on
+    # row 0, which no unit ends on.  Its basis vector is 1 on row i and
+    # 1 - X (1 - X (...)) on row 0: the third round would store about
+    # 2^40, so the seed trips, and the line engine takes the matrix.
+    k, x = 6, 1 << 20
+    entries = {(i, i): 1 for i in range(1, k + 1)}
+    entries.update({(0, i): 1 for i in range(1, k + 1)})
+    entries.update({(i - 1, i): x for i in range(2, k + 1)})
+    entries[(0, 0)] = 3
+    m = CooMatrix.from_entries((k + 1, k + 1), entries)
+    want = chains._snf_lines(m, False, True).diagonal
+    assert want == (1,) * k + (3,)
+    assert smith_normal_form(m).diagonal == want
+    assert isinstance(stream_runs[0], chains._Int64Overflow)
+    assert seed_rounds()[0] == [1, 1]
+
+
 # ---------------------------------------------------------------------------
 # Homology.
 
@@ -750,24 +1032,26 @@ def test_complex_json_roundtrip():
 # Total complexes.
 
 def test_total_complex_single_direction_is_identity():
-    mc = Multicomplex(1, {(0,): 1, (1,): 1},
-                      {((1,), 0): CooMatrix.from_entries((1, 1),
-                                                         {(0, 0): 2})})
-    cx = total_complex(mc, ZZ, 1)
+    mc = Multicomplex({(0,): 1, (1,): 1})
+    cx = total_complex(mc, {(1,): ([0], [0], [2])}, ZZ, 1)
     assert cx.rank(0) == cx.rank(1) == 1
     assert homology(cx).group(0) == HomologyGroup(0, (2,))
 
 
 def test_total_complex_tensor_square_of_mod_two():
     # Tensor square of (Z --2--> Z): four terms, both differentials times 2.
-    # By hand: total is 0 -> Z --(2,-2)--> Z^2 --(2;2)--> Z -> 0, whose
-    # homology is Z/2, Z/2, 0.
-    two = CooMatrix.from_entries((1, 1), {(0, 0): 2})
-    mc = Multicomplex(2,
-                      {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1},
-                      {((1, 0), 0): two, ((1, 1), 0): two,
-                       ((0, 1), 1): two, ((1, 1), 1): two})
-    cx = total_complex(mc, ZZ, 2)
+    # Degree 1 is laid out (0, 1), (1, 0), so the strip of (1, 0) is its
+    # column 1.  The strip of (1, 1) holds the direction-0 face into
+    # (0, 1) with sign +1 and the direction-1 face into (1, 0) with the
+    # Koszul sign (-1)^1.  By hand: total is
+    # 0 -> Z --(2,-2)--> Z^2 --(2;2)--> Z -> 0, whose homology is Z/2,
+    # Z/2, 0.
+    mc = Multicomplex({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
+    strips = {(0, 1): ([0], [0], [2]), (1, 0): ([0], [1], [2]),
+              (1, 1): ([0, 1], [0, 0], [2, -2])}
+    cx = total_complex(mc, strips, ZZ, 2)
+    assert cx.boundary(1).to_dense() == [[2, 2]]
+    assert cx.boundary(2).to_dense() == [[2], [-2]]
     table = homology(cx)
     assert table.group(0) == HomologyGroup(0, (2,))
     assert table.group(1) == HomologyGroup(0, (2,))
@@ -775,23 +1059,25 @@ def test_total_complex_tensor_square_of_mod_two():
 
 
 def test_total_complex_zero_differentials_convolves_ranks():
-    mc = Multicomplex(2, {(0, 0): 2, (1, 0): 3, (0, 1): 4, (1, 1): 5}, {})
-    cx = total_complex(mc, ZZ, 2)
+    mc = Multicomplex({(0, 0): 2, (1, 0): 3, (0, 1): 4, (1, 1): 5})
+    cx = total_complex(mc, {}, ZZ, 2)
     assert cx.rank(0) == 2
     assert cx.rank(1) == 7
     assert cx.rank(2) == 5
 
 
 def test_total_complex_detects_sign_inconsistency():
-    one = CooMatrix.identity(1)
-    two = CooMatrix.from_entries((1, 1), {(0, 0): 2})
-    # squares that do not commute: d_h d_v != d_v d_h
-    mc = Multicomplex(2,
-                      {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1},
-                      {((1, 0), 0): one, ((1, 1), 0): two,
-                       ((0, 1), 1): one, ((1, 1), 1): one})
-    with pytest.raises(IntegrityError):
-        total_complex(mc, ZZ, 2)
+    # squares that do not commute: d_h d_v != d_v d_h.  Direction 0 is
+    # 1 from (1, 0) and 2 from (1, 1), direction 1 is 1 from (0, 1) and
+    # from (1, 1), the latter with the Koszul sign -1: d_1 d_2 = 2 - 1.
+    mc = Multicomplex({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
+    strips = {(0, 1): ([0], [0], [1]), (1, 0): ([0], [1], [1]),
+              (1, 1): ([0, 1], [0, 0], [2, -1])}
+    with pytest.raises(IntegrityError, match="sign consistency failed"):
+        total_complex(mc, strips, ZZ, 2)
+    # Strips out of canonical order are refused.
+    with pytest.raises(ValueError):
+        total_complex(mc, {(1, 1): ([1, 0], [0, 0], [-1, 2])}, ZZ, 2)
 
 
 def test_boundary_condition_checked_once_per_complex(monkeypatch):
@@ -803,9 +1089,8 @@ def test_boundary_condition_checked_once_per_complex(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(ChainComplex, "verify_boundary_condition", counting)
-    two = CooMatrix.from_entries((1, 1), {(0, 0): 2})
-    mc = Multicomplex(1, {(0,): 1, (1,): 1}, {((1,), 0): two})
-    cx = total_complex(mc, ZZ, 1)
+    mc = Multicomplex({(0,): 1, (1,): 1})
+    cx = total_complex(mc, {(1,): ([0], [0], [2])}, ZZ, 1)
     homology(cx)
     homology(cx)
     assert checked == [cx]
@@ -983,13 +1268,19 @@ def nonzero_columns(m, p):
 def test_induced_iso_over_a_field_against_dense_reference(monkeypatch, ring):
     from gammahom import chains
     streamed = []
-    absorb = chains._EchelonBasis.absorb
+    absorb, seed = chains._EchelonBasis.absorb, chains._EchelonBasis._seed
 
     def counted(self, owner, pos, val, count):
         streamed.append(len(np.unique(owner[val != 0])))
         return absorb(self, owner, pos, val, count)
 
+    def seeded(self, owner, pos, val):
+        taken = seed(self, owner, pos, val)
+        streamed.append(len(np.unique(owner[taken])))
+        return taken
+
     monkeypatch.setattr(chains._EchelonBasis, "absorb", counted)
+    monkeypatch.setattr(chains._EchelonBasis, "_seed", seeded)
     rng = random.Random(47)
     seen = Counter()
     for _ in range(120):
@@ -1006,8 +1297,8 @@ def test_induced_iso_over_a_field_against_dense_reference(monkeypatch, ring):
             if ring.p is None or not hs == ht > 0:
                 continue
             seen["tall"] += tall
-            # Every column of B and of [F; A] is streamed once; the three
-            # other ranks are streamed on their own.  The stream of [F; A]
+            # Every column of B and of [F; A] is seeded or streamed once;
+            # the three other ranks are seeded and streamed on their own.  The stream of [F; A]
             # stops early once M = [[B, F], [0, A]] has full row rank.
             iso = sum(streamed)
             for m in (a, src.boundary(d + 1), tgt.boundary(d)):
