@@ -33,7 +33,10 @@ by one product.  The stream stops once the rank reaches n.  Vectors are
 stored only on the positions that are not yet pivots, and a batch holds
 as many as fit in the cells of _BATCH full-length ones.  Over F_2 a vector
 is packed into uint64 words, over an odd p it is held as int64 residues.
-The basis, at most n^2 entries, is what a rank is refused on.
+The basis, at most n^2 entries, is what a rank is refused on.  The top
+boundary of a complex can stream into ``homology`` in batches of columns
+(``top``): each is tested for d∘d = 0, absorbed into one basis on the rows
+and dropped, so that boundary is never held whole.
 
 Over Z the same stream takes the unit pivots of a Smith form without
 transforms, in int64.  Only a +-1 entry becomes a pivot, scaled to +1, so
@@ -245,10 +248,8 @@ class CooMatrix:
         """The matrix in scipy's compressed sparse column form, read off the
         canonical order: only the column pointers are computed."""
         from scipy.sparse import csc_matrix
-        indptr = np.zeros(self.shape[1] + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.col, minlength=self.shape[1]),
-                  out=indptr[1:])
-        return csc_matrix((self.val, self.row, indptr), shape=self.shape)
+        return csc_matrix((self.val, self.row, _col_starts(self)),
+                          shape=self.shape)
 
     def permuted(self, row_perm=None, col_perm=None) -> "CooMatrix":
         """Relabel rows/columns; perm[i] is the new index of old index i."""
@@ -290,6 +291,16 @@ def _run_starts(keys):
     new[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=new[1:])
     return np.flatnonzero(new)
+
+
+def _col_starts(m: CooMatrix) -> np.ndarray:
+    """Where the entries of each column of m begin in the canonical order,
+    then m.nnz: read off the runs of equal columns, with no count over the
+    entries."""
+    starts = _run_starts(m.col)
+    ptr = np.zeros(m.shape[1] + 1, dtype=np.int64)
+    ptr[1:][m.col[starts]] = np.diff(starts, append=m.nnz)
+    return np.cumsum(ptr, out=ptr)
 
 
 def _canonicalize(shape, row, col, val):
@@ -389,8 +400,8 @@ def is_zero_product(a: CooMatrix, b: CooMatrix) -> bool:
         raise ValueError("shape mismatch in product")
     if a.nnz == 0 or b.nnz == 0:
         return True
-    per_col = np.bincount(b.col, minlength=b.shape[1])
-    w = (_abs_max(a.val) * _abs_max(b.val) * int(per_col.max())
+    start = _col_starts(b)
+    w = (_abs_max(a.val) * _abs_max(b.val) * int(np.diff(start).max())
          ).bit_length() + 1
     if w >= 64:
         raise LimitExceeded("a product of integer matrices has entries too "
@@ -400,14 +411,18 @@ def is_zero_product(a: CooMatrix, b: CooMatrix) -> bool:
     shift = (a.row % g * w).astype(np.uint64)
     np.add.at(packed, (a.col, a.row // g), a.val.view(np.uint64) << shift)
     from scipy.sparse import csr_matrix
-    start = np.zeros(b.shape[1] + 1, dtype=np.int64)
-    np.cumsum(per_col, out=start[1:])
+    # scipy keeps int32 indices as given; int64 ones it scans and converts
+    # for every chunk.
+    if max(b.shape[0], b.nnz) < 1 << 31:
+        row, start = b.row.astype(np.int32), start.astype(np.int32)
+    else:
+        row = b.row
     data = b.val.view(np.uint64)
     # The columns of b, a chunk at a time, are the rows of b's transpose.
     for lo in range(0, b.shape[1], _PRODUCT_CHUNK):
         hi = min(lo + _PRODUCT_CHUNK, b.shape[1])
         s, e = start[lo], start[hi]
-        part = csr_matrix((data[s:e], b.row[s:e], start[lo:hi + 1] - s),
+        part = csr_matrix((data[s:e], row[s:e], start[lo:hi + 1] - s),
                           shape=(hi - lo, b.shape[0]))
         if (part @ packed).any():
             return False
@@ -421,11 +436,13 @@ def coo_mul(a: CooMatrix, b: CooMatrix) -> CooMatrix:
     b."""
     if a.nnz == 0 or b.nnz == 0:
         return CooMatrix.zero((a.shape[0], b.shape[1]))
-    terms = min(int(np.bincount(a.row).max()), int(np.bincount(b.col).max()))
+    right = b.to_scipy()
+    terms = min(int(np.bincount(a.row).max()),
+                int(np.diff(right.indptr).max()))
     if _abs_max(a.val) * _abs_max(b.val) * terms >= 1 << 63:
         raise LimitExceeded("a product of integer matrices could pass the "
                             "int64 bound")
-    prod = (a.to_scipy() @ b.to_scipy()).tocoo()
+    prod = (a.to_scipy() @ right).tocoo()
     return CooMatrix((a.shape[0], b.shape[1]), prod.row, prod.col, prod.data)
 
 
@@ -447,6 +464,10 @@ _BATCH = 512
 # A field rank is refused when its basis, as many vectors of length n as
 # it can hold, would take more bytes than this.
 _BASIS_LIMIT = 1 << 29
+
+# The code of a basis position that no vector has held yet, and so has no
+# slot; like a slot, it is not a pivot.
+_NO_SLOT = np.iinfo(np.int64).max
 
 
 class _PackedBits:
@@ -530,17 +551,19 @@ class _PackedBits:
             np.uint64(1), (slots & 63).astype(np.uint64))
 
     @staticmethod
-    def take(vecs, keep):
-        """The vectors restricted to the positions listed in keep; they are
-        unpacked to one byte per bit _BATCH vectors at a time."""
-        out = np.zeros((len(vecs), 8 * ((len(keep) + 63) >> 6)),
-                       dtype=np.uint8)
+    def move(vecs, src, dst, size):
+        """Vectors of size entries holding entry src[i] of vecs at dst[i]
+        and 0 elsewhere; they are unpacked to one byte per bit _BATCH
+        vectors at a time."""
+        out = np.zeros((len(vecs), 8 * ((size + 63) >> 6)), dtype=np.uint8)
         for lo in range(0, len(vecs), _BATCH):
             raw = vecs[lo:lo + _BATCH].astype("<u8", copy=False)
             bits = np.unpackbits(raw.view(np.uint8), axis=1,
-                                 bitorder="little")[:, keep]
-            packed = np.packbits(bits, axis=1, bitorder="little")
-            out[lo:lo + _BATCH, :packed.shape[1]] = packed
+                                 bitorder="little")
+            moved = np.zeros((len(bits), 8 * out.shape[1]), dtype=np.uint8)
+            moved[:, dst] = bits[:, src]
+            out[lo:lo + _BATCH] = np.packbits(moved, axis=1,
+                                              bitorder="little")
         return out.view("<u8").astype(np.uint64, copy=False)
 
 
@@ -611,8 +634,10 @@ class _Residues:
         vecs[np.arange(len(slots)), slots] = 0
 
     @staticmethod
-    def take(vecs, keep):
-        return vecs[:, keep]
+    def move(vecs, src, dst, size):
+        out = np.zeros((len(vecs), size), dtype=np.int64)
+        out[:, dst] = vecs[:, src]
+        return out
 
 
 # Over Z every stored entry stays within +-_INT_TOP: an entry less eight
@@ -683,10 +708,13 @@ class _EchelonBasis:
     Every basis vector is 1 at its own pivot and 0 at every other pivot, so
     a vector is reduced by one gather: subtract, for each of its entries at
     a pivot, that entry times the pivot's basis vector.  Vectors are stored
-    only on the slots of ``cols``, a superset of the positions that are not
-    pivots, and the storage is narrowed whenever their count halves.  A
-    basis vector is stored without the 1 at its own pivot, so an entry of a
-    new vector either fills a slot or is reduced by the gather, never both.
+    only on the slots of ``cols``, in position order: a position gets a
+    slot when a matrix first holds an entry there (until then every vector
+    is 0 at it), and the storage is narrowed whenever the slots that are
+    not pivots fall to half.  So a matrix given in batches of columns is
+    stored, batch after batch, on the rows reached so far.  A basis vector
+    is stored without the 1 at its own pivot, so an entry of a new vector
+    either fills a slot or is reduced by the gather, never both.
 
     The vectors of a batch that survive the gather are added a block at a
     time: a block of a few of them is reduced among themselves, and its new
@@ -712,11 +740,14 @@ class _EchelonBasis:
         # owners numbered on across blocks, ``spared`` of them so far.
         self.spare = []
         self.spared = 0
-        # code[i] is the slot of position i if it is not a pivot, and
-        # -1 - r if it is the pivot of basis vector r.
+        # code[i] is the slot of position i if it is not a pivot, _NO_SLOT
+        # if it has none yet, and -1 - r if it is the pivot of basis
+        # vector r.
         self.code = np.empty(0, dtype=np.int64)
         self.cols = self.code
         self.rows = self.field.zeros(0, 0)
+        # How many slots are not pivots.
+        self.open = 0
         self.extend(n)
 
     def extend(self, k):
@@ -728,11 +759,26 @@ class _EchelonBasis:
                 f"a mod-{self.p} rank of {self.vectors} vectors of length "
                 f"{n} is too large: its basis needs {self.short}x{n} "
                 f"entries")
-        self.code = np.concatenate((self.code, len(self.cols) + np.arange(k)))
-        self.cols = np.concatenate((self.cols, np.arange(self.n, n)))
-        wider = self.field.zeros(len(self.rows), len(self.cols))
-        wider[:self.rank, :self.rows.shape[1]] = self.rows[:self.rank]
-        self.rows, self.n = wider, n
+        self.code = np.concatenate(
+            (self.code, np.full(k, _NO_SLOT, dtype=np.int64)))
+        self.n = n
+
+    def _give_slots(self, pos):
+        """Give every position of pos that has no slot one, keeping the
+        slots in position order; every vector is 0 at the new ones."""
+        new = np.zeros(self.n, dtype=bool)
+        new[pos] = True
+        new = np.flatnonzero(new & (self.code == _NO_SLOT))
+        if not len(new):
+            return
+        cols = np.sort(np.concatenate((self.cols, new)))
+        self.rows = self.field.move(
+            self.rows[:self.rank], np.arange(len(self.cols)),
+            np.searchsorted(cols, self.cols), len(cols))
+        free = self.code[cols] >= 0
+        self.code[cols[free]] = np.flatnonzero(free)
+        self.cols = cols
+        self.open += len(new)
 
     def batch(self):
         """How many vectors fit, as stored now, in the cells of _BATCH
@@ -748,6 +794,7 @@ class _EchelonBasis:
         """
         if not m.nnz:
             return
+        self._give_slots(m.row)
         val = m.val % self.p if self.p else self.field.mod(m.val.copy())
         owner, at = _lead_entries(m.row, m.col, val, self.n, unit=not self.p)
         val[at[self._seed(owner, m.row[at], val[at])]] = 0
@@ -849,9 +896,10 @@ class _EchelonBasis:
     def _narrow(self):
         """Store the vectors on the free positions alone once at most half
         of the slots are free."""
-        if self.rank < self.n and 2 * (self.n - self.rank) <= len(self.cols):
+        if 0 < 2 * self.open <= len(self.cols):
             keep = np.flatnonzero(self.code[self.cols] >= 0)
-            self.rows = self.field.take(self.rows[:self.rank], keep)
+            self.rows = self.field.move(self.rows[:self.rank], keep,
+                                        np.arange(len(keep)), len(keep))
             self.cols = self.cols[keep]
             self.code[self.cols] = np.arange(len(keep), dtype=np.int64)
 
@@ -893,6 +941,7 @@ class _EchelonBasis:
         self.rows[self.rank:top] = block
         self.code[self.cols[slots]] = -1 - np.arange(self.rank, top)
         self.rank = top
+        self.open -= len(slots)
 
     def _usable(self, vecs):
         """The vectors that may give a pivot: the nonzero ones, and over Z
@@ -1416,16 +1465,27 @@ class ChainComplex:
         return cls(ring, ranks, boundaries, data["degree_bound"])
 
 
-def homology(cx: ChainComplex,
-             degree_bound: int | None = None) -> HomologyTable:
+def homology(cx: ChainComplex, degree_bound: int | None = None,
+             top=None) -> HomologyTable:
     """Homology of a complex: Betti numbers over a field, free rank plus
     invariant-factor torsion over the integers.
+
+    Over F_p, ``top`` may stream the boundary of degree cx.degree_bound + 1,
+    which cx then does not hold: an iterable of matrices of its columns in
+    order.  Each is tested for d∘d = 0 against the boundary below, goes
+    into one echelon basis on the rows and is dropped, so the rank is taken
+    with no more than one of them held.
 
     Raises IntegrityError if the boundaries do not compose to zero; a
     complex that has passed that check already is not checked again.
     """
     bound = cx.degree_bound if degree_bound is None \
         else min(degree_bound, cx.degree_bound)
+    if top is not None and (cx.ring.kind != "F" or bound != cx.degree_bound
+                            or cx.degree_bound + 1 in cx.boundaries):
+        raise ValueError("a streamed top boundary needs a prime field, the "
+                         "complex's own degree bound and no top boundary "
+                         "in the complex")
     if not cx.verified:
         cx.verify_boundary_condition()
     degrees = range(bound + 2)
@@ -1435,7 +1495,11 @@ def homology(cx: ChainComplex,
                 for d in degrees}
         ranks = {d: len(diag[d]) for d in degrees}
     else:
+        if top is not None:
+            degrees = range(bound + 1)
         ranks = {d: matrix_rank(cx.boundary(d), cx.ring) for d in degrees}
+        if top is not None:
+            ranks[bound + 1] = _streamed_rank(cx, top)
         diag = None
     groups = {}
     for d in range(bound + 1):
@@ -1447,6 +1511,30 @@ def homology(cx: ChainComplex,
             torsion = tuple(v for v in diag[d + 1] if v > 1)
         groups[d] = HomologyGroup(betti, torsion)
     return HomologyTable(cx.ring, groups, bound)
+
+
+def _streamed_rank(cx: ChainComplex, batches) -> int:
+    """The F_p rank of the boundary of degree d = cx.degree_bound + 1, given
+    as matrices of its columns in order.  Each is checked against d_{d-1}
+    of cx for d∘d = 0 and streamed into one echelon basis on the rows of
+    degree d - 1; its lead columns are seeded per matrix."""
+    d = cx.degree_bound + 1
+    below = cx.boundary(d - 1)
+    rows, cols = cx.rank(d - 1), cx.rank(d)
+    basis = _EchelonBasis(rows, cx.ring.p, cols)
+    seen = 0
+    for m in batches:
+        seen += m.shape[1]
+        # A batch with the wrong number of rows fails the product's shapes.
+        if not is_zero_product(below, m):
+            raise IntegrityError(f"boundary condition d*d != 0 at degree {d}")
+        if basis.rank < rows:
+            basis.absorb_columns(m)
+        del m  # dropped before the next batch is built
+    if seen != cols:
+        raise ValueError(f"the batches of boundary {d} have {seen} columns, "
+                         f"expected {cols}")
+    return basis.rank
 
 
 # ---------------------------------------------------------------------------
@@ -1482,6 +1570,19 @@ def total_degree(idx) -> int:
     return sum(idx)
 
 
+def join_strips(shape, parts: list, first: int = 0) -> CooMatrix:
+    """The matrix of ``shape`` whose entries are the column strips ``parts``,
+    each (row, col, val) in canonical order, listed in column order and
+    concatenated, with the columns numbered from column ``first`` of the
+    strips.  The list is emptied once the entries are copied out."""
+    row, col, val = (np.concatenate(
+        [part[t] for part in parts] or [np.empty(0, dtype=np.int64)],
+        dtype=np.int64) for t in range(3))
+    parts.clear()
+    col -= first
+    return CooMatrix(shape, row, col, val, _canonical=True)
+
+
 def total_complex(mc: Multicomplex, strips: dict, ring: Ring,
                   degree_bound: int) -> ChainComplex:
     """Total complex of a multicomplex given by its column strips.
@@ -1502,12 +1603,9 @@ def total_complex(mc: Multicomplex, strips: dict, ring: Ring,
     for d, idxs in sorted(mc.by_degree.items()):
         if d == 0 or d > degree_bound + 1:
             continue
-        parts = [strips[idx] for idx in idxs if idx in strips]
-        row, col, val = (np.concatenate(
-            [part[t] for part in parts] or [np.empty(0, dtype=np.int64)],
-            dtype=np.int64) for t in range(3))
-        boundaries[d] = CooMatrix((ranks.get(d - 1, 0), ranks.get(d, 0)),
-                                  row, col, val, _canonical=True)
+        boundaries[d] = join_strips(
+            (ranks.get(d - 1, 0), ranks.get(d, 0)),
+            [strips[idx] for idx in idxs if idx in strips])
 
     cx = ChainComplex(ring, ranks, boundaries, degree_bound)
     try:

@@ -481,7 +481,8 @@ def is_special(x: GammaSpace, mode: str = "bijection", size_bound: int = 3,
     ``bijection`` mode asks for level-wise bijectivity (exact for discrete
     values); ``homology`` mode asks the induced map to be a homology
     isomorphism up to ``depth``.  The verdict only certifies the recorded
-    bounds.
+    bounds.  Raises BudgetExceeded when a cell of a splitting map has more
+    points than ``cell_budget``, before that map is built.
     """
     if mode not in ("bijection", "homology"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -494,7 +495,7 @@ def is_special(x: GammaSpace, mode: str = "bijection", size_bound: int = 3,
             split = pair_msmap(back1, back2)
             if mode == "bijection":
                 for idx in indices_up_to(x.directions, level_bound):
-                    if not split.component(idx).is_bijection():
+                    if not split.component(idx, cell_budget).is_bijection():
                         return SpecialVerdict(
                             False, mode, size_bound, level_bound,
                             detail=f"not bijective at ({n},{n2}), {idx}")

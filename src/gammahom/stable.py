@@ -20,16 +20,16 @@ from dataclasses import dataclass, field
 
 from .chains import (SCHEMA_VERSION, ZZ, HomologyGroup, HomologyTable,
                      Ring, coo_mul, homology)
-from .errors import LimitExceeded
+from .errors import BudgetExceeded, LimitExceeded
 from .segal import (GammaMap, GammaSpace, SpecialVerdict, counit,
                     free_gamma_map, is_special, mu_pullback,
                     block_inclusion_maps, smash_gamma, spectrum_level,
                     structure_map, suspension, suspension_map, tower,
                     tower_map, underlying_map, underlying_space,
                     wedge_case_gamma, wedge_gamma)
-from .simplicial import (DEFAULT_CELL_BUDGET, chain_map_induces_iso,
-                         chains_of_map, indices_up_to, normalized_chains,
-                         total_degree)
+from .simplicial import (DEFAULT_CELL_BUDGET, NormalizedChains,
+                         chain_map_induces_iso, chains_of_map, indices_up_to,
+                         normalized_chains, total_degree)
 
 DEFAULT_MAX_ITERATIONS = 10
 
@@ -138,9 +138,15 @@ def spectrum_homology(x: GammaSpace, ring: Ring, i_max: int, *,
     """
     if i_max < 0:
         raise ValueError("i_max must be >= 0")
-    verdict = is_special(x, "bijection", size_bound=SPECIAL_SIZE_BOUND,
-                         level_bound=SPECIAL_LEVEL_BOUND,
-                         cell_budget=cell_budget)
+    try:
+        verdict = is_special(x, "bijection", size_bound=SPECIAL_SIZE_BOUND,
+                             level_bound=SPECIAL_LEVEL_BOUND,
+                             cell_budget=cell_budget)
+    except BudgetExceeded as exc:
+        # A split cell over the budget; a set too large to enumerate at
+        # all (LimitExceeded) still ends the job with its own message.
+        verdict = SpecialVerdict(False, "bijection", SPECIAL_SIZE_BOUND,
+                                 SPECIAL_LEVEL_BOUND, detail=str(exc))
     if not verdict:
         try:
             verdict = is_special(
@@ -161,9 +167,8 @@ def spectrum_homology(x: GammaSpace, ring: Ring, i_max: int, *,
         except LimitExceeded:
             conn = -1
         if conn >= 1:
-            direct = homology(
-                normalized_chains(under, ring, min(2 * conn - 1, i_max),
-                                  cell_budget))
+            direct = NormalizedChains(under, min(2 * conn - 1, i_max),
+                                      cell_budget).homology(ring)
             for i in range(min(2 * conn, i_max + 1)):
                 group = direct.group(i)
                 entries[i] = DegreeEvidence(i, group, 0, None, "i<2c",
@@ -180,8 +185,8 @@ def spectrum_homology(x: GammaSpace, ring: Ring, i_max: int, *,
                            f"{reach + 1} exceed the budget of {cell_budget}")
             break
         try:
-            table = homology(
-                normalized_chains(level, ring, reach, cell_budget))
+            table = NormalizedChains(level, reach,
+                                     cell_budget).homology(ring)
         except LimitExceeded as exc:
             budget_note = f"level {n}: {exc}"
             break

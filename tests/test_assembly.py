@@ -11,14 +11,16 @@ pure-Python references and the universal coefficient theorem.
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from gammahom.chains import (GF, QQ, ZZ, CooMatrix, Multicomplex, homology,
-                             place_blocks, total_complex)
+from gammahom import simplicial
+from gammahom.chains import (GF, QQ, ZZ, ChainComplex, CooMatrix, Multicomplex,
+                             homology, place_blocks, total_complex)
 from gammahom.errors import IntegrityError
 from gammahom.gamma import FinPointedSet, constant_map, identity_map
 from gammahom.segal import (discrete_abelian, parse_space, spectrum_level,
@@ -450,3 +452,108 @@ def test_homology_of_random_total_complexes_against_references(seed):
     mc, strips = Multicomplex(ranks), koszul_strips(ranks, blocks)
     check_homology(lambda ring: total_complex(mc, strips, ring, top - 1),
                    top - 1)
+
+
+# ---------------------------------------------------------------------------
+# The top degree streamed into the field rank.
+
+BIG_PRIME = 2147483647
+
+# Tower levels with 1 to 4 directions: (spec, level, degree bound).  Every
+# top degree with two or more directions holds multi-indices with no cells,
+# and that of sphere level 2 holds nothing else.
+STREAMED = {
+    "ab:2 level 1": ("ab:2", 1, 5),
+    "ab:2 level 2": ("ab:2", 2, 4),
+    "ab:3 level 2": ("ab:3", 2, 3),
+    "sphere level 2": ("sphere", 2, 4),
+    "mu(2)*ab:2 level 3": ("mu(2)*ab:2", 3, 4),
+    "ab:2 level 4": ("ab:2", 4, 6),
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, BIG_PRIME])
+@pytest.mark.parametrize("name", sorted(STREAMED))
+def test_streamed_homology_matches_the_whole_complex(name, p):
+    spec, n, bound = STREAMED[name]
+    nc = NormalizedChains(spectrum_level(parse_space(spec), n), bound)
+    ring = GF(p)
+    assert nc.homology(ring) == homology(nc.complex(ring))
+
+
+def test_top_batches_split_the_top_boundary_at_strip_ends(monkeypatch):
+    nc = NormalizedChains(spectrum_level(parse_space("ab:2"), 4), 6)
+    layout, top = nc.multicomplex, 7
+    assert any(not len(nc.codes[idx]) for idx in layout.by_degree[top])
+    want = nc.complex(GF(2)).boundary(top)
+    ends = {layout.offsets[idx] + layout.ranks[idx]
+            for idx in layout.by_degree[top]}
+    monkeypatch.setattr(simplicial, "_TOP_BATCH", 100)
+    batches = list(nc.top_batches())
+    assert len(batches) > 2
+    lo, parts = 0, []
+    for m in batches:
+        assert m.shape[0] == want.shape[0]
+        assert m.shape[1] >= 100 or m is batches[-1]
+        parts.append((m.row, m.col + lo, m.val))
+        lo += m.shape[1]
+        assert lo in ends
+    assert lo == want.shape[1]
+    row, col, val = (np.concatenate(a) for a in zip(*parts))
+    assert CooMatrix(want.shape, row, col, val, _canonical=True) == want
+
+    # Several batches give the homology of the whole complex, and the
+    # complex below the top degree is checked once.
+    checked = []
+    original = ChainComplex.verify_boundary_condition
+
+    def counting(self):
+        checked.append(self)
+        return original(self)
+
+    monkeypatch.setattr(ChainComplex, "verify_boundary_condition", counting)
+    for p in (2, 3, BIG_PRIME):
+        checked.clear()
+        assert nc.homology(GF(p)) == homology(nc.complex(GF(p)))
+        assert len(checked) == 2  # the streamed one and the whole one
+
+
+def test_streamed_top_degree_is_checked_for_d_squared():
+    # The faces of unit_square(False) fail to commute at (1, 1) alone, in
+    # the top degree of bound 1: below it the complex has one boundary.
+    with pytest.raises(IntegrityError, match=r"d\*d != 0 at degree 2"):
+        NormalizedChains(unit_square(False), 1).homology(GF(2))
+    assert NormalizedChains(unit_square(True), 1).homology(GF(2)) == \
+        homology(NormalizedChains(unit_square(True), 1).complex(GF(2)))
+
+
+def test_streamed_homology_needs_a_prime_field_and_no_top_boundary():
+    nc = NormalizedChains(spectrum_level(parse_space("ab:2"), 2), 2)
+    with pytest.raises(ValueError):
+        homology(nc.complex(ZZ), top=nc.top_batches())
+    with pytest.raises(ValueError):
+        homology(nc.complex(GF(2)), top=nc.top_batches())
+
+
+def test_streamed_homology_holds_one_batch_of_the_top_degree():
+    # mu(2)*ab:2 level 4 up to degree 6: the top boundary is 1350 x 296820.
+    # With the structure maps built once, the streamed homology peaks well
+    # below the homology of the whole complex; it would not if the top
+    # degree were concatenated.
+    x = spectrum_level(parse_space("mu(2)*ab:2"), 4)
+    ring = GF(2)
+    want = homology(NormalizedChains(x, 6).complex(ring))
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            return run(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    whole, whole_peak = peak(
+        lambda: homology(NormalizedChains(x, 6).complex(ring)))
+    streamed, streamed_peak = peak(lambda: NormalizedChains(x, 6).homology(
+        ring))
+    assert whole == streamed == want
+    assert streamed_peak < 0.6 * whole_peak, (streamed_peak, whole_peak)

@@ -226,6 +226,20 @@ def test_integer_products_refuse_to_wrap():
     assert not is_zero_product(small, CooMatrix((1, 1), [0], [0], [4]))
 
 
+def test_column_starts_read_off_the_canonical_order():
+    # Empty columns first, inside and last, and a matrix with no entries.
+    from gammahom.chains import _col_starts, coo_mul
+    m = CooMatrix((3, 7), [0, 2, 1, 0, 1], [1, 1, 3, 5, 5], [1, -1, 2, 1, 3])
+    want = np.cumsum([0] + np.bincount(m.col, minlength=7).tolist())
+    assert _col_starts(m).tolist() == want.tolist() == [0, 0, 2, 2, 3, 3, 5,
+                                                        5]
+    assert _col_starts(CooMatrix.zero((2, 3))).tolist() == [0, 0, 0, 0]
+    assert m.to_scipy().toarray().tolist() == m.to_dense()
+    a = CooMatrix((2, 3), [0, 1, 1], [0, 1, 2], [2, -1, 1])
+    dense = (np.array(a.to_dense()) @ np.array(m.to_dense())).tolist()
+    assert coo_mul(a, m).to_dense() == dense
+
+
 # ---------------------------------------------------------------------------
 # Field ranks against a plain dense elimination.
 

@@ -1,9 +1,12 @@
 """Stabilization along the tower and the property suites."""
 
+import pytest
+
 from gammahom.chains import GF, QQ, ZZ, HomologyGroup, homology
+from gammahom.errors import BudgetExceeded
 from gammahom.segal import (delooping, discrete_abelian,
-                            free_gamma_space, point_space, spectrum_level,
-                            sphere_space)
+                            free_gamma_space, is_special, point_space,
+                            spectrum_level, sphere_space)
 from gammahom.simplicial import (circle, normalized_chains, smash_ss,
                                  suspension_ss, two_point_object)
 from gammahom.stable import (check_commuting_square, check_rho_iso,
@@ -86,6 +89,20 @@ def test_budget_exhaustion_gives_partial_result():
     unstable_part = [i for i, e in result.entries.items() if not e.stable]
     assert stable_part and unstable_part
     assert min(unstable_part) > max(stable_part)
+
+
+def test_specialness_check_keeps_to_the_cell_budget():
+    # The split map X([3]) -> X([1]) x X([2]) of ab:11 is on 11^3 = 1331
+    # points, above a budget of 1000: the check refuses it before building
+    # it, and the homology still comes, with a weaker certificate.
+    with pytest.raises(BudgetExceeded) as refused:
+        is_special(discrete_abelian((11,)), cell_budget=1000)
+    assert refused.value.size == 1331
+    result = spectrum_homology(discrete_abelian((11,)), GF(2), 1,
+                               cell_budget=1000)
+    assert result.table().group(0).is_zero
+    assert result.special.mode == "homology" and result.special
+    assert is_special(discrete_abelian((11,)), cell_budget=1331)
 
 
 def test_connectivity_examples():
