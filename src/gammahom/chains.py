@@ -35,8 +35,10 @@ as many as fit in the cells of _BATCH full-length ones.  Over F_2 a vector
 is packed into uint64 words, over an odd p it is held as int64 residues.
 The basis, at most n^2 entries, is what a rank is refused on.  The top
 boundary of a complex can stream into ``homology`` in batches of columns
-(``top``): each is tested for d∘d = 0, absorbed into one basis on the rows
-and dropped, so that boundary is never held whole.
+(``top``, ``stream_top``): each is tested for d∘d = 0, absorbed into one
+basis on the rows and dropped, so that boundary is never held whole.  A
+batch is compact, int32 indices and int8 values, and both kernels widen
+it a slice at a time.
 
 Over Z the same stream takes the unit pivots of a Smith form without
 transforms, in int64.  Only a +-1 entry becomes a pivot, scaled to +1, so
@@ -91,6 +93,7 @@ a nonzero remainder becomes the pivot, so |a| strictly falls.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 
@@ -177,22 +180,27 @@ class CooMatrix:
     """An immutable integer sparse matrix as triplets in column-major order:
     sorted by column, then row, with no repeated position and no zero value.
 
-    Triplets in any order are brought into that order by one sort.  A
-    caller that builds them in that order already passes ``_canonical=True``;
-    the claim is then checked in one pass, and a ValueError is raised if it
-    does not hold.
+    Triplets in any order are brought into that order by one sort, in
+    int64.  A caller that builds them in that order already passes
+    ``_canonical=True``; the claim is then checked in one pass, and a
+    ValueError is raised if it does not hold.  Canonical triplets keep
+    int32 indices and int8 values as given, about 9 bytes an entry against
+    24: a compact matrix, as the streamed top boundary's batches are.  Its
+    consumers take int8 values a slice at a time or in their own type.
     """
 
     __slots__ = ("shape", "row", "col", "val")
 
     def __init__(self, shape, row, col, val, _canonical=False):
         self.shape = (int(shape[0]), int(shape[1]))
-        row = np.asarray(row, dtype=np.int64)
-        col = np.asarray(col, dtype=np.int64)
-        val = np.asarray(val, dtype=np.int64)
         if _canonical:
+            row, col = _stored(row, _INT32), _stored(col, _INT32)
+            val = _stored(val, _INT8)
             _check_canonical(self.shape, row, col, val)
         else:
+            row = np.asarray(row, dtype=np.int64)
+            col = np.asarray(col, dtype=np.int64)
+            val = np.asarray(val, dtype=np.int64)
             row, col, val = _canonicalize(self.shape, row, col, val)
         for a in (row, col, val):
             a.setflags(write=False)
@@ -246,10 +254,11 @@ class CooMatrix:
 
     def to_scipy(self):
         """The matrix in scipy's compressed sparse column form, read off the
-        canonical order: only the column pointers are computed."""
+        canonical order: only the column pointers are computed.  Its values
+        are int64, in which scipy's products are taken."""
         from scipy.sparse import csc_matrix
-        return csc_matrix((self.val, self.row, _col_starts(self)),
-                          shape=self.shape)
+        return csc_matrix((self.val.astype(np.int64, copy=False), self.row,
+                           _col_starts(self)), shape=self.shape)
 
     def permuted(self, row_perm=None, col_perm=None) -> "CooMatrix":
         """Relabel rows/columns; perm[i] is the new index of old index i."""
@@ -283,6 +292,28 @@ class CooMatrix:
             return cls.zero(shape)
         arr = np.asarray(ent, dtype=np.int64)
         return cls(shape, arr[:, 0], arr[:, 1], arr[:, 2])
+
+
+_INT64, _INT32, _INT8 = np.dtype(np.int64), np.dtype(np.int32), \
+    np.dtype(np.int8)
+
+# A prime above this is beyond int8: no compact value but 0 is 0 mod p.
+_INT8_MAX = 127
+
+
+def _stored(a, narrow):
+    """a as a matrix stores it: as given if int64 or of the narrow type,
+    else in int64."""
+    a = np.asarray(a)
+    return a if a.dtype is _INT64 or a.dtype is narrow \
+        else a.astype(np.int64)
+
+
+def _as_uint64(val):
+    """Integer values as uint64, wrapped mod 2^64: a view of int64 values,
+    a copy of narrower ones."""
+    return val.view(np.uint64) if val.dtype is _INT64 \
+        else val.astype(np.uint64)
 
 
 def _run_starts(keys):
@@ -322,18 +353,25 @@ def _canonicalize(shape, row, col, val):
     return uniq % shape[0], uniq // shape[0], sums
 
 
+_UNSIGNED = {4: np.dtype(np.uint32), 8: np.dtype(np.uint64)}
+
+
 def _check_canonical(shape, row, col, val):
-    """Raise ValueError unless the triplets are canonical.  Once the keys
-    col * rows + row increase, the first and last column bound them all."""
+    """Raise ValueError unless the triplets are canonical: from one entry to
+    the next the column rises, or it stays and the row rises.  Neighbours
+    are compared directly; a key col * rows + row would wrap in int32.
+    Once the columns do not fall, the first and last bound them all."""
     if not len(row) == len(col) == len(val):
         raise ValueError("triplet arrays differ in length")
     if not len(val):
         return
-    if (row.view(np.uint64) >= shape[0]).any() or col[0] < 0 \
-            or col[-1] >= shape[1]:
+    if (row.view(_UNSIGNED[row.itemsize]) >= shape[0]).any() \
+            or col[0] < 0 or col[-1] >= shape[1]:
         raise ValueError("matrix entry out of shape bounds")
-    key = col * shape[0] + row
-    if not (key[1:] > key[:-1]).all():
+    before, after = col[:-1], col[1:]
+    rise = row[1:] > row[:-1]
+    rise |= after != before
+    if not (rise.all() and (after >= before).all()):
         raise ValueError("entries are not in strictly increasing "
                          "column-major order")
     if not val.all():
@@ -394,7 +432,8 @@ def is_zero_product(a: CooMatrix, b: CooMatrix) -> bool:
     words gives the entries of a*b in that column as balanced base-2^w
     digits, each below half a digit, so their sum is below 2^63 and it is
     zero mod 2^64, where uint64 products wrap, only if every digit is.
-    Raises LimitExceeded when w would reach 64.
+    Raises LimitExceeded when w would reach 64.  Compact values of b are
+    widened a chunk of columns at a time.
     """
     if a.shape[1] != b.shape[0]:
         raise ValueError("shape mismatch in product")
@@ -409,21 +448,21 @@ def is_zero_product(a: CooMatrix, b: CooMatrix) -> bool:
     g = 64 // w
     packed = np.zeros((a.shape[1], -(-a.shape[0] // g)), dtype=np.uint64)
     shift = (a.row % g * w).astype(np.uint64)
-    np.add.at(packed, (a.col, a.row // g), a.val.view(np.uint64) << shift)
+    np.add.at(packed, (a.col, a.row // g), _as_uint64(a.val) << shift)
     from scipy.sparse import csr_matrix
     # scipy keeps int32 indices as given; int64 ones it scans and converts
     # for every chunk.
     if max(b.shape[0], b.nnz) < 1 << 31:
-        row, start = b.row.astype(np.int32), start.astype(np.int32)
+        row = b.row.astype(np.int32, copy=False)
+        start = start.astype(np.int32)
     else:
-        row = b.row
-    data = b.val.view(np.uint64)
+        row = b.row.astype(np.int64, copy=False)
     # The columns of b, a chunk at a time, are the rows of b's transpose.
     for lo in range(0, b.shape[1], _PRODUCT_CHUNK):
         hi = min(lo + _PRODUCT_CHUNK, b.shape[1])
         s, e = start[lo], start[hi]
-        part = csr_matrix((data[s:e], row[s:e], start[lo:hi + 1] - s),
-                          shape=(hi - lo, b.shape[0]))
+        part = csr_matrix((_as_uint64(b.val[s:e]), row[s:e],
+                           start[lo:hi + 1] - s), shape=(hi - lo, b.shape[0]))
         if (part @ packed).any():
             return False
     return True
@@ -790,12 +829,21 @@ class _EchelonBasis:
         """Add the columns of m, which has a row for each position.
 
         The lead columns are seeded first (``_seed``), then every column
-        streams as stored, the seeded ones now empty.
+        streams as stored, the seeded ones now empty.  The values are
+        copied in their own type, 0 where they are 0 mod p: as residues, or
+        as they are when p is beyond the type, as a compact matrix's int8
+        values are for p > 127, where only 0 is 0 mod p.  ``_reduced``
+        widens them to int64 residues one slice at a time.
         """
         if not m.nnz:
             return
         self._give_slots(m.row)
-        val = m.val % self.p if self.p else self.field.mod(m.val.copy())
+        if not self.p:
+            val = self.field.mod(m.val.copy())
+        elif self.p > _INT8_MAX and m.val.dtype is _INT8:
+            val = m.val.copy()
+        else:
+            val = m.val % self.p
         owner, at = _lead_entries(m.row, m.col, val, self.n, unit=not self.p)
         val[at[self._seed(owner, m.row[at], val[at])]] = 0
         self._stream(m.col, m.row, val)
@@ -853,8 +901,11 @@ class _EchelonBasis:
         lo = 0
         while lo < len(vec) and self.rank < self.n:
             count = self.batch()
-            hi = int(np.searchsorted(vec, vec[lo] + count))
-            self.absorb(vec[lo:hi] - vec[lo], pos[lo:hi], val[lo:hi], count)
+            first = int(vec[lo])
+            # A needle of vec's own type: another would widen all of vec.
+            hi = int(np.searchsorted(vec, vec.dtype.type(first + count)))
+            self.absorb(vec[lo:hi].astype(np.int64) - first, pos[lo:hi],
+                        val[lo:hi], count)
             lo = hi
 
     def _reduced(self, owner, pos, val, count):
@@ -862,6 +913,9 @@ class _EchelonBasis:
         position, value mod p) sorted by vector and position, reduced
         against the basis by one gather and stored on the slots."""
         field = self.field
+        if self.p > _INT8_MAX and val.dtype is _INT8:
+            # Values kept as they are (absorb_columns) become residues.
+            val = val.astype(np.int64) % self.p
         code = self.code[pos]
         free = code >= 0
         vecs = field.zeros(count, len(self.cols))
@@ -1400,15 +1454,20 @@ class ChainComplex:
 
     ``boundaries[d]`` maps degree d to degree d-1.  Degrees above
     ``degree_bound`` may be only partially materialized; homology is
-    trustworthy for degrees <= degree_bound.
+    trustworthy for degrees <= degree_bound.  A complex whose top boundary,
+    that of degree_bound + 1, is streamed rather than held has
+    ``holds_top`` False: ``boundary`` then refuses that degree instead of
+    reading it as zero.
     """
 
     def __init__(self, ring: Ring, ranks: dict[int, int],
-                 boundaries: dict[int, CooMatrix], degree_bound: int):
+                 boundaries: dict[int, CooMatrix], degree_bound: int,
+                 holds_top: bool = True):
         self.ring = ring
         self.ranks = {d: r for d, r in sorted(ranks.items()) if r}
         self.boundaries = {}
         self.degree_bound = degree_bound
+        self.holds_top = holds_top
         # Set once verify_boundary_condition has passed.
         self.verified = False
         for d, m in sorted(boundaries.items()):
@@ -1425,6 +1484,9 @@ class ChainComplex:
     def boundary(self, d: int) -> CooMatrix:
         got = self.boundaries.get(d)
         if got is None:
+            if d == self.degree_bound + 1 and not self.holds_top:
+                raise ValueError(f"the complex does not hold its top "
+                                 f"boundary, of degree {d}")
             return CooMatrix.zero((self.rank(d - 1), self.rank(d)))
         return got
 
@@ -1444,7 +1506,7 @@ class ChainComplex:
             boundaries[d] = m.permuted(row_perm=perms.get(d - 1),
                                        col_perm=perms.get(d))
         return ChainComplex(self.ring, dict(self.ranks), boundaries,
-                            self.degree_bound)
+                            self.degree_bound, self.holds_top)
 
     def to_json(self) -> dict:
         return {
@@ -1472,9 +1534,8 @@ def homology(cx: ChainComplex, degree_bound: int | None = None,
 
     Over F_p, ``top`` may stream the boundary of degree cx.degree_bound + 1,
     which cx then does not hold: an iterable of matrices of its columns in
-    order.  Each is tested for d∘d = 0 against the boundary below, goes
-    into one echelon basis on the rows and is dropped, so the rank is taken
-    with no more than one of them held.
+    order (``stream_top``).  Without ``top``, a complex that does not hold
+    that boundary is refused for its own degree bound (ValueError).
 
     Raises IntegrityError if the boundaries do not compose to zero; a
     complex that has passed that check already is not checked again.
@@ -1490,16 +1551,16 @@ def homology(cx: ChainComplex, degree_bound: int | None = None,
         cx.verify_boundary_condition()
     degrees = range(bound + 2)
     if cx.ring.kind == "Z":
-        diag = {d: smith_normal_form(cx.boundary(d)).diagonal
-                if cx.boundaries.get(d) is not None else ()
-                for d in degrees}
+        held = {d: cx.boundary(d) for d in degrees}
+        diag = {d: smith_normal_form(m).diagonal if m.nnz else ()
+                for d, m in held.items()}
         ranks = {d: len(diag[d]) for d in degrees}
     else:
         if top is not None:
             degrees = range(bound + 1)
         ranks = {d: matrix_rank(cx.boundary(d), cx.ring) for d in degrees}
         if top is not None:
-            ranks[bound + 1] = _streamed_rank(cx, top)
+            ranks[bound + 1] = stream_top(cx, top).rank
         diag = None
     groups = {}
     for d in range(bound + 1):
@@ -1513,28 +1574,31 @@ def homology(cx: ChainComplex, degree_bound: int | None = None,
     return HomologyTable(cx.ring, groups, bound)
 
 
-def _streamed_rank(cx: ChainComplex, batches) -> int:
-    """The F_p rank of the boundary of degree d = cx.degree_bound + 1, given
-    as matrices of its columns in order.  Each is checked against d_{d-1}
-    of cx for d∘d = 0 and streamed into one echelon basis on the rows of
-    degree d - 1; its lead columns are seeded per matrix."""
+def stream_top(cx: ChainComplex, batches, more: int = 0):
+    """Stream the boundary of degree d = cx.degree_bound + 1, which cx does
+    not hold, given as matrices of its columns in order.  Each is checked
+    against d_{d-1} of cx for d∘d = 0 and, over F_p, goes into one echelon
+    basis on the rows of degree d - 1, its lead columns seeded per matrix;
+    then it is dropped, so no more than one is held.  Returns the basis,
+    sized to take ``more`` columns later, or None over Z and Q."""
     d = cx.degree_bound + 1
     below = cx.boundary(d - 1)
     rows, cols = cx.rank(d - 1), cx.rank(d)
-    basis = _EchelonBasis(rows, cx.ring.p, cols)
+    basis = _EchelonBasis(rows, cx.ring.p, cols + more) \
+        if cx.ring.kind == "F" else None
     seen = 0
     for m in batches:
         seen += m.shape[1]
         # A batch with the wrong number of rows fails the product's shapes.
         if not is_zero_product(below, m):
             raise IntegrityError(f"boundary condition d*d != 0 at degree {d}")
-        if basis.rank < rows:
+        if basis is not None and basis.rank < rows:
             basis.absorb_columns(m)
         del m  # dropped before the next batch is built
     if seen != cols:
         raise ValueError(f"the batches of boundary {d} have {seen} columns, "
                          f"expected {cols}")
-    return basis.rank
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -1570,17 +1634,20 @@ def total_degree(idx) -> int:
     return sum(idx)
 
 
-def join_strips(shape, parts: list, first: int = 0) -> CooMatrix:
+def join_strips(shape, parts: list, dtype=None) -> CooMatrix:
     """The matrix of ``shape`` whose entries are the column strips ``parts``,
     each (row, col, val) in canonical order, listed in column order and
-    concatenated, with the columns numbered from column ``first`` of the
-    strips.  The list is emptied once the entries are copied out."""
-    row, col, val = (np.concatenate(
-        [part[t] for part in parts] or [np.empty(0, dtype=np.int64)],
-        dtype=np.int64) for t in range(3))
+    concatenated in ``dtype``, or compact if they are.  The list is
+    emptied, and each of the three arrays of the strips is dropped once
+    it is copied out."""
+    fields = [list(a) for a in zip(*parts)] or [[], [], []]
     parts.clear()
-    col -= first
-    return CooMatrix(shape, row, col, val, _canonical=True)
+    joined = []
+    for arrays in fields:
+        joined.append(np.concatenate(
+            arrays or [np.empty(0, dtype=np.int64)], dtype=dtype))
+        arrays.clear()
+    return CooMatrix(shape, *joined, _canonical=True)
 
 
 def total_complex(mc: Multicomplex, strips: dict, ring: Ring,
@@ -1594,20 +1661,27 @@ def total_complex(mc: Multicomplex, strips: dict, ring: Ring,
     concatenate to each boundary in canonical order, which one check
     confirms.
 
+    The top degree, degree_bound + 1, is held only if one of its strips is
+    given or it has rank 0; otherwise its boundary is unknown, not zero,
+    and the complex says so (``holds_top``).
+
     The boundaries are checked to square to zero; a failure means the
     per-direction differentials were not commuting and raises
     IntegrityError.
     """
     ranks = mc.degree_ranks
+    top = degree_bound + 1
+    holds_top = not ranks.get(top) or any(
+        idx in strips for idx in mc.by_degree[top])
     boundaries = {}
     for d, idxs in sorted(mc.by_degree.items()):
-        if d == 0 or d > degree_bound + 1:
+        if d == 0 or d > top or (d == top and not holds_top):
             continue
         boundaries[d] = join_strips(
             (ranks.get(d - 1, 0), ranks.get(d, 0)),
-            [strips[idx] for idx in idxs if idx in strips])
+            [strips[idx] for idx in idxs if idx in strips], np.int64)
 
-    cx = ChainComplex(ring, ranks, boundaries, degree_bound)
+    cx = ChainComplex(ring, ranks, boundaries, degree_bound, holds_top)
     try:
         cx.verify_boundary_condition()
     except IntegrityError as exc:
@@ -1620,7 +1694,7 @@ def total_complex(mc: Multicomplex, strips: dict, ring: Ring,
 
 def induced_map_is_iso_field(src: ChainComplex, tgt: ChainComplex,
                              blocks: dict[int, CooMatrix], degree: int,
-                             ring: Ring) -> bool:
+                             ring: Ring, top=None) -> bool:
     """Whether a chain map induces an isomorphism on degree-d homology over a
     field.
 
@@ -1636,35 +1710,45 @@ def induced_map_is_iso_field(src: ChainComplex, tgt: ChainComplex,
     first, on the target's rows alone, and give rank B.  Only if the two
     dimensions agree and are nonzero is the basis extended by A's rows and
     fed the columns of [F; A]; its rank is then rank M, so B is eliminated
-    once.
+    once.  In the top degree of complexes that stream their top boundary,
+    ``top`` gives what was kept of it: (rank of src.boundary(d+1), B's
+    basis, sized for A's columns).  That basis is copied before it is
+    extended.
     """
-    a, f, b = src.boundary(degree), blocks[degree], tgt.boundary(degree + 1)
-    if f.shape != (b.shape[0], a.shape[1]):
+    a, f = src.boundary(degree), blocks[degree]
+    rows = tgt.rank(degree)
+    if f.shape != (rows, a.shape[1]):
         raise ValueError(f"chain map block {f.shape} does not fit the "
                          f"complexes in degree {degree}")
     rank_a = matrix_rank(a, ring)
-    hs = (src.rank(degree) - rank_a
-          - matrix_rank(src.boundary(degree + 1), ring))
-    rows, cols = b.shape[0], b.shape[1] + a.shape[1]
-    if ring.kind == "F":
-        basis = _EchelonBasis(rows, ring.p, cols)
-        basis.absorb_columns(b)
+    if top is not None:
+        next_rank, basis = top
         rank_b = basis.rank
     else:
-        rank_b = matrix_rank(b, ring)
+        next_rank = matrix_rank(src.boundary(degree + 1), ring)
+        b = tgt.boundary(degree + 1)
+        if ring.kind == "F":
+            basis = _EchelonBasis(rows, ring.p, b.shape[1] + a.shape[1])
+            basis.absorb_columns(b)
+            rank_b = basis.rank
+        else:
+            rank_b = matrix_rank(b, ring)
+    hs = src.rank(degree) - rank_a - next_rank
     ht = tgt.rank(degree) - matrix_rank(tgt.boundary(degree), ring) - rank_b
     if hs != ht:
         return False
     if ht == 0:
         return True
     if ring.kind == "F":
+        if top is not None:
+            basis = copy.deepcopy(basis)
         basis.extend(a.shape[0])
         basis.absorb_columns(place_blocks(
             (rows + a.shape[0], a.shape[1]), [(0, 0, f, 1), (rows, 0, a, 1)]))
         rank_m = basis.rank
     else:
         rank_m = matrix_rank(place_blocks(
-            (rows + a.shape[0], cols),
+            (rows + a.shape[0], b.shape[1] + a.shape[1]),
             [(0, 0, b, 1), (0, b.shape[1], f, 1), (rows, b.shape[1], a, 1)]),
             ring)
     return rank_m - rank_a - rank_b == ht

@@ -12,9 +12,11 @@ with one alternating face sum per direction, each with its Koszul sign,
 assembled level by level into column strips of the total boundary.  This
 avoids the multiplicative cell blow-up of diagonal simplicial sets while
 computing the same homology.  Over a prime field the strips of the top
-degree go into the rank in batches and are dropped, as in the out-of-core
-elimination of simplicial boundaries of Dumas, Heckenbach, Saunders and
-Welker (2003).
+degree are built a chunk of cells at a time and go into the rank in
+compact batches that are then dropped, as in the out-of-core elimination
+of simplicial boundaries of Dumas, Heckenbach, Saunders and Welker (2003).
+A chain map streams the top degree of both sides the same way, checking
+it on the image columns, and keeps only what its isomorphism test needs.
 """
 
 from __future__ import annotations
@@ -25,15 +27,20 @@ import numpy as np
 
 from . import gamma
 from .chains import (ChainComplex, CooMatrix, HomologyTable, Multicomplex,
-                     Ring, coo_mul, homology, induced_map_is_iso_field,
+                     Ring, _col_starts, coo_mul, homology,
+                     induced_map_is_iso_field,
                      induced_map_is_surjective_integer, join_strips, lowered,
-                     place_blocks, total_complex, total_degree)
+                     place_blocks, stream_top, total_complex, total_degree)
 from .errors import BudgetExceeded, IntegrityError
 from .gamma import FinPointedSet, PointedMap
 
 MultiIndex = tuple[int, ...]
 
 DEFAULT_CELL_BUDGET = 2_000_000
+
+# A strip is built this many cells at a time, so that the temporaries of
+# its face keys stay small next to the batch that holds its entries.
+_STRIP_CHUNK = 1 << 15
 
 # The top boundary streams into a field rank in batches of whole strips and
 # at least this many columns.  Each batch seeds its own lead pivots, so
@@ -441,6 +448,11 @@ class NormalizedChains:
 
         self.multicomplex = Multicomplex(
             {idx: len(codes) for idx, codes in self.codes.items()})
+        # Strips index rows and columns, and sort face keys 2 * row + sign,
+        # in int32 when every degree's rank allows it.
+        self._index = np.int32 if 2 * max(
+            self.multicomplex.degree_ranks.values()) < (1 << 31) - 1 \
+            else np.int64
         # strips[idx]: the columns of idx in the boundary of its degree, up
         # to degree_bound; the top degree's are built when asked for.
         self.strips: dict[MultiIndex, tuple] = {
@@ -452,71 +464,88 @@ class NormalizedChains:
         cells, in layout order; a strip is built when asked for."""
         for idx in self.multicomplex.by_degree.get(d, ()):
             if len(self.codes[idx]):
-                yield idx, self._face_strip(idx, self.codes[idx])
+                chunks = list(self._face_chunks(
+                    idx, self.codes[idx], self.multicomplex.offsets[idx]))
+                yield idx, tuple(np.concatenate(a) for a in zip(*chunks)) \
+                    if chunks else (np.empty(0, dtype=np.int64),) * 3
 
-    def _face_strip(self, idx, src_codes):
-        """The columns of the cells ``src_codes`` of level idx in the total
-        boundary: the face sums sum_i (-1)^i d_i of every direction j, with
-        the Koszul sign (-1)^(q_1+..+q_{j-1}).  Returns (row, col, val) in
-        canonical order and in the layout of the total complex, with no
-        entries if no face reaches a cell.
-
-        Slot (c, t) holds 2 * row + (sign is -1) for the t-th face of cell
-        c, and the slots of one cell are sorted along a short axis: the
-        faces of one direction that coincide fall next to each other and
-        merge into one entry (they cancel or add to +-2), and the entries
-        come out in canonical order with no sort of the whole strip.  Faces
-        of different directions lie in different levels, so they never
-        merge.  A face that is the basepoint or degenerate gets a row of
-        ``rows`` or more.
-        """
+    def _faces(self, idx):
+        """The faces of level idx, fetched once for all its strips: (rows,
+        k, slots), a slot (lookup, face table, sign bit) for each of the k
+        faces that can reach a cell.  lookup[point] is 2 * row for a cell,
+        its row in the layout of the degree below, and 2 * rows for the
+        basepoint and the degenerate cells.  The sign bit is that of
+        (-1)^i times the Koszul sign (-1)^(q_1+..+q_{j-1}) of the face d_i
+        in direction j.  None if no face reaches a cell."""
         x, layout = self.x, self.multicomplex
         rows = layout.degree_ranks[total_degree(idx) - 1]
-        # (the level below in direction j, the parity of its Koszul sign)
-        reached = []
+        slots = []
         parity = 0
         for j in range(x.directions):
             if idx[j] and len(self.codes[lowered(idx, j)]):
-                reached.append((j, lowered(idx, j), parity))
+                below = lowered(idx, j)
+                faces = [x.face(idx, j, i) for i in range(idx[j] + 1)]
+                tgt_codes = self.codes[below]
+                where = np.full(faces[0].target.points, 2 * rows,
+                                dtype=self._index)
+                where[tgt_codes] = 2 * (layout.offsets[below]
+                                        + np.arange(len(tgt_codes)))
+                slots.extend((where, face.as_array, parity ^ (i & 1))
+                             for i, face in enumerate(faces))
             parity ^= idx[j] & 1
-        if not reached:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty
-        k = sum(idx[j] + 1 for j, _, _ in reached)
-        # The slots are filled one face at a time, a contiguous line each.
-        kind = np.int32 if 2 * rows < np.iinfo(np.int32).max else np.int64
-        key = np.empty((k, len(src_codes)), dtype=kind)
-        slot = 0
-        for j, below, parity in reached:
-            faces = [x.face(idx, j, i) for i in range(idx[j] + 1)]
-            tgt_codes = self.codes[below]
-            where = np.full(faces[0].target.points, 2 * rows, dtype=kind)
-            where[tgt_codes] = 2 * (layout.offsets[below]
-                                    + np.arange(len(tgt_codes)))
-            for i, face in enumerate(faces):
-                np.take(where, face.as_array[src_codes], out=key[slot])
-                key[slot] += parity ^ (i & 1)
-                slot += 1
-        key = key.T.copy()
-        key.sort(axis=1)
-        key = key.reshape(-1)
-        real = key < 2 * rows
-        # A slot starts an entry unless it repeats the row of the slot before
-        # it in its column; an entry sums the signs of its slots.  Repeats
-        # are rare on boundaries (under 0.1 % of the entries of the largest
-        # strip of the benchmark), so they are added one by one.
-        starts = real.copy()
-        starts[1:] &= (key[1:] ^ key[:-1]) > 1
-        starts[::k] = real[::k]
-        first = np.flatnonzero(starts)
-        head = key[first]
-        val = 1 - 2 * (head & 1)
-        again = np.flatnonzero(real & ~starts)
-        np.add.at(val, np.searchsorted(first, again, "right") - 1,
-                  1 - 2 * (key[again] & 1))
-        keep = np.flatnonzero(val)
-        return (head[keep] >> 1, layout.offsets[idx] + first[keep] // k,
-                val[keep])
+        return (rows, len(slots), slots) if slots else None
+
+    def _face_chunks(self, idx, src_codes, first, faces=None):
+        """The columns of the cells ``src_codes`` of level idx in the total
+        boundary, numbered from column ``first``: the face sums
+        sum_i (-1)^i d_i of every direction j, with the Koszul sign.  Yields
+        (row, col, val) in canonical order and compact (int8 values, int32
+        indices where the layout fits), one chunk of at most _STRIP_CHUNK
+        cells at a time; nothing if no face reaches a cell.
+
+        In a chunk, slot (c, t) holds 2 * row + (sign is -1) for the t-th
+        face of cell c, and the slots of one cell are sorted along a short
+        axis: the faces of one direction that coincide fall next to each
+        other and merge into one entry (they cancel or add to +-2), and
+        the entries come out in canonical order with no sort of the whole
+        strip.  Faces of different directions lie in different levels, so
+        they never merge.  A face that is the basepoint or degenerate gets
+        a row of ``rows`` or more.
+        """
+        faces = faces or self._faces(idx)
+        if faces is None:
+            return
+        rows, k, slots = faces
+        # An entry sums at most k faces of +-1.
+        value = np.int8 if k <= np.iinfo(np.int8).max else np.int64
+        for lo in range(0, len(src_codes), _STRIP_CHUNK):
+            chunk = src_codes[lo:lo + _STRIP_CHUNK]
+            # The slots are filled one face at a time, a contiguous line each.
+            key = np.empty((k, len(chunk)), dtype=self._index)
+            for line, (where, face, sign) in zip(key, slots):
+                np.take(where, face[chunk], out=line)
+                line += sign
+            key = key.T.copy()
+            key.sort(axis=1)
+            key = key.reshape(-1)
+            real = key < 2 * rows
+            # A slot starts an entry unless it repeats the row of the slot
+            # before it in its column; an entry sums the signs of its slots.
+            # Repeats are rare on boundaries (under 0.1 % of the entries of
+            # the largest strip of the benchmark), so they are added one by
+            # one.
+            starts = real.copy()
+            starts[1:] &= (key[1:] ^ key[:-1]) > 1
+            starts[::k] = real[::k]
+            head = np.flatnonzero(starts)
+            val = (1 - 2 * (key[head] & 1)).astype(value)
+            again = np.flatnonzero(real & ~starts)
+            np.add.at(val, np.searchsorted(head, again, "right") - 1,
+                      (1 - 2 * (key[again] & 1)).astype(value))
+            keep = np.flatnonzero(val)
+            yield (key[head[keep]] >> 1,
+                   (head[keep] // k + (first + lo)).astype(self._index),
+                   val[keep])
 
     def complex(self, ring: Ring) -> ChainComplex:
         """The total complex, the top degree's boundary included."""
@@ -524,25 +553,43 @@ class NormalizedChains:
         return total_complex(self.multicomplex, {**self.strips, **top}, ring,
                              self.degree_bound)
 
+    def lower(self, ring: Ring) -> ChainComplex:
+        """The total complex without the top degree's boundary, which
+        ``top_batches`` streams."""
+        return total_complex(self.multicomplex, self.strips, ring,
+                             self.degree_bound)
+
+    def top_boundary(self) -> CooMatrix:
+        """The top degree's boundary, whole, in int64."""
+        d = self.degree_bound + 1
+        ranks = self.multicomplex.degree_ranks
+        return join_strips((ranks.get(d - 1, 0), ranks.get(d, 0)),
+                           [strip for _, strip in self._strips_of(d)],
+                           np.int64)
+
     def top_batches(self):
-        """The boundary of the top degree, degree_bound + 1, as matrices of
-        its columns in layout order: whole strips, at least _TOP_BATCH
-        columns a batch (the last may have fewer), each batch's columns
-        numbered from its first.  A batch is built when asked for, so the
-        strips of one batch at a time are held."""
+        """The boundary of the top degree, degree_bound + 1, as compact
+        matrices of its columns in layout order: whole strips, at least
+        _TOP_BATCH columns a batch (the last may have fewer), each batch's
+        columns numbered from its first.  A batch is built when asked for,
+        its strips a chunk of cells at a time, so the chunks of one batch
+        at a time are held."""
         d = self.degree_bound + 1
         layout = self.multicomplex
         rows = layout.degree_ranks.get(d - 1, 0)
         lo, parts = 0, []
-        for idx, strip in self._strips_of(d):
-            parts.append(strip)
-            hi = layout.offsets[idx] + layout.ranks[idx]
+        for idx in layout.by_degree.get(d, ()):
+            codes = self.codes[idx]
+            if not len(codes):
+                continue
+            parts.extend(self._face_chunks(idx, codes,
+                                           layout.offsets[idx] - lo))
+            hi = layout.offsets[idx] + len(codes)
             if hi - lo >= _TOP_BATCH:
-                del strip  # the batch holds its entries now
-                yield join_strips((rows, hi - lo), parts, lo)
-                lo, parts = hi, []
+                yield join_strips((rows, hi - lo), parts)
+                lo = hi
         if layout.degree_ranks.get(d, 0) > lo:
-            yield join_strips((rows, layout.degree_ranks[d] - lo), parts, lo)
+            yield join_strips((rows, layout.degree_ranks[d] - lo), parts)
 
     def homology(self, ring: Ring) -> HomologyTable:
         """Homology up to degree_bound.  Over F_p the top boundary is never
@@ -550,9 +597,7 @@ class NormalizedChains:
         Over Z and Q the Smith form takes the whole complex."""
         if ring.kind != "F":
             return homology(self.complex(ring))
-        lower = total_complex(self.multicomplex, self.strips, ring,
-                              self.degree_bound)
-        return homology(lower, top=self.top_batches())
+        return homology(self.lower(ring), top=self.top_batches())
 
 
 def _index_of(codes, points):
@@ -571,22 +616,140 @@ def normalized_chains(x: MSSet, ring: Ring, degree_bound: int,
 
 
 class ChainMap:
-    """The chain-level matrix blocks induced by an MSMap on normalized
-    chains, together with both complexes."""
+    """The matrix blocks induced by an MSMap f on normalized chains up to
+    the degree bound, and both complexes without their top boundaries (of
+    degree bound + 1), which streamed once per side when the map was built.
 
-    def __init__(self, source: ChainComplex, target: ChainComplex,
-                 blocks: dict[int, CooMatrix], ring: Ring):
-        self.source = source
-        self.target = target
+    Over F_p the map keeps what the isomorphism test needs of the top
+    degree: the source's top rank and the target's top echelon basis
+    (``top``).  ``whole`` builds the top degree again, on demand, as the
+    Smith forms over Z and Q need it.
+    """
+
+    def __init__(self, f: MSMap, chains, complexes, blocks, ring: Ring,
+                 top=None):
+        self.f = f
+        self.chains = chains  # (source, target) NormalizedChains
+        self.source, self.target = complexes
         self.blocks = blocks
         self.ring = ring
+        self.top = top
+
+    @property
+    def degree_bound(self) -> int:
+        return self.source.degree_bound
 
     def block(self, degree: int) -> CooMatrix:
         got = self.blocks.get(degree)
         if got is None:
+            if degree > self.degree_bound:
+                raise ValueError(f"the chain map holds no block in degree "
+                                 f"{degree}, above its degree bound")
             return CooMatrix.zero((self.target.rank(degree),
                                    self.source.rank(degree)))
         return got
+
+    def whole(self) -> "ChainMap":
+        """This map with the top degree built whole: both complexes hold
+        their top boundaries, and ``blocks`` the top block."""
+        src, tgt = self.chains
+        top = self.degree_bound + 1
+        complexes = []
+        for cx, nc in zip((self.source, self.target), self.chains):
+            whole = ChainComplex(cx.ring, cx.ranks,
+                                 {**cx.boundaries, top: nc.top_boundary()},
+                                 cx.degree_bound)
+            # Its top batches passed the d∘d test when the map was built.
+            whole.verified = True
+            complexes.append(whole)
+        blocks = {**self.blocks, top: _block(self.f, src, tgt, top)}
+        return ChainMap(self.f, self.chains, complexes, blocks, self.ring)
+
+
+def _images(f: MSMap, src: NormalizedChains, tgt: NormalizedChains, idx):
+    """For each cell of src at idx, the index of its image under f among the
+    cells of tgt at idx; the number of those cells where the image is the
+    basepoint or degenerate.  None where either side has no cell."""
+    src_codes, tgt_codes = src.codes[idx], tgt.codes[idx]
+    if not len(src_codes) or not len(tgt_codes):
+        return None
+    component = f.component(idx)
+    return _index_of(tgt_codes, component.target.points)[
+        component.as_array[src_codes]]
+
+
+def _block(f: MSMap, src: NormalizedChains, tgt: NormalizedChains,
+           d: int) -> CooMatrix:
+    """The matrix of f in total degree d.  A cell goes to at most one
+    cell, so a column holds at most one entry, a 1."""
+    src_layout, tgt_layout = src.multicomplex, tgt.multicomplex
+    parts = []
+    for idx in src_layout.by_degree.get(d, ()):
+        pos = _images(f, src, tgt, idx)
+        if pos is None:
+            continue
+        cols = np.flatnonzero(pos < len(tgt.codes[idx]))
+        m = CooMatrix((len(tgt.codes[idx]), len(pos)), pos[cols], cols,
+                      np.ones(len(cols), dtype=np.int64), _canonical=True)
+        parts.append((tgt_layout.offsets[idx], src_layout.offsets[idx], m, 1))
+    return place_blocks((tgt_layout.degree_ranks.get(d, 0),
+                         src_layout.degree_ranks.get(d, 0)), parts)
+
+
+def _commuting(f: MSMap, src: NormalizedChains, tgt: NormalizedChains,
+               below: CooMatrix):
+    """The source's top batches, each checked as it passes to commute with
+    f on the columns of every multi-index (``_check_image_columns``);
+    ``below`` is f in the degree below."""
+    layout = src.multicomplex
+    row_map = np.full(below.shape[1], -1, dtype=np.int64)
+    row_map[below.col] = below.row
+    idxs = iter([idx for idx in layout.by_degree.get(src.degree_bound + 1,
+                                                     ())
+                 if len(src.codes[idx])])
+    for m in src.top_batches():
+        starts = _col_starts(m)
+        # A batch holds whole multi-indices.
+        first = 0
+        while first < m.shape[1]:
+            idx = next(idxs)
+            _check_image_columns(f, src, tgt, idx, m, starts, first, row_map)
+            first += layout.ranks[idx]
+        yield m
+
+
+def _check_image_columns(f, src, tgt, idx, m, starts, first, row_map):
+    """Raise IntegrityError unless the columns of the top batch m from
+    ``first`` on, those of the cells of src at idx (their entries begin at
+    ``starts``), commute with f.  For a chunk of cells at a time,
+    ``row_map`` (f in the degree below, -1 where it gives zero) applied to
+    their rows must give the target's columns at their image cells, and
+    zero where the image is the basepoint or degenerate."""
+    d = src.degree_bound + 1
+    rows = tgt.multicomplex.degree_ranks.get(d - 1, 0)
+    count, tgt_codes = len(src.codes[idx]), tgt.codes[idx]
+    pos = _images(f, src, tgt, idx)
+    faces = None if pos is None else tgt._faces(idx)
+    for lo in range(0, count, _STRIP_CHUNK):
+        width = min(_STRIP_CHUNK, count - lo)
+        s, e = starts[first + lo], starts[first + lo + width]
+        row = row_map[m.row[s:e]]
+        keep = row >= 0
+        got = CooMatrix((rows, width), row[keep],
+                        m.col[s:e][keep] - (first + lo), m.val[s:e][keep])
+        want = CooMatrix.zero((rows, width))
+        if faces is not None:
+            image = pos[lo:lo + width]
+            hit = np.flatnonzero(image < len(tgt_codes))
+            # At most _STRIP_CHUNK cells: one chunk, if any.
+            for r, c, v in tgt._face_chunks(idx, tgt_codes[image[hit]], 0,
+                                             faces):
+                want = CooMatrix((rows, width), r, hit[c], v,
+                                 _canonical=True)
+        if got != want:
+            raise IntegrityError(
+                f"{f.name}: induced map does not commute with the "
+                f"differential at degree {d}, at {idx}")
 
 
 def chains_of_map(f: MSMap, ring: Ring, degree_bound: int,
@@ -594,55 +757,51 @@ def chains_of_map(f: MSMap, ring: Ring, degree_bound: int,
     """Matrix blocks of the induced map between normalized total complexes.
 
     Cells mapped to degenerate cells contribute zero; commutation with the
-    differentials is asserted and failures raise IntegrityError.
+    differentials is asserted and failures raise IntegrityError.  Up to
+    degree_bound the complexes and blocks are built whole and the squares
+    compared as products.  The top degree streams, a batch of each side at
+    a time, each batch tested for d∘d = 0; the source's batches are
+    checked on their image columns (``_commuting``).
     """
     src = NormalizedChains(f.source, degree_bound, cell_budget)
     tgt = NormalizedChains(f.target, degree_bound, cell_budget)
-    src_layout, tgt_layout = src.multicomplex, tgt.multicomplex
-    blocks: dict[int, CooMatrix] = {}
-    for d in range(degree_bound + 2):
-        parts = []
-        for idx in src_layout.by_degree.get(d, ()):
-            src_codes = src.codes[idx]
-            if len(src_codes) == 0:
-                continue
-            tgt_codes = tgt.codes[idx]
-            if len(tgt_codes) == 0:
-                continue
-            component = f.component(idx)
-            pos = _index_of(tgt_codes, component.target.points)[
-                component.as_array[src_codes]]
-            cols = np.flatnonzero(pos < len(tgt_codes))
-            # A cell goes to at most one cell: one entry per column.
-            m = CooMatrix((len(tgt_codes), len(src_codes)), pos[cols], cols,
-                          np.ones(len(cols), dtype=np.int64), _canonical=True)
-            parts.append((tgt_layout.offsets[idx], src_layout.offsets[idx],
-                          m, 1))
-        blocks[d] = place_blocks((tgt_layout.degree_ranks.get(d, 0),
-                                  src_layout.degree_ranks.get(d, 0)), parts)
-
-    source_cx = src.complex(ring)
-    target_cx = tgt.complex(ring)
-    for d in range(1, degree_bound + 2):
+    blocks = {d: _block(f, src, tgt, d) for d in range(degree_bound + 1)}
+    source_cx, target_cx = src.lower(ring), tgt.lower(ring)
+    for d in range(1, degree_bound + 1):
         left = coo_mul(target_cx.boundary(d), blocks[d])
         right = coo_mul(blocks[d - 1], source_cx.boundary(d))
         if left != right:
             raise IntegrityError(
                 f"{f.name}: induced map does not commute with the "
                 f"differential at degree {d}")
-    return ChainMap(source_cx, target_cx, blocks, ring)
+    basis = stream_top(target_cx, tgt.top_batches(),
+                       source_cx.rank(degree_bound))
+    src_basis = stream_top(source_cx, _commuting(f, src, tgt,
+                                                 blocks[degree_bound]))
+    top = None if basis is None else (src_basis.rank, basis)
+    return ChainMap(f, (src, tgt), (source_cx, target_cx), blocks, ring, top)
 
 
 def chain_map_induces_iso(chm: ChainMap, degree: int) -> bool:
-    """Whether a chain map induces an isomorphism on degree-d homology.
+    """Whether a chain map induces an isomorphism on degree-d homology, for
+    d up to the map's degree bound.
 
     Over a field: equal dimensions plus full rank of the induced map.  Over
     the integers: equal groups plus a surjectivity certificate via Smith
-    normal form of the induced presentation.
+    normal form of the induced presentation.  In the top degree over F_p
+    the test takes what the map kept of the top boundaries; over Z and Q
+    it builds them whole.
     """
+    if not 0 <= degree <= chm.degree_bound:
+        raise ValueError(f"degree {degree} is outside the chain map's "
+                         f"degree bound {chm.degree_bound}")
+    top = chm.top if degree == chm.degree_bound else None
+    if degree == chm.degree_bound and top is None and not (
+            chm.source.holds_top and chm.target.holds_top):
+        chm = chm.whole()
     if chm.ring.is_field:
         return induced_map_is_iso_field(chm.source, chm.target, chm.blocks,
-                                        degree, chm.ring)
+                                        degree, chm.ring, top)
     src_group = homology(chm.source, degree).group(degree)
     tgt_group = homology(chm.target, degree).group(degree)
     if src_group != tgt_group:

@@ -20,16 +20,24 @@ import pytest
 
 from gammahom import simplicial
 from gammahom.chains import (GF, QQ, ZZ, ChainComplex, CooMatrix, Multicomplex,
-                             homology, place_blocks, total_complex)
+                             coo_mul, homology, induced_map_is_iso_field,
+                             induced_map_is_surjective_integer, place_blocks,
+                             total_complex)
 from gammahom.errors import IntegrityError
-from gammahom.gamma import FinPointedSet, constant_map, identity_map
-from gammahom.segal import (discrete_abelian, parse_space, spectrum_level,
-                            structure_map, tower_map)
-from gammahom.simplicial import (MSSet, NormalizedChains, chains_of_map,
+from gammahom.gamma import (FinPointedSet, PointedMap, constant_map,
+                            identity_map)
+from gammahom.segal import (block_inclusion_maps, discrete_abelian,
+                            parse_space, spectrum_level, structure_map,
+                            tower_map, wedge_case_gamma, wedge_gamma)
+from gammahom.simplicial import (MSMap, MSSet, NormalizedChains,
+                                 chain_map_induces_iso, chains_of_map,
                                  circle, identity_msmap, indices_up_to,
                                  lowered, product_ss, product_to_smash_msmap,
                                  raised, smash_ss, suspension_ss, wedge_ss,
                                  wedge_to_product_msmap)
+
+
+BIG_PRIME = 2147483647
 
 
 def resorted(m):
@@ -261,6 +269,21 @@ MAPS = {
 }
 
 
+def naive_block(f, src, tgt, d):
+    """The matrix of f in total degree d, entry by entry."""
+    by_degree, src_offsets, src_ranks = naive_layout(src.multicomplex.ranks)
+    _, tgt_offsets, tgt_ranks = naive_layout(tgt.multicomplex.ranks)
+    entries = {}
+    for idx in by_degree.get(d, []):
+        row_of = {code: r for r, code in enumerate(tgt.codes[idx].tolist())}
+        for col, code in enumerate(src.codes[idx].tolist()):
+            r = row_of.get(f.component(idx)(code))
+            if r is not None:
+                entries[tgt_offsets[idx] + r, src_offsets[idx] + col] = 1
+    return CooMatrix.from_entries(
+        (tgt_ranks.get(d, 0), src_ranks.get(d, 0)), entries)
+
+
 @pytest.mark.parametrize("name", sorted(MAPS))
 def test_chain_map_blocks_match_naive_assembly(name):
     build, bound = MAPS[name]
@@ -269,24 +292,160 @@ def test_chain_map_blocks_match_naive_assembly(name):
     src = NormalizedChains(f.source, bound)
     tgt = NormalizedChains(f.target, bound)
     chm = chains_of_map(f, ZZ, bound)
+    # The top degree streamed; it is built again on demand.
+    whole = chm.whole()
     source_cx, target_cx = src.complex(ZZ), tgt.complex(ZZ)
-    by_degree, src_offsets, _ = naive_layout(src.multicomplex.ranks)
-    _, tgt_offsets, _ = naive_layout(tgt.multicomplex.ranks)
     for d in range(bound + 2):
+        if d > bound:
+            chm = whole
         assert chm.source.boundary(d) == source_cx.boundary(d)
         assert chm.target.boundary(d) == target_cx.boundary(d)
-        entries = {}
-        for idx in by_degree.get(d, []):
-            row_of = {code: r for r, code
-                      in enumerate(tgt.codes[idx].tolist())}
-            for col, code in enumerate(src.codes[idx].tolist()):
-                r = row_of.get(f.component(idx)(code))
-                if r is not None:
-                    entries[tgt_offsets[idx] + r,
-                            src_offsets[idx] + col] = 1
         m = chm.block(d)
         assert m == resorted(m)
-        assert m == CooMatrix.from_entries(m.shape, entries)
+        assert m == naive_block(f, src, tgt, d)
+
+
+def wedge_fold(n):
+    """The fold of the wedge of the (1, 1) inflations of ab:2 at level n."""
+    first, second, _ = block_inclusion_maps(1, 1, discrete_abelian([2]))
+    return tower_map(wedge_case_gamma(first, second, wedge_gamma(
+        first.source, second.source)), n)
+
+
+TOWER_MAPS = {
+    "rho(ab:2) level 2": (
+        lambda: tower_map(structure_map(discrete_abelian([2])), 2), 3),
+    "rho(ab:2) level 3": (
+        lambda: tower_map(structure_map(discrete_abelian([2])), 3), 3),
+    "wedge fold(ab:2) level 2": (lambda: wedge_fold(2), 3),
+    "wedge fold(ab:2) level 3": (lambda: wedge_fold(3), 3),
+}
+
+
+def whole_iso(f, ring, bound):
+    """Per degree up to bound, whether f induces an isomorphism, read off
+    the whole complexes and blocks, checked to commute by products."""
+    src, tgt = NormalizedChains(f.source, bound), \
+        NormalizedChains(f.target, bound)
+    source_cx, target_cx = src.complex(ring), tgt.complex(ring)
+    blocks = {d: naive_block(f, src, tgt, d) for d in range(bound + 2)}
+    for d in range(1, bound + 2):
+        assert coo_mul(target_cx.boundary(d), blocks[d]) == \
+            coo_mul(blocks[d - 1], source_cx.boundary(d))
+    if ring.is_field:
+        return [induced_map_is_iso_field(source_cx, target_cx, blocks, d,
+                                         ring) for d in range(bound + 1)]
+    return [homology(source_cx, d).group(d) == homology(target_cx, d).group(d)
+            and induced_map_is_surjective_integer(source_cx, target_cx,
+                                                  blocks, d)
+            for d in range(bound + 1)]
+
+
+@pytest.mark.parametrize("ring", [GF(2), GF(3), GF(BIG_PRIME), ZZ, QQ],
+                         ids=str)
+@pytest.mark.parametrize("name", sorted({**MAPS, **TOWER_MAPS}))
+def test_streamed_chain_maps_agree_with_whole_complexes(name, ring):
+    build, bound = {**MAPS, **TOWER_MAPS}[name]
+    f = build()
+    chm = chains_of_map(f, ring, bound)
+    assert not (chm.source.holds_top and chm.target.holds_top) or \
+        name in MAPS
+    want = whole_iso(f, ring, bound)
+    # The top degree twice: the kept basis is copied, not used up.
+    got = [chain_map_induces_iso(chm, d) for d in range(bound + 1)]
+    assert got == want
+    assert chain_map_induces_iso(chm, bound) == want[bound]
+
+
+def relabelled(f, idx, change):
+    """f with its component at idx changed by change(table) in place."""
+    def component(at):
+        g = f.component(at)
+        if at != idx:
+            return g
+        table = g.as_array.copy()
+        change(table)
+        return PointedMap(g.source, g.target, table)
+
+    return MSMap(f.source, f.target, component, name="bad")
+
+
+def test_top_degree_that_does_not_commute_is_refused():
+    # The identity of ab:2 level 2 up to degree 3, changed at (2, 2), in
+    # the top degree 4, only: the cells below commute.
+    x = spectrum_level(parse_space("ab:2"), 2)
+    nc, top = NormalizedChains(x, 3), (2, 2)
+    boundary = nc.complex(ZZ).boundary(4)
+    first = nc.multicomplex.offsets[top]
+    columns = [list(zip(boundary.row[boundary.col == first + c].tolist(),
+                        boundary.val[boundary.col == first + c].tolist()))
+               for c in range(len(nc.codes[top]))]
+    # Two cells with different boundaries, the first of them nonzero.
+    b = next(c for c in range(1, len(columns)) if columns[c] != columns[0])
+    a_code, b_code = nc.codes[top][[0, b]]
+    assert columns[0]
+
+    def swap(table):  # a bad image column
+        table[[a_code, b_code]] = table[[b_code, a_code]]
+
+    def to_basepoint(table):  # a column sent to the basepoint
+        table[a_code] = 0
+
+    for ring in (GF(2), ZZ):
+        chains_of_map(relabelled(identity_msmap(x), top, lambda t: None),
+                      ring, 3)
+        for change in (swap, to_basepoint):
+            with pytest.raises(IntegrityError, match="degree 4"):
+                chains_of_map(relabelled(identity_msmap(x), top, change),
+                              ring, 3)
+
+
+def test_a_complex_without_its_top_boundary_is_refused():
+    nc = NormalizedChains(spectrum_level(parse_space("ab:2"), 2), 3)
+    lower = total_complex(nc.multicomplex, nc.strips, GF(2), 3)
+    assert not lower.holds_top
+    with pytest.raises(ValueError, match="top boundary"):
+        homology(lower)
+    whole = homology(nc.complex(GF(2)))
+    assert whole.group(3).free_rank == 1
+    assert homology(lower, 2) == homology(nc.complex(GF(2)), 2)
+    assert nc.homology(GF(2)) == whole
+    chm = chains_of_map(identity_msmap(nc.x), GF(2), 3)
+    for cx in (chm.source, chm.target):
+        with pytest.raises(ValueError, match="top boundary"):
+            cx.boundary(4)
+    with pytest.raises(ValueError, match="degree bound"):
+        chm.block(4)
+    with pytest.raises(ValueError, match="degree bound"):
+        chain_map_induces_iso(chm, 4)
+
+
+def test_streamed_chain_map_holds_one_batch_of_the_top_degree():
+    # The segal suite's largest map: the wedge fold at level 4 up to
+    # degree 6.  Its chain map and top-degree iso test peak well below
+    # the whole complexes of both sides and their iso test; they would not
+    # if the top degree were built whole.
+    f, ring = wedge_fold(4), GF(2)
+    chm = chains_of_map(f, ring, 6)  # builds the structure maps
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            return run(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def whole():
+        src = NormalizedChains(f.source, 6).complex(ring)
+        tgt = NormalizedChains(f.target, 6).complex(ring)
+        return induced_map_is_iso_field(src, tgt, chm.blocks, 6, ring)
+
+    def streamed():
+        return chain_map_induces_iso(chains_of_map(f, ring, 6), 6)
+
+    (want, whole_peak), (got, streamed_peak) = peak(whole), peak(streamed)
+    assert want is got is True
+    assert streamed_peak < 0.5 * whole_peak, (streamed_peak, whole_peak)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +510,9 @@ def random_multicomplex(rng, directions, top):
 
 
 def koszul_strips(ranks, blocks):
-    """The column strip of each multi-index: its direction blocks, the
-    Koszul sign applied, in the layout of the total complex."""
+    """The column strip of each multi-index above degree 0: its direction
+    blocks, the Koszul sign applied, in the layout of the total complex.
+    An empty strip is given too, so the top degree's boundary is held."""
     _, offsets, degree_ranks = naive_layout(ranks)
     strips = {}
     for idx in ranks:
@@ -363,7 +523,7 @@ def koszul_strips(ranks, blocks):
                 for r, c, v in block.entries():
                     entries[offsets[lowered(idx, j)] + r, c] = \
                         (-1) ** sum(idx[:j]) * v
-        if entries:
+        if sum(idx):
             m = CooMatrix.from_entries(
                 (degree_ranks[sum(idx) - 1], ranks[idx]), entries)
             strips[idx] = (m.row, offsets[idx] + m.col, m.val)
@@ -456,8 +616,6 @@ def test_homology_of_random_total_complexes_against_references(seed):
 
 # ---------------------------------------------------------------------------
 # The top degree streamed into the field rank.
-
-BIG_PRIME = 2147483647
 
 # Tower levels with 1 to 4 directions: (spec, level, degree bound).  Every
 # top degree with two or more directions holds multi-indices with no cells,

@@ -635,6 +635,78 @@ def test_seed_of_a_resumed_basis(seed_rounds, p):
     assert_reduced_basis_of(basis, both, p)
 
 
+
+def compact(m):
+    """The twin of m stored compact: int32 indices and int8 values."""
+    return CooMatrix(m.shape, m.row.astype(np.int32), m.col.astype(np.int32),
+                     m.val.astype(np.int8), _canonical=True)
+
+
+@pytest.mark.parametrize("p", [2, 3, BIG_PRIME])
+def test_compact_matrices_stream_like_their_int64_twins(p):
+    # Values up to +-127, the int8 range; 3, 6 and -6 vanish mod 3.  For
+    # 2^31 - 1 the int8 values are not residues, and reducing them in int8
+    # would overflow.
+    from gammahom import chains
+    rng = random.Random(p)
+    values = (1, -1, 2, -3, 6, -6, 127, -127)
+    for n in (10, 70, 130):
+        m = sparse_random(rng, n, 2000, 4, values)
+        twin = compact(m)
+        assert twin.row.dtype == np.int32 and twin.val.dtype == np.int8
+        assert twin == m
+        bases = []
+        for x in (m, twin):
+            basis = chains._EchelonBasis(n, p, m.shape[1])
+            basis.absorb_columns(x)
+            bases.append(echelon_vectors(basis))
+        (vecs, pivots), (twin_vecs, twin_pivots) = bases
+        assert pivots == twin_pivots and (vecs == twin_vecs).all()
+        if n == 10:
+            assert len(pivots) == dense_rank(m, p)
+
+
+def test_compact_matrices_test_products_like_their_int64_twins():
+    from gammahom.chains import is_zero_product
+    rng = random.Random(5)
+    used = sorted(rng.sample(range(3000), 400))
+    a, b = vanishing_pair(rng, 98, 12, 3000, used)
+    a = CooMatrix.from_entries((98, 25), a)
+    for col, v in ((None, 0), (used[0], 1), (used[-1], -127)):
+        entries = dict(b)
+        if col is not None:
+            entries[24, col] = v
+        a_col = CooMatrix.from_entries(a.shape, {
+            **{(r, k): w for r, k, w in a.entries()}, (0, 24): 3})
+        m = CooMatrix.from_entries((25, 3000), entries)
+        assert is_zero_product(a_col, compact(m)) == \
+            is_zero_product(a_col, m) == (col is None)
+
+
+def test_canonical_check_compares_neighbours():
+    # Column 2^15 then column 1 over 2^16 rows: a key col * rows + row
+    # would pass 2^31 and wrap to a negative int32, below the next key.
+    index = np.int32
+    rows = 1 << 16
+    with pytest.raises(ValueError, match="order"):
+        CooMatrix((rows, rows), np.array([0, 0], dtype=index),
+                  np.array([1 << 15, 1], dtype=index),
+                  np.array([1, 1], dtype=np.int8), _canonical=True)
+    with pytest.raises(ValueError, match="order"):  # a repeated position
+        CooMatrix((2, 2), np.array([1, 1], dtype=index),
+                  np.array([0, 0], dtype=index),
+                  np.array([1, 1], dtype=np.int8), _canonical=True)
+    with pytest.raises(ValueError, match="bounds"):
+        CooMatrix((2, 2), np.array([-1], dtype=index),
+                  np.array([0], dtype=index), np.array([1], dtype=np.int8),
+                  _canonical=True)
+    m = CooMatrix((rows, rows), np.array([5, 0, 7], dtype=index),
+                  np.array([1, 1 << 15, 1 << 15], dtype=index),
+                  np.array([1, -1, 2], dtype=np.int8), _canonical=True)
+    assert m.col.dtype == np.int32 and m.val.dtype == np.int8
+    assert list(m.entries()) == [(5, 1, 1), (0, 1 << 15, -1),
+                                 (7, 1 << 15, 2)]
+
 # ---------------------------------------------------------------------------
 # Smith normal form.
 
