@@ -1575,24 +1575,23 @@ def homology(cx: ChainComplex, degree_bound: int | None = None,
 
 
 def stream_top(cx: ChainComplex, batches, more: int = 0):
-    """Stream the boundary of degree d = cx.degree_bound + 1, which cx does
-    not hold, given as matrices of its columns in order.  Each is checked
-    against d_{d-1} of cx for d∘d = 0 and, over F_p, goes into one echelon
+    """Stream the boundary of degree d = cx.degree_bound + 1, which cx over
+    F_p does not hold, given as matrices of its columns in order.  Each is
+    checked against d_{d-1} of cx for d∘d = 0 and goes into one echelon
     basis on the rows of degree d - 1, its lead columns seeded per matrix;
     then it is dropped, so no more than one is held.  Returns the basis,
-    sized to take ``more`` columns later, or None over Z and Q."""
+    sized to take ``more`` columns later."""
     d = cx.degree_bound + 1
     below = cx.boundary(d - 1)
     rows, cols = cx.rank(d - 1), cx.rank(d)
-    basis = _EchelonBasis(rows, cx.ring.p, cols + more) \
-        if cx.ring.kind == "F" else None
+    basis = _EchelonBasis(rows, cx.ring.p, cols + more)
     seen = 0
     for m in batches:
         seen += m.shape[1]
         # A batch with the wrong number of rows fails the product's shapes.
         if not is_zero_product(below, m):
             raise IntegrityError(f"boundary condition d*d != 0 at degree {d}")
-        if basis is not None and basis.rank < rows:
+        if basis.rank < rows:
             basis.absorb_columns(m)
         del m  # dropped before the next batch is built
     if seen != cols:

@@ -15,8 +15,9 @@ computing the same homology.  Over a prime field the strips of the top
 degree are built a chunk of cells at a time and go into the rank in
 compact batches that are then dropped, as in the out-of-core elimination
 of simplicial boundaries of Dumas, Heckenbach, Saunders and Welker (2003).
-A chain map streams the top degree of both sides the same way, checking
-it on the image columns, and keeps only what its isomorphism test needs.
+A chain map takes the top degree of both sides as the homology does,
+streamed over F_p and held whole over Z and Q, and checks every square on
+the image columns of the source's boundary.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ import numpy as np
 
 from . import gamma
 from .chains import (ChainComplex, CooMatrix, HomologyTable, Multicomplex,
-                     Ring, _col_starts, coo_mul, homology,
-                     induced_map_is_iso_field,
+                     Ring, _col_starts, homology, induced_map_is_iso_field,
                      induced_map_is_surjective_integer, join_strips, lowered,
                      place_blocks, stream_top, total_complex, total_degree)
 from .errors import BudgetExceeded, IntegrityError
@@ -559,14 +559,6 @@ class NormalizedChains:
         return total_complex(self.multicomplex, self.strips, ring,
                              self.degree_bound)
 
-    def top_boundary(self) -> CooMatrix:
-        """The top degree's boundary, whole, in int64."""
-        d = self.degree_bound + 1
-        ranks = self.multicomplex.degree_ranks
-        return join_strips((ranks.get(d - 1, 0), ranks.get(d, 0)),
-                           [strip for _, strip in self._strips_of(d)],
-                           np.int64)
-
     def top_batches(self):
         """The boundary of the top degree, degree_bound + 1, as compact
         matrices of its columns in layout order: whole strips, at least
@@ -616,20 +608,18 @@ def normalized_chains(x: MSSet, ring: Ring, degree_bound: int,
 
 
 class ChainMap:
-    """The matrix blocks induced by an MSMap f on normalized chains up to
-    the degree bound, and both complexes without their top boundaries (of
-    degree bound + 1), which streamed once per side when the map was built.
+    """The matrix blocks induced by an MSMap on normalized chains, and both
+    complexes, up to the degree bound; their tops (degree bound + 1) as
+    ``NormalizedChains.homology`` has them.
 
-    Over F_p the map keeps what the isomorphism test needs of the top
-    degree: the source's top rank and the target's top echelon basis
-    (``top``).  ``whole`` builds the top degree again, on demand, as the
-    Smith forms over Z and Q need it.
+    Over F_p both tops streamed once, when the map was built, and the map
+    keeps what the isomorphism test needs of them: the source's top rank
+    and the target's top echelon basis (``top``).  Over Z and Q, whose
+    Smith forms take whole matrices, both complexes hold their top
+    boundaries and ``blocks`` the top block.
     """
 
-    def __init__(self, f: MSMap, chains, complexes, blocks, ring: Ring,
-                 top=None):
-        self.f = f
-        self.chains = chains  # (source, target) NormalizedChains
+    def __init__(self, complexes, blocks, ring: Ring, top=None):
         self.source, self.target = complexes
         self.blocks = blocks
         self.ring = ring
@@ -642,28 +632,9 @@ class ChainMap:
     def block(self, degree: int) -> CooMatrix:
         got = self.blocks.get(degree)
         if got is None:
-            if degree > self.degree_bound:
-                raise ValueError(f"the chain map holds no block in degree "
-                                 f"{degree}, above its degree bound")
-            return CooMatrix.zero((self.target.rank(degree),
-                                   self.source.rank(degree)))
+            raise ValueError(f"the chain map holds no block in degree "
+                             f"{degree}, outside its degree bound")
         return got
-
-    def whole(self) -> "ChainMap":
-        """This map with the top degree built whole: both complexes hold
-        their top boundaries, and ``blocks`` the top block."""
-        src, tgt = self.chains
-        top = self.degree_bound + 1
-        complexes = []
-        for cx, nc in zip((self.source, self.target), self.chains):
-            whole = ChainComplex(cx.ring, cx.ranks,
-                                 {**cx.boundaries, top: nc.top_boundary()},
-                                 cx.degree_bound)
-            # Its top batches passed the d∘d test when the map was built.
-            whole.verified = True
-            complexes.append(whole)
-        blocks = {**self.blocks, top: _block(self.f, src, tgt, top)}
-        return ChainMap(self.f, self.chains, complexes, blocks, self.ring)
 
 
 def _images(f: MSMap, src: NormalizedChains, tgt: NormalizedChains, idx):
@@ -697,35 +668,34 @@ def _block(f: MSMap, src: NormalizedChains, tgt: NormalizedChains,
 
 
 def _commuting(f: MSMap, src: NormalizedChains, tgt: NormalizedChains,
-               below: CooMatrix):
-    """The source's top batches, each checked as it passes to commute with
-    f on the columns of every multi-index (``_check_image_columns``);
-    ``below`` is f in the degree below."""
+               d: int, below: CooMatrix, batches):
+    """The source's boundary of degree d, given as matrices of its columns
+    in layout order that hold whole multi-indices, each checked as it
+    passes to commute with f on the columns of every multi-index
+    (``_check_image_columns``); ``below`` is f in degree d - 1."""
     layout = src.multicomplex
     row_map = np.full(below.shape[1], -1, dtype=np.int64)
     row_map[below.col] = below.row
-    idxs = iter([idx for idx in layout.by_degree.get(src.degree_bound + 1,
-                                                     ())
+    idxs = iter([idx for idx in layout.by_degree.get(d, ())
                  if len(src.codes[idx])])
-    for m in src.top_batches():
+    for m in batches:
         starts = _col_starts(m)
-        # A batch holds whole multi-indices.
         first = 0
         while first < m.shape[1]:
             idx = next(idxs)
-            _check_image_columns(f, src, tgt, idx, m, starts, first, row_map)
+            _check_image_columns(f, src, tgt, d, idx, m, starts, first,
+                                 row_map)
             first += layout.ranks[idx]
         yield m
 
 
-def _check_image_columns(f, src, tgt, idx, m, starts, first, row_map):
-    """Raise IntegrityError unless the columns of the top batch m from
-    ``first`` on, those of the cells of src at idx (their entries begin at
-    ``starts``), commute with f.  For a chunk of cells at a time,
-    ``row_map`` (f in the degree below, -1 where it gives zero) applied to
+def _check_image_columns(f, src, tgt, d, idx, m, starts, first, row_map):
+    """Raise IntegrityError unless the columns of m from ``first`` on, those
+    of the cells of src at idx in the boundary of degree d (their entries
+    begin at ``starts``), commute with f.  For a chunk of cells at a time,
+    ``row_map`` (f in degree d - 1, -1 where it gives zero) applied to
     their rows must give the target's columns at their image cells, and
     zero where the image is the basepoint or degenerate."""
-    d = src.degree_bound + 1
     rows = tgt.multicomplex.degree_ranks.get(d - 1, 0)
     count, tgt_codes = len(src.codes[idx]), tgt.codes[idx]
     pos = _images(f, src, tgt, idx)
@@ -757,29 +727,34 @@ def chains_of_map(f: MSMap, ring: Ring, degree_bound: int,
     """Matrix blocks of the induced map between normalized total complexes.
 
     Cells mapped to degenerate cells contribute zero; commutation with the
-    differentials is asserted and failures raise IntegrityError.  Up to
-    degree_bound the complexes and blocks are built whole and the squares
-    compared as products.  The top degree streams, a batch of each side at
-    a time, each batch tested for d∘d = 0; the source's batches are
-    checked on their image columns (``_commuting``).
+    differentials is asserted and failures raise IntegrityError.  The top
+    degree, degree_bound + 1, is taken as ``NormalizedChains.homology``
+    takes it.  Over F_p it streams, a batch of each side at a time, each
+    batch tested for d∘d = 0.  Over Z and Q both complexes hold it, and
+    the top block is built.  In every degree the source's boundary is
+    checked on its image columns (``_commuting``): a held boundary as one
+    batch, the streamed top a batch at a time.
     """
     src = NormalizedChains(f.source, degree_bound, cell_budget)
     tgt = NormalizedChains(f.target, degree_bound, cell_budget)
-    blocks = {d: _block(f, src, tgt, d) for d in range(degree_bound + 1)}
-    source_cx, target_cx = src.lower(ring), tgt.lower(ring)
-    for d in range(1, degree_bound + 1):
-        left = coo_mul(target_cx.boundary(d), blocks[d])
-        right = coo_mul(blocks[d - 1], source_cx.boundary(d))
-        if left != right:
-            raise IntegrityError(
-                f"{f.name}: induced map does not commute with the "
-                f"differential at degree {d}")
-    basis = stream_top(target_cx, tgt.top_batches(),
-                       source_cx.rank(degree_bound))
-    src_basis = stream_top(source_cx, _commuting(f, src, tgt,
-                                                 blocks[degree_bound]))
-    top = None if basis is None else (src_basis.rank, basis)
-    return ChainMap(f, (src, tgt), (source_cx, target_cx), blocks, ring, top)
+    top = degree_bound + 1
+    streamed = ring.kind == "F"
+    held = degree_bound if streamed else top  # the last degree held whole
+    blocks = {d: _block(f, src, tgt, d) for d in range(held + 1)}
+    source_cx, target_cx = (src.lower(ring), tgt.lower(ring)) if streamed \
+        else (src.complex(ring), tgt.complex(ring))
+    for d in range(1, held + 1):
+        for _ in _commuting(f, src, tgt, d, blocks[d - 1],
+                            [source_cx.boundary(d)]):
+            pass
+    kept = None
+    if streamed:
+        basis = stream_top(target_cx, tgt.top_batches(),
+                           source_cx.rank(degree_bound))
+        src_basis = stream_top(source_cx, _commuting(
+            f, src, tgt, top, blocks[degree_bound], src.top_batches()))
+        kept = (src_basis.rank, basis)
+    return ChainMap((source_cx, target_cx), blocks, ring, kept)
 
 
 def chain_map_induces_iso(chm: ChainMap, degree: int) -> bool:
@@ -789,17 +764,14 @@ def chain_map_induces_iso(chm: ChainMap, degree: int) -> bool:
     Over a field: equal dimensions plus full rank of the induced map.  Over
     the integers: equal groups plus a surjectivity certificate via Smith
     normal form of the induced presentation.  In the top degree over F_p
-    the test takes what the map kept of the top boundaries; over Z and Q
-    it builds them whole.
+    the test takes what the map kept of the streamed top boundaries; over
+    Z and Q the complexes hold them.
     """
     if not 0 <= degree <= chm.degree_bound:
         raise ValueError(f"degree {degree} is outside the chain map's "
                          f"degree bound {chm.degree_bound}")
-    top = chm.top if degree == chm.degree_bound else None
-    if degree == chm.degree_bound and top is None and not (
-            chm.source.holds_top and chm.target.holds_top):
-        chm = chm.whole()
     if chm.ring.is_field:
+        top = chm.top if degree == chm.degree_bound else None
         return induced_map_is_iso_field(chm.source, chm.target, chm.blocks,
                                         degree, chm.ring, top)
     src_group = homology(chm.source, degree).group(degree)

@@ -292,12 +292,9 @@ def test_chain_map_blocks_match_naive_assembly(name):
     src = NormalizedChains(f.source, bound)
     tgt = NormalizedChains(f.target, bound)
     chm = chains_of_map(f, ZZ, bound)
-    # The top degree streamed; it is built again on demand.
-    whole = chm.whole()
+    # Over Z the map holds the top degree, bound + 1, as well.
     source_cx, target_cx = src.complex(ZZ), tgt.complex(ZZ)
     for d in range(bound + 2):
-        if d > bound:
-            chm = whole
         assert chm.source.boundary(d) == source_cx.boundary(d)
         assert chm.target.boundary(d) == target_cx.boundary(d)
         m = chm.block(d)
@@ -348,8 +345,13 @@ def test_streamed_chain_maps_agree_with_whole_complexes(name, ring):
     build, bound = {**MAPS, **TOWER_MAPS}[name]
     f = build()
     chm = chains_of_map(f, ring, bound)
-    assert not (chm.source.holds_top and chm.target.holds_top) or \
-        name in MAPS
+    # Over F_p the tower maps stream a top degree; over Z and Q both
+    # complexes hold theirs.
+    if ring.kind == "F":
+        assert not (chm.source.holds_top and chm.target.holds_top) or \
+            name in MAPS
+    else:
+        assert chm.source.holds_top and chm.target.holds_top
     want = whole_iso(f, ring, bound)
     # The top degree twice: the kept basis is copied, not used up.
     got = [chain_map_induces_iso(chm, d) for d in range(bound + 1)]
@@ -371,33 +373,35 @@ def relabelled(f, idx, change):
 
 
 def test_top_degree_that_does_not_commute_is_refused():
-    # The identity of ab:2 level 2 up to degree 3, changed at (2, 2), in
-    # the top degree 4, only: the cells below commute.
-    x = spectrum_level(parse_space("ab:2"), 2)
-    nc, top = NormalizedChains(x, 3), (2, 2)
-    boundary = nc.complex(ZZ).boundary(4)
-    first = nc.multicomplex.offsets[top]
-    columns = [list(zip(boundary.row[boundary.col == first + c].tolist(),
-                        boundary.val[boundary.col == first + c].tolist()))
-               for c in range(len(nc.codes[top]))]
-    # Two cells with different boundaries, the first of them nonzero.
-    b = next(c for c in range(1, len(columns)) if columns[c] != columns[0])
-    a_code, b_code = nc.codes[top][[0, b]]
-    assert columns[0]
+    # The identity up to degree 3, changed at one multi-index: at (2, 2) of
+    # ab:2 level 2, in the top degree 4, and at (1, 2) of ab:3 level 2, in
+    # degree 3, below the top.  The cells below it commute.
+    for spec, at in (("ab:2", (2, 2)), ("ab:3", (1, 2))):
+        x = spectrum_level(parse_space(spec), 2)
+        nc, d = NormalizedChains(x, 3), sum(at)
+        boundary = nc.complex(ZZ).boundary(d)
+        first = nc.multicomplex.offsets[at]
+        columns = [list(zip(boundary.row[boundary.col == first + c].tolist(),
+                            boundary.val[boundary.col == first + c].tolist()))
+                   for c in range(len(nc.codes[at]))]
+        # Two cells with different boundaries, the first of them nonzero.
+        b = next(c for c in range(1, len(columns)) if columns[c] != columns[0])
+        a_code, b_code = nc.codes[at][[0, b]]
+        assert columns[0]
 
-    def swap(table):  # a bad image column
-        table[[a_code, b_code]] = table[[b_code, a_code]]
+        def swap(table):  # a bad image column
+            table[[a_code, b_code]] = table[[b_code, a_code]]
 
-    def to_basepoint(table):  # a column sent to the basepoint
-        table[a_code] = 0
+        def to_basepoint(table):  # a column sent to the basepoint
+            table[a_code] = 0
 
-    for ring in (GF(2), ZZ):
-        chains_of_map(relabelled(identity_msmap(x), top, lambda t: None),
-                      ring, 3)
-        for change in (swap, to_basepoint):
-            with pytest.raises(IntegrityError, match="degree 4"):
-                chains_of_map(relabelled(identity_msmap(x), top, change),
-                              ring, 3)
+        for ring in (GF(2), ZZ, QQ):
+            chains_of_map(relabelled(identity_msmap(x), at, lambda t: None),
+                          ring, 3)
+            for change in (swap, to_basepoint):
+                with pytest.raises(IntegrityError, match=f"degree {d}"):
+                    chains_of_map(relabelled(identity_msmap(x), at, change),
+                                  ring, 3)
 
 
 def test_a_complex_without_its_top_boundary_is_refused():
@@ -418,6 +422,31 @@ def test_a_complex_without_its_top_boundary_is_refused():
         chm.block(4)
     with pytest.raises(ValueError, match="degree bound"):
         chain_map_induces_iso(chm, 4)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=str)
+def test_integral_chain_map_builds_each_top_once(monkeypatch, ring):
+    # Over Z and Q the map's complexes hold their top boundaries from the
+    # start, so the iso test in the top degree builds neither again.
+    builds = []
+    strips_of = NormalizedChains._strips_of
+    top_batches = NormalizedChains.top_batches
+
+    def counted_strips_of(self, d):
+        if d == self.degree_bound + 1:
+            builds.append(self)
+        return strips_of(self, d)
+
+    def counted_top_batches(self):
+        builds.append(self)
+        return top_batches(self)
+
+    monkeypatch.setattr(NormalizedChains, "_strips_of", counted_strips_of)
+    monkeypatch.setattr(NormalizedChains, "top_batches", counted_top_batches)
+    build, bound = TOWER_MAPS["rho(ab:2) level 2"]
+    chm = chains_of_map(build(), ring, bound)
+    chain_map_induces_iso(chm, bound)
+    assert sorted(builds.count(nc) for nc in set(builds)) == [1, 1]
 
 
 def test_streamed_chain_map_holds_one_batch_of_the_top_degree():

@@ -19,6 +19,7 @@ from gammahom.simplicial import (DEFAULT_CELL_BUDGET, MSMap, MSSet,
                                  smash_msmap, smash_ss, suspension_ss,
                                  two_point_object, wedge_case_msmap,
                                  wedge_ss, wedge_to_product_msmap)
+from gammahom.segal import parse_space, spectrum_level
 from gammahom.stable import _feasible_degree_bound
 
 
@@ -182,6 +183,19 @@ def test_cell_budget_guard_reports_offender():
         normalized_chains(big, ZZ, 2, cell_budget=100)
     assert err.value.index == (0,)
     assert err.value.size == 10_001
+
+
+def test_chain_map_checks_the_cell_budget_before_any_component():
+    # Both normalized chains check every cell up to the degree bound + 1
+    # before the map builds a component.
+    x = spectrum_level(parse_space("ab:2"), 2)
+    built = []
+    f = MSMap(x, x, lambda idx: built.append(idx) or identity_map(
+        x.cell(idx).size), name="id")
+    with pytest.raises(BudgetExceeded) as err:
+        chains_of_map(f, GF(2), 3, cell_budget=10)
+    assert err.value.index == (2, 2)
+    assert built == []
 
 
 def test_constant_object_builds_its_identity_on_demand(monkeypatch):
