@@ -417,8 +417,10 @@ def _abs_max(val) -> int:
     return max(int(val.max()), -int(val.min()))
 
 
-# The columns of b that one packed product takes at a time.
-_PRODUCT_CHUNK = 1 << 16
+# The columns of b that one packed product takes at a time.  Its dense
+# result holds a uint64 word per column and word of a's packed rows: about
+# 1.3 MB for the largest top degree of the benchmark (ten words a column).
+_PRODUCT_CHUNK = 1 << 14
 
 
 def is_zero_product(a: CooMatrix, b: CooMatrix) -> bool:

@@ -3,13 +3,18 @@
 Objects are the pointed sets ``[n]+ = {o, 1, ..., n}``, stored as the integer
 ``n`` with elements encoded ``0..n`` and ``0`` the basepoint.  Morphisms are
 total basepoint-preserving maps stored as lookup tables.  A table of 1024
-entries or more is held as one read-only int64 array (8 bytes a point) and
-composed, smashed and wedged with numpy; its tuple view is built only when
-read.  Shorter tables stay Python tuples, because for the many small maps of
-the circle and of small Gamma-objects the per-call cost of numpy outweighs
-the loop it replaces.  ``sharp`` runs an injection backwards as a pointed
-map, sending the points outside its image to the basepoint; the specialness
-check builds its splitting maps from it.
+entries or more is held as one read-only array and composed, smashed and
+wedged with numpy; its tuple view is built only when read.  The array is
+int32 (4 bytes a point) while the target has fewer than 2^31 points, as
+every cell within the cell budget has, and int64 from there on
+(``code_type``).  Each operation computes in a type in which no
+intermediate value can wrap, so NumPy's promotion rules (value-based
+before NumPy 2) never decide a table.  Shorter tables stay Python tuples,
+because for the many small maps of the circle and of small Gamma-objects
+the per-call cost of numpy outweighs the loop it replaces.  ``sharp`` runs
+an injection backwards as a pointed map, sending the points outside its
+image to the basepoint; the specialness check builds its splitting maps
+from it.
 
 The smash product uses the mixed-radix pairing ``(i, j) -> (i-1)*m + j`` and
 the wedge uses block numbering.  These choices make smash strictly
@@ -30,6 +35,12 @@ import numpy as np
 
 # Tables at least this long are stored, built and composed as numpy arrays.
 _VECTOR_MIN = 1024
+
+
+def code_type(points: int) -> type:
+    """The integer type that holds the codes 0..points - 1 of a pointed
+    set: int32 below 2^31 points, int64 from there on."""
+    return np.int32 if points < 1 << 31 else np.int64
 
 
 @dataclass(frozen=True)
@@ -60,9 +71,12 @@ class PointedMap:
 
     ``table`` is a sequence of ints or a one-dimensional integer array,
     copied on construction.  Tables of ``_VECTOR_MIN`` entries or more are
-    kept as one read-only int64 array (``as_array``) and ``table`` builds a
-    tuple from it on each read; shorter tables are kept as a tuple and
-    ``as_array`` builds and caches an array on first use.
+    kept as one read-only array (``as_array``) of the target's
+    ``code_type``, checked against the target before it is narrowed, and
+    ``table`` builds a tuple from it on each read; shorter tables are kept
+    as a tuple and ``as_array`` builds and caches an intp array on first
+    use (numpy casts a narrower index array to intp on every gather, which
+    on short tables costs more than the narrow type saves).
     """
 
     __slots__ = ("source", "target", "_table", "_array")
@@ -81,9 +95,10 @@ class PointedMap:
         if table[0] != 0:
             raise ValueError("map does not preserve the basepoint")
         if len(table) >= _VECTOR_MIN:
-            arr = np.array(table, dtype=np.int64)
+            arr = np.asarray(table)
             if arr.min() < 0 or arr.max() > target.size:
                 raise ValueError("table value out of target range")
+            arr = arr.astype(code_type(target.points))
             arr.setflags(write=False)
             self._table, self._array = None, arr
         else:
@@ -103,7 +118,7 @@ class PointedMap:
     @property
     def as_array(self) -> np.ndarray:
         if self._array is None:
-            arr = np.array(self._table, dtype=np.int64)
+            arr = np.array(self._table, dtype=np.intp)
             arr.setflags(write=False)
             self._array = arr
         return self._array
@@ -147,15 +162,15 @@ class PointedMap:
 def identity_map(n: int) -> PointedMap:
     s = FinPointedSet(n)
     if n + 1 >= _VECTOR_MIN:
-        return PointedMap(s, s, np.arange(n + 1, dtype=np.int64))
+        return PointedMap(s, s, np.arange(n + 1, dtype=code_type(n + 1)))
     return PointedMap(s, s, tuple(range(n + 1)))
 
 
 def constant_map(source: FinPointedSet, target: FinPointedSet) -> PointedMap:
     """The map collapsing everything to the basepoint."""
     if source.points >= _VECTOR_MIN:
-        return PointedMap(source, target,
-                          np.zeros(source.points, dtype=np.int64))
+        return PointedMap(source, target, np.zeros(
+            source.points, dtype=code_type(target.points)))
     return PointedMap(source, target, (0,) * source.points)
 
 
@@ -202,11 +217,17 @@ def _smash_maps(f: PointedMap, g: PointedMap) -> PointedMap:
     source = FinPointedSet(size)
     target = FinPointedSet(n2 * m2)
     if size + 1 >= _VECTOR_MIN or f._table is None or g._table is None:
-        fi = f.as_array[1:, None]
-        gj = g.as_array[None, 1:]
-        out = np.where((fi == 0) | (gj == 0), 0, (fi - 1) * m2 + gj)
-        return PointedMap(source, target,
-                          np.concatenate(([0], out.reshape(size))))
+        # (fi - 1) * m2 + gj lies in [-m2, n2 * m2]; it is written in place
+        # and zeroed where fi or gj is the basepoint.
+        work = code_type(max(target.points, g.target.points))
+        fi = f.as_array[1:, None].astype(work)
+        gj = g.as_array[None, 1:].astype(work)
+        table = np.zeros(size + 1, dtype=work)
+        out = table[1:].reshape(n1, m1)
+        np.add((fi - 1) * m2, gj, out=out)
+        out *= fi != 0
+        out *= gj != 0
+        return PointedMap(source, target, table)
     table = [0]
     ft, gt = f._table, g._table
     for i in range(1, n1 + 1):
@@ -239,9 +260,12 @@ def wedge(a: PointedThing, b: PointedThing) -> PointedThing:
         source = FinPointedSet(a.source.size + b.source.size)
         target = FinPointedSet(n2 + b.target.size)
         if source.points >= _VECTOR_MIN:
-            tail = b.as_array[1:]
-            return PointedMap(source, target, np.concatenate(
-                (a.as_array, np.where(tail == 0, 0, tail + n2))))
+            table = np.empty(source.points, dtype=code_type(target.points))
+            table[:a.source.points] = a.as_array
+            tail = table[a.source.points:]
+            tail[:] = b.as_array[1:]
+            tail[tail != 0] += n2
+            return PointedMap(source, target, table)
         table = list(a._table)
         table.extend(0 if v == 0 else n2 + v for v in b._table[1:])
         return PointedMap(source, target, tuple(table))
@@ -294,7 +318,10 @@ def product(a: PointedThing, b: PointedThing) -> PointedThing:
         source = FinPointedSet(a.source.points * ms - 1)
         target = FinPointedSet(a.target.points * mt - 1)
         if source.points >= _VECTOR_MIN:
-            table = a.as_array[:, None] * mt + b.as_array[None, :]
+            work = code_type(target.points)
+            table = np.empty((a.source.points, ms), dtype=work)
+            np.multiply(a.as_array.astype(work)[:, None], mt, out=table)
+            table += b.as_array
             return PointedMap(source, target, table.reshape(source.points))
         bt = b._table
         return PointedMap(source, target,
@@ -309,7 +336,9 @@ def pair(f: PointedMap, g: PointedMap) -> PointedMap:
     mt = g.target.points
     target = FinPointedSet(f.target.points * mt - 1)
     if f._table is None:
-        return PointedMap(f.source, target, f.as_array * mt + g.as_array)
+        table = f.as_array.astype(code_type(target.points)) * mt
+        table += g.as_array
+        return PointedMap(f.source, target, table)
     table = tuple(fx * mt + gx for fx, gx in zip(f._table, g._table))
     return PointedMap(f.source, target, table)
 

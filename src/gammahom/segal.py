@@ -152,8 +152,10 @@ def _abelian_action(factors, order, f: PointedMap) -> PointedMap:
     points = order ** n
     if points > 1 << 27:
         raise LimitExceeded(f"A^{n} has {points} points; refusing to build")
-    codes = np.arange(order, dtype=np.int64)
-    table = np.zeros((order,) * n, dtype=np.int64)
+    # Every partial sum below is a code of A^m, so none can wrap.
+    work = gamma.code_type(order ** m)
+    codes = np.arange(order, dtype=work)
+    table = np.zeros((order,) * n, dtype=work)
     for j in range(1, m + 1):
         axes = [i - 1 for i in range(1, n + 1) if f(i) == j]
         if not axes:
@@ -341,11 +343,12 @@ def counit(x: GammaSpace) -> GammaMap:
         target = x.at(n).cell(idx)
         if n == 0 or base.size == 0:
             return gamma.constant_map(source, target)
-        columns = [
-            x.map_action(gamma.standard_inclusion(s, n)).component(idx)
-            .as_array[1:] for s in range(1, n + 1)]
-        flat = np.stack(columns, axis=1).reshape(base.size * n)
-        return PointedMap(source, target, np.concatenate(([0], flat)))
+        table = np.zeros(source.points, dtype=gamma.code_type(target.points))
+        columns = table[1:].reshape(base.size, n)
+        for s in range(1, n + 1):
+            columns[:, s - 1] = x.map_action(gamma.standard_inclusion(
+                s, n)).component(idx).as_array[1:]
+        return PointedMap(source, target, table)
 
     return GammaMap(free, x, component, name=f"counit({x.name})")
 
@@ -366,13 +369,13 @@ def structure_map(x: GammaSpace) -> GammaMap:
         target = x.at(q * m).cell(rest)
         if q == 0 or base.size == 0:
             return gamma.constant_map(source, target)
-        rows = []
+        table = np.zeros(source.points, dtype=gamma.code_type(target.points))
+        rows = table[1:].reshape(q, base.size)
         for k in range(1, q + 1):
             h = gamma.smash(gamma.standard_inclusion(k, q),
                             gamma.identity_map(m))
-            rows.append(x.map_action(h).component(rest).as_array[1:])
-        flat = np.stack(rows, axis=0).reshape(q * base.size)
-        return PointedMap(source, target, np.concatenate(([0], flat)))
+            rows[k - 1] = x.map_action(h).component(rest).as_array[1:]
+        return PointedMap(source, target, table)
 
     return GammaMap(sus, blo, component, name=f"rho({x.name})")
 

@@ -42,12 +42,14 @@ DEFAULT_CELL_BUDGET = 2_000_000
 # its face keys stay small next to the batch that holds its entries.
 _STRIP_CHUNK = 1 << 15
 
-# The top boundary streams into a field rank in batches of whole strips and
-# at least this many columns.  Each batch seeds its own lead pivots, so
-# smaller batches seed fewer: with 2^16 columns the 4557-row boundary of the
-# largest benchmark level seeds 4195 leads instead of 4314 and its rank
-# takes 0.218 s instead of 0.163 s, and absorbing each multi-index alone
-# cost 20-40 % of the em-fields batch time.
+# The top boundary streams into a field rank in batches of at most this
+# many columns, a multi-index split between batches at the end of a chunk
+# of its cells.  Each batch seeds its own lead pivots, so smaller batches
+# seed fewer: the 4557-row boundary of the largest benchmark level seeds
+# 4262 leads in five batches, against 4314 in three batches of whole
+# multi-indices, at the same rank time; with batches of about 2^16 columns
+# it seeded 4195 and its rank took 0.218 s instead of 0.163 s.  Absorbing
+# each multi-index alone cost 20-40 % of the em-fields batch time.
 _TOP_BATCH = 1 << 17
 
 
@@ -444,7 +446,12 @@ class NormalizedChains:
                 for i in range(idx[j] if sizes[below] else 0):
                     images = x.degeneracy(below, j, i).as_array[1:]
                     alive[images] = False
-            self.codes[idx] = np.nonzero(alive)[0]
+            codes = alive.nonzero()[0]
+            # Narrowed as map tables are: below _VECTOR_MIN points numpy's
+            # cast of an int32 index array costs more than it saves.
+            if cell.points >= gamma._VECTOR_MIN:
+                codes = codes.astype(gamma.code_type(cell.points))
+            self.codes[idx] = codes
 
         self.multicomplex = Multicomplex(
             {idx: len(codes) for idx, codes in self.codes.items()})
@@ -519,7 +526,10 @@ class NormalizedChains:
         # An entry sums at most k faces of +-1.
         value = np.int8 if k <= np.iinfo(np.int8).max else np.int64
         for lo in range(0, len(src_codes), _STRIP_CHUNK):
-            chunk = src_codes[lo:lo + _STRIP_CHUNK]
+            # Cast once: every face gathers at these codes, and numpy casts
+            # an int32 index array to intp on each gather.
+            chunk = src_codes[lo:lo + _STRIP_CHUNK].astype(np.intp,
+                                                            copy=False)
             # The slots are filled one face at a time, a contiguous line each.
             key = np.empty((k, len(chunk)), dtype=self._index)
             for line, (where, face, sign) in zip(key, slots):
@@ -561,25 +571,30 @@ class NormalizedChains:
 
     def top_batches(self):
         """The boundary of the top degree, degree_bound + 1, as compact
-        matrices of its columns in layout order: whole strips, at least
-        _TOP_BATCH columns a batch (the last may have fewer), each batch's
-        columns numbered from its first.  A batch is built when asked for,
-        its strips a chunk of cells at a time, so the chunks of one batch
-        at a time are held."""
+        matrices of its columns in layout order, at most _TOP_BATCH columns
+        a batch, each batch's columns numbered from its first.  A batch is
+        built when asked for, a chunk of cells at a time; a multi-index is
+        split between batches at the ends of its chunks of _STRIP_CHUNK
+        cells (or _TOP_BATCH, if fewer), and its faces are fetched once.
+        So the chunks of one batch at a time are held."""
         d = self.degree_bound + 1
         layout = self.multicomplex
         rows = layout.degree_ranks.get(d - 1, 0)
-        lo, parts = 0, []
+        step = min(_STRIP_CHUNK, _TOP_BATCH)
+        lo, parts = 0, []  # the first column of the batch being built
         for idx in layout.by_degree.get(d, ()):
             codes = self.codes[idx]
             if not len(codes):
                 continue
-            parts.extend(self._face_chunks(idx, codes,
-                                           layout.offsets[idx] - lo))
-            hi = layout.offsets[idx] + len(codes)
-            if hi - lo >= _TOP_BATCH:
-                yield join_strips((rows, hi - lo), parts)
-                lo = hi
+            faces = self._faces(idx)
+            for at in range(0, len(codes), step):
+                first = layout.offsets[idx] + at
+                if first + min(step, len(codes) - at) - lo > _TOP_BATCH:
+                    yield join_strips((rows, first - lo), parts)
+                    lo = first
+                if faces is not None:
+                    parts.extend(self._face_chunks(
+                        idx, codes[at:at + step], first - lo, faces))
         if layout.degree_ranks.get(d, 0) > lo:
             yield join_strips((rows, layout.degree_ranks[d] - lo), parts)
 
@@ -670,38 +685,51 @@ def _block(f: MSMap, src: NormalizedChains, tgt: NormalizedChains,
 def _commuting(f: MSMap, src: NormalizedChains, tgt: NormalizedChains,
                d: int, below: CooMatrix, batches):
     """The source's boundary of degree d, given as matrices of its columns
-    in layout order that hold whole multi-indices, each checked as it
-    passes to commute with f on the columns of every multi-index
-    (``_check_image_columns``); ``below`` is f in degree d - 1."""
+    in layout order, each checked as it passes to commute with f on its
+    columns (``_check_image_columns``); the cells of one multi-index may
+    span batches, and their images are found once.  ``below`` is f in
+    degree d - 1."""
     layout = src.multicomplex
     row_map = np.full(below.shape[1], -1, dtype=np.int64)
     row_map[below.col] = below.row
-    idxs = iter([idx for idx in layout.by_degree.get(d, ())
-                 if len(src.codes[idx])])
+    idxs = (idx for idx in layout.by_degree.get(d, ())
+            if len(src.codes[idx]))
+    # The images of the cells of the current multi-index, and how many of
+    # them are checked.
+    pos, done = (), 0
     for m in batches:
         starts = _col_starts(m)
         first = 0
         while first < m.shape[1]:
-            idx = next(idxs)
-            _check_image_columns(f, src, tgt, d, idx, m, starts, first,
-                                 row_map)
-            first += layout.ranks[idx]
+            if done == len(pos):
+                idx, done = next(idxs), 0
+                pos = _images(f, src, tgt, idx)
+                faces = None if pos is None else tgt._faces(idx)
+                if pos is None:  # no cell of tgt: every image is zero
+                    pos = np.zeros(layout.ranks[idx], dtype=np.int64)
+            count = min(len(pos) - done, m.shape[1] - first)
+            _check_image_columns(f, tgt, d, idx, m, starts, first,
+                                 pos[done:done + count], faces, row_map)
+            first += count
+            done += count
         yield m
 
 
-def _check_image_columns(f, src, tgt, d, idx, m, starts, first, row_map):
+def _check_image_columns(f, tgt, d, idx, m, starts, first, image, faces,
+                         row_map):
     """Raise IntegrityError unless the columns of m from ``first`` on, those
-    of the cells of src at idx in the boundary of degree d (their entries
-    begin at ``starts``), commute with f.  For a chunk of cells at a time,
+    of cells of f's source at idx in the boundary of degree d (their
+    entries begin at ``starts``), commute with f.  ``image`` gives each
+    cell's image among the cells of tgt at idx, or a number past them where
+    the image is the basepoint or degenerate; ``faces`` are tgt's faces at
+    idx (``NormalizedChains._faces``).  For a chunk of cells at a time,
     ``row_map`` (f in degree d - 1, -1 where it gives zero) applied to
     their rows must give the target's columns at their image cells, and
     zero where the image is the basepoint or degenerate."""
     rows = tgt.multicomplex.degree_ranks.get(d - 1, 0)
-    count, tgt_codes = len(src.codes[idx]), tgt.codes[idx]
-    pos = _images(f, src, tgt, idx)
-    faces = None if pos is None else tgt._faces(idx)
-    for lo in range(0, count, _STRIP_CHUNK):
-        width = min(_STRIP_CHUNK, count - lo)
+    tgt_codes = tgt.codes[idx]
+    for lo in range(0, len(image), _STRIP_CHUNK):
+        width = min(_STRIP_CHUNK, len(image) - lo)
         s, e = starts[first + lo], starts[first + lo + width]
         row = row_map[m.row[s:e]]
         keep = row >= 0
@@ -709,10 +737,10 @@ def _check_image_columns(f, src, tgt, d, idx, m, starts, first, row_map):
                         m.col[s:e][keep] - (first + lo), m.val[s:e][keep])
         want = CooMatrix.zero((rows, width))
         if faces is not None:
-            image = pos[lo:lo + width]
-            hit = np.flatnonzero(image < len(tgt_codes))
+            chunk = image[lo:lo + width]
+            hit = np.flatnonzero(chunk < len(tgt_codes))
             # At most _STRIP_CHUNK cells: one chunk, if any.
-            for r, c, v in tgt._face_chunks(idx, tgt_codes[image[hit]], 0,
+            for r, c, v in tgt._face_chunks(idx, tgt_codes[chunk[hit]], 0,
                                              faces):
                 want = CooMatrix((rows, width), r, hit[c], v,
                                  _canonical=True)

@@ -342,6 +342,10 @@ def whole_iso(f, ring, bound):
                          ids=str)
 @pytest.mark.parametrize("name", sorted({**MAPS, **TOWER_MAPS}))
 def test_streamed_chain_maps_agree_with_whole_complexes(name, ring):
+    check_streamed_chain_map(name, ring)
+
+
+def check_streamed_chain_map(name, ring):
     build, bound = {**MAPS, **TOWER_MAPS}[name]
     f = build()
     chm = chains_of_map(f, ring, bound)
@@ -373,6 +377,10 @@ def relabelled(f, idx, change):
 
 
 def test_top_degree_that_does_not_commute_is_refused():
+    check_refusals()
+
+
+def check_refusals():
     # The identity up to degree 3, changed at one multi-index: at (2, 2) of
     # ab:2 level 2, in the top degree 4, and at (1, 2) of ab:3 level 2, in
     # degree 3, below the top.  The cells below it commute.
@@ -402,6 +410,43 @@ def test_top_degree_that_does_not_commute_is_refused():
                 with pytest.raises(IntegrityError, match=f"degree {d}"):
                     chains_of_map(relabelled(identity_msmap(x), at, change),
                                   ring, 3)
+
+
+def split_batches(monkeypatch):
+    """Top batches of at most 5 columns, multi-indices split after every 2
+    cells and image checks 2 cells at a time.  Returns a list that records
+    (map name, degree, idx) for each image check: a multi-index checked
+    more than once in a degree spans batches."""
+    monkeypatch.setattr(simplicial, "_TOP_BATCH", 5)
+    monkeypatch.setattr(simplicial, "_STRIP_CHUNK", 2)
+    checks = []
+    check = simplicial._check_image_columns
+
+    def recorded(f, tgt, d, idx, *rest):
+        checks.append((f.name, d, idx))
+        return check(f, tgt, d, idx, *rest)
+
+    monkeypatch.setattr(simplicial, "_check_image_columns", recorded)
+    return checks
+
+
+@pytest.mark.parametrize("ring", [GF(2), GF(3), GF(BIG_PRIME), ZZ, QQ],
+                         ids=str)
+def test_streamed_chain_maps_agree_across_split_batches(monkeypatch, ring):
+    checks = split_batches(monkeypatch)
+    spanned = []
+    for name in sorted({**MAPS, **TOWER_MAPS}):
+        checks.clear()
+        check_streamed_chain_map(name, ring)
+        spanned += [key for key in set(checks) if checks.count(key) > 1]
+    # Held boundaries pass as one batch; streamed tops split multi-indices.
+    assert bool(spanned) == (ring.kind == "F")
+
+
+def test_split_top_batches_that_do_not_commute_are_refused(monkeypatch):
+    checks = split_batches(monkeypatch)
+    check_refusals()
+    assert any(checks.count(key) > 1 for key in checks)
 
 
 def test_a_complex_without_its_top_boundary_is_refused():
@@ -668,23 +713,30 @@ def test_streamed_homology_matches_the_whole_complex(name, p):
     assert nc.homology(ring) == homology(nc.complex(ring))
 
 
-def test_top_batches_split_the_top_boundary_at_strip_ends(monkeypatch):
+def test_top_batches_split_the_top_boundary_at_chunk_ends(monkeypatch):
     nc = NormalizedChains(spectrum_level(parse_space("ab:2"), 4), 6)
     layout, top = nc.multicomplex, 7
     assert any(not len(nc.codes[idx]) for idx in layout.by_degree[top])
     want = nc.complex(GF(2)).boundary(top)
+    # A batch may end where a multi-index ends or after a chunk of 30 of
+    # its cells; the multi-indices of 193 cells span batches.
     ends = {layout.offsets[idx] + layout.ranks[idx]
             for idx in layout.by_degree[top]}
+    chunk_ends = {layout.offsets[idx] + c for idx in layout.by_degree[top]
+                  for c in range(30, layout.ranks[idx], 30)}
     monkeypatch.setattr(simplicial, "_TOP_BATCH", 100)
+    monkeypatch.setattr(simplicial, "_STRIP_CHUNK", 30)
     batches = list(nc.top_batches())
     assert len(batches) > 2
-    lo, parts = 0, []
+    lo, parts, inside = 0, [], 0
     for m in batches:
         assert m.shape[0] == want.shape[0]
-        assert m.shape[1] >= 100 or m is batches[-1]
+        assert 0 < m.shape[1] <= 100
         parts.append((m.row, m.col + lo, m.val))
         lo += m.shape[1]
-        assert lo in ends
+        assert lo in ends | chunk_ends
+        inside += lo not in ends
+    assert inside
     assert lo == want.shape[1]
     row, col, val = (np.concatenate(a) for a in zip(*parts))
     assert CooMatrix(want.shape, row, col, val, _canonical=True) == want

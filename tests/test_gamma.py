@@ -246,7 +246,8 @@ def test_circle_simplicial_identities():
 
 
 # ---------------------------------------------------------------------------
-# Storage: tables of 1024 entries or more are read-only int64 arrays.
+# Storage: tables of 1024 entries or more are read-only arrays, int32 into
+# fewer than 2^31 points and int64 from there on.
 
 @pytest.mark.parametrize("points", [1023, 1025])
 def test_tuple_and_array_storage_agree(points):
@@ -331,3 +332,61 @@ def test_large_operations_match_python_reference():
         f = PointedMap(FinPointedSet(a), FinPointedSet(5), ft)
         g = PointedMap(FinPointedSet(a), FinPointedSet(30), gt)
         assert pair(f, g).table == tuple(x * 31 + y for x, y in zip(ft, gt))
+
+
+def high_table(rng, a, points):
+    """A table [a]+ -> [points - 1]+ with codes near the top and some 0s."""
+    return [0] + [rng.choice((0, points - 1, rng.randint(points - 1000,
+                                                          points - 1)))
+                  for _ in range(a)]
+
+
+@pytest.mark.parametrize("points, dtype", [((1 << 31) - 1, np.int32),
+                                           (1 << 31, np.int64)])
+def test_tables_near_two_to_the_31_points(points, dtype):
+    # Codes just below 2^31 fit int32; every operation that can leave that
+    # range must give the pure-Python table, with no wraparound.
+    rng = random.Random(points)
+    big = FinPointedSet(points - 1)
+    ft = high_table(rng, 1023, points)
+    f = PointedMap(FinPointedSet(1023), big, tuple(ft))
+    assert f.as_array.dtype == dtype and f.table == tuple(ft)
+    for table in (np.array(ft, dtype=np.int64), np.array(ft, dtype=np.uint64),
+                  np.array(ft, dtype=dtype)):
+        same = PointedMap(f.source, big, table)
+        assert same == f and hash(same) == hash(f)
+        assert same.as_array.dtype == dtype
+    assert PointedMap(f.source, big, ft[:-1] + [0]) != f
+    with pytest.raises(ValueError):
+        PointedMap(f.source, FinPointedSet(points - 2), ft)
+
+    ht = [0, *rng.sample(range(1, 1024), 1023)]
+    h = PointedMap(f.source, f.source, ht)
+    assert compose(h, f).table == tuple(ft[v] for v in ht)
+
+    gt = [0, 1, 0, 3, 2]  # [4]+ -> [3]+
+    for (xt, n2), (yt, m2) in (((ft, points - 1), (gt, 3)),
+                               ((gt, 3), (ft, points - 1))):
+        x = PointedMap(FinPointedSet(len(xt) - 1), FinPointedSet(n2), xt)
+        y = PointedMap(FinPointedSet(len(yt) - 1), FinPointedSet(m2), yt)
+        smashed = [0] + [0 if xt[i] == 0 or yt[j] == 0
+                         else (xt[i] - 1) * m2 + yt[j]
+                         for i in range(1, len(xt)) for j in range(1, len(yt))]
+        assert smash(x, y).table == tuple(smashed)
+        wedged = xt + [0 if v == 0 else n2 + v for v in yt[1:]]
+        assert wedge(x, y).table == tuple(wedged)
+        ms, mt = len(yt), m2 + 1
+        prod = [xt[e // ms] * mt + yt[e % ms] for e in range(len(xt) * ms)]
+        assert product(x, y).table == tuple(prod)
+    one = PointedMap(FinPointedSet(1), FinPointedSet(1), (0, 1))
+    assert smash(f, one).as_array.dtype == dtype
+    assert smash(f, one).table == tuple(ft)
+
+    kt = high_table(rng, 10, points)
+    k = PointedMap(FinPointedSet(10), big, kt)
+    assert wedge_case(f, k).table == tuple(ft + kt[1:])
+    assert wedge_case(k, f).table == tuple(kt + ft[1:])
+    et = [0] + [rng.randint(0, 5) for _ in range(1023)]
+    e = PointedMap(f.source, FinPointedSet(5), et)
+    assert pair(f, e).table == tuple(x * 6 + y for x, y in zip(ft, et))
+    assert pair(e, f).table == tuple(x * points + y for x, y in zip(et, ft))
