@@ -25,14 +25,16 @@ it reaches, with no elimination among them (structural pivots, as in
 Dumas, Heckenbach, Saunders and Welker 2003).  On boundary matrices they
 give almost the whole rank, and the basis narrows before the long stream.
 Because the basis is reduced, a batch is reduced by one gather of basis
-vectors.  What survives is added a block at a time: a block of up to
-eight vectors is reduced among themselves, and its pivots are cleared
-from the rest of the batch and from the basis at once, over F_2 through a
-table of the 256 sums of the block (M4RI's Four-Russians table), over F_p
-by one product.  The stream stops once the rank reaches n.  Vectors are
-stored only on the positions that are not yet pivots, and a batch holds
-as many as fit in the cells of _BATCH full-length ones.  Over F_2 a vector
-is packed into uint64 words, over an odd p it is held as int64 residues.
+vectors; over F_2 the same gather also places the entries on positions
+that are not pivots, from a table that holds a unit vector for each.
+What survives is added a block at a time: a block of up to eight vectors
+is reduced among themselves, and its pivots are cleared from the rest of
+the batch and from the basis at once, over F_2 through a table of the 256
+sums of the block (M4RI's Four-Russians table), over F_p by one product.
+The stream stops once the rank reaches n.  Vectors are stored only on
+the positions that are not yet pivots, and a batch holds as many as fit
+in the cells of _BATCH full-length ones.  Over F_2 a vector is packed
+into uint64 words, over an odd p it is held as int64 residues.
 The basis, at most n^2 entries, is what a rank is refused on.  The top
 boundary of a complex can stream into ``homology`` in batches of columns
 (``top``, ``stream_top``): each is tested for d∘d = 0, absorbed into one
@@ -789,10 +791,15 @@ class _EchelonBasis:
         self.rows = self.field.zeros(0, 0)
         # How many slots are not pivots.
         self.open = 0
+        # Over F_2, the table of _gather_table while the basis and the
+        # slots stay as they are.
+        self._table = None
         self.extend(n)
 
-    def extend(self, k):
-        """Add k positions after the last, zero in every basis vector."""
+    def extend(self, k, vectors=0):
+        """Add k positions after the last, zero in every basis vector, and
+        room for ``vectors`` more vectors to be given."""
+        self.vectors += vectors
         n = self.n + k
         self.short = min(n, self.vectors)
         if self.short * self.field.width(n) * 8 > _BASIS_LIMIT:
@@ -803,6 +810,7 @@ class _EchelonBasis:
         self.code = np.concatenate(
             (self.code, np.full(k, _NO_SLOT, dtype=np.int64)))
         self.n = n
+        self._table = None
 
     def _give_slots(self, pos):
         """Give every position of pos that has no slot one, keeping the
@@ -820,6 +828,7 @@ class _EchelonBasis:
         self.code[cols[free]] = np.flatnonzero(free)
         self.cols = cols
         self.open += len(new)
+        self._table = None
 
     def batch(self):
         """How many vectors fit, as stored now, in the cells of _BATCH
@@ -913,18 +922,37 @@ class _EchelonBasis:
     def _reduced(self, owner, pos, val, count):
         """``count`` vectors, given as entries (vector below count,
         position, value mod p) sorted by vector and position, reduced
-        against the basis by one gather and stored on the slots."""
+        against the basis by one gather and stored on the slots.
+
+        Over F_2 every entry is 1, and the gather takes every entry at
+        once: from a table whose row for a pivot is its basis vector and
+        whose row for a free slot is the unit vector there
+        (``_gather_table``).  Over an odd p and over Z the entries on free
+        slots are scattered and the others gather basis vectors."""
         field = self.field
+        # A gather holds at most _BATCH * short cells, no more than a batch
+        # of unpacked vectors of the short side's length.
+        step = max(1, _BATCH * self.short // field.width(len(self.cols)))
+        vecs = field.zeros(count, len(self.cols))
+        if self.p == 2:
+            table, row = self._gather_table()
+            row = row[pos]
+            for lo in range(0, len(pos), step):
+                whose = owner[lo:lo + step]
+                starts = _run_starts(whose)
+                sums = np.bitwise_xor.reduceat(
+                    np.take(table, row[lo:lo + step], axis=0), starts, axis=0)
+                # Only the first vector of a slice can have entries in the
+                # slice before.
+                vecs[whose[starts[0]]] ^= sums[0]
+                vecs[whose[starts[1:]]] = sums[1:]
+            return vecs
         if self.p > _INT8_MAX and val.dtype is _INT8:
             # Values kept as they are (absorb_columns) become residues.
             val = val.astype(np.int64) % self.p
         code = self.code[pos]
         free = code >= 0
-        vecs = field.zeros(count, len(self.cols))
         field.scatter(vecs, owner[free], code[free], val[free])
-        # A gather holds at most _BATCH * short cells, no more than a batch
-        # of unpacked vectors of the short side's length.
-        step = max(1, _BATCH * self.short // field.width(len(self.cols)))
         at_pivot = np.flatnonzero(~free)
         for lo in range(0, len(at_pivot), step):
             part = at_pivot[lo:lo + step]
@@ -935,14 +963,32 @@ class _EchelonBasis:
                            val[part], starts)
         return vecs
 
+    def _gather_table(self):
+        """Over F_2: (table, row), the basis vectors followed by the unit
+        vector of each free slot, and row[i] the row of position i in it
+        (undefined where i has no slot).  At most n rows, one per pivot
+        and one per free slot; it is built again once the basis or the
+        slots change."""
+        if self._table is None:
+            code = self.code
+            free = np.flatnonzero((code >= 0) & (code != _NO_SLOT))
+            row = -1 - code
+            row[free] = self.rank + np.arange(len(free))
+            units = self.field.zeros(len(free), len(self.cols))
+            self.field.unset(units, code[free])  # flips 0 to 1 there
+            self._table = (np.concatenate((self.rows[:self.rank], units)),
+                           row)
+        return self._table
+
     def absorb(self, owner, pos, val, count):
         """Add ``count`` vectors to the span, given as entries (vector below
         count, position, value mod p) sorted by vector and position."""
         live = val != 0
-        if not live.any():
-            return
-        vecs = self._usable(self._reduced(owner[live], pos[live], val[live],
-                                          count))
+        if not live.all():
+            if not live.any():
+                return
+            owner, pos, val = owner[live], pos[live], val[live]
+        vecs = self._usable(self._reduced(owner, pos, val, count))
         while len(vecs) and self.rank < self.n:
             rest = vecs[self.field.block:]
             self._add(vecs[:self.field.block], rest)
@@ -958,6 +1004,7 @@ class _EchelonBasis:
                                         np.arange(len(keep)), len(keep))
             self.cols = self.cols[keep]
             self.code[self.cols] = np.arange(len(keep), dtype=np.int64)
+            self._table = None
 
     def _add(self, head, rest):
         """Make the nonzero vectors of head, reduced against the basis,
@@ -998,6 +1045,7 @@ class _EchelonBasis:
         self.code[self.cols[slots]] = -1 - np.arange(self.rank, top)
         self.rank = top
         self.open -= len(slots)
+        self._table = None
 
     def _usable(self, vecs):
         """The vectors that may give a pivot: the nonzero ones, and over Z
@@ -1472,6 +1520,10 @@ class ChainComplex:
         self.holds_top = holds_top
         # Set once verify_boundary_condition has passed.
         self.verified = False
+        # Over F_p, for a complex that does not hold its top boundary: the
+        # echelon basis of that boundary's columns, once ``homology`` has
+        # streamed them.
+        self.top_basis = None
         for d, m in sorted(boundaries.items()):
             expected = (self.rank(d - 1), self.rank(d))
             if m.shape != expected:
@@ -1536,7 +1588,8 @@ def homology(cx: ChainComplex, degree_bound: int | None = None,
 
     Over F_p, ``top`` may stream the boundary of degree cx.degree_bound + 1,
     which cx then does not hold: an iterable of matrices of its columns in
-    order (``stream_top``).  Without ``top``, a complex that does not hold
+    order (``stream_top``).  The echelon basis of its columns is left on
+    cx (``top_basis``).  Without ``top``, a complex that does not hold
     that boundary is refused for its own degree bound (ValueError).
 
     Raises IntegrityError if the boundaries do not compose to zero; a
@@ -1562,7 +1615,8 @@ def homology(cx: ChainComplex, degree_bound: int | None = None,
             degrees = range(bound + 1)
         ranks = {d: matrix_rank(cx.boundary(d), cx.ring) for d in degrees}
         if top is not None:
-            ranks[bound + 1] = stream_top(cx, top).rank
+            cx.top_basis = stream_top(cx, top)
+            ranks[bound + 1] = cx.top_basis.rank
         diag = None
     groups = {}
     for d in range(bound + 1):
@@ -1576,17 +1630,16 @@ def homology(cx: ChainComplex, degree_bound: int | None = None,
     return HomologyTable(cx.ring, groups, bound)
 
 
-def stream_top(cx: ChainComplex, batches, more: int = 0):
+def stream_top(cx: ChainComplex, batches):
     """Stream the boundary of degree d = cx.degree_bound + 1, which cx over
     F_p does not hold, given as matrices of its columns in order.  Each is
     checked against d_{d-1} of cx for d∘d = 0 and goes into one echelon
     basis on the rows of degree d - 1, its lead columns seeded per matrix;
-    then it is dropped, so no more than one is held.  Returns the basis,
-    sized to take ``more`` columns later."""
+    then it is dropped, so no more than one is held.  Returns the basis."""
     d = cx.degree_bound + 1
     below = cx.boundary(d - 1)
     rows, cols = cx.rank(d - 1), cx.rank(d)
-    basis = _EchelonBasis(rows, cx.ring.p, cols + more)
+    basis = _EchelonBasis(rows, cx.ring.p, cols)
     seen = 0
     for m in batches:
         seen += m.shape[1]
@@ -1713,8 +1766,8 @@ def induced_map_is_iso_field(src: ChainComplex, tgt: ChainComplex,
     fed the columns of [F; A]; its rank is then rank M, so B is eliminated
     once.  In the top degree of complexes that stream their top boundary,
     ``top`` gives what was kept of it: (rank of src.boundary(d+1), B's
-    basis, sized for A's columns).  That basis is copied before it is
-    extended.
+    basis).  That basis is copied before it is extended, so it can serve
+    again.
     """
     a, f = src.boundary(degree), blocks[degree]
     rows = tgt.rank(degree)
@@ -1729,7 +1782,7 @@ def induced_map_is_iso_field(src: ChainComplex, tgt: ChainComplex,
         next_rank = matrix_rank(src.boundary(degree + 1), ring)
         b = tgt.boundary(degree + 1)
         if ring.kind == "F":
-            basis = _EchelonBasis(rows, ring.p, b.shape[1] + a.shape[1])
+            basis = _EchelonBasis(rows, ring.p, b.shape[1])
             basis.absorb_columns(b)
             rank_b = basis.rank
         else:
@@ -1743,7 +1796,7 @@ def induced_map_is_iso_field(src: ChainComplex, tgt: ChainComplex,
     if ring.kind == "F":
         if top is not None:
             basis = copy.deepcopy(basis)
-        basis.extend(a.shape[0])
+        basis.extend(a.shape[0], a.shape[1])
         basis.absorb_columns(place_blocks(
             (rows + a.shape[0], a.shape[1]), [(0, 0, f, 1), (rows, 0, a, 1)]))
         rank_m = basis.rank

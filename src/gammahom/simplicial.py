@@ -17,7 +17,9 @@ compact batches that are then dropped, as in the out-of-core elimination
 of simplicial boundaries of Dumas, Heckenbach, Saunders and Welker (2003).
 A chain map takes the top degree of both sides as the homology does,
 streamed over F_p and held whole over Z and Q, and checks every square on
-the image columns of the source's boundary.
+the image columns of the source's boundary.  It can take a side as a
+tower level's homology left it (``NormalizedChains.reduced``), so that a
+comparison of two towers builds and reduces each level once.
 """
 
 from __future__ import annotations
@@ -599,12 +601,21 @@ class NormalizedChains:
             yield join_strips((rows, layout.degree_ranks[d] - lo), parts)
 
     def homology(self, ring: Ring) -> HomologyTable:
-        """Homology up to degree_bound.  Over F_p the top boundary is never
-        held whole: its batches stream into the rank inside ``homology``.
-        Over Z and Q the Smith form takes the whole complex."""
+        """Homology up to degree_bound."""
+        return self.reduced(ring)[1]
+
+    def reduced(self, ring: Ring) -> tuple[ChainComplex, HomologyTable]:
+        """The complex the homology takes, and the homology up to
+        degree_bound.  Over F_p the complex is ``lower``: the top boundary
+        is never held whole, its batches stream into the rank inside
+        ``homology``, which leaves the echelon basis of its columns on the
+        complex (``top_basis``).  Over Z and Q the Smith form takes the
+        whole complex."""
         if ring.kind != "F":
-            return homology(self.complex(ring))
-        return homology(self.lower(ring), top=self.top_batches())
+            cx = self.complex(ring)
+            return cx, homology(cx)
+        cx = self.lower(ring)
+        return cx, homology(cx, top=self.top_batches())
 
 
 def _index_of(codes, points):
@@ -627,11 +638,11 @@ class ChainMap:
     complexes, up to the degree bound; their tops (degree bound + 1) as
     ``NormalizedChains.homology`` has them.
 
-    Over F_p both tops streamed once, when the map was built, and the map
-    keeps what the isomorphism test needs of them: the source's top rank
-    and the target's top echelon basis (``top``).  Over Z and Q, whose
-    Smith forms take whole matrices, both complexes hold their top
-    boundaries and ``blocks`` the top block.
+    Over F_p both tops streamed once, when the map was built or when a
+    tower level's homology was, and the map keeps what the isomorphism
+    test needs of them: the source's top rank and the target's top echelon
+    basis (``top``).  Over Z and Q, whose Smith forms take whole matrices,
+    both complexes hold their top boundaries and ``blocks`` the top block.
     """
 
     def __init__(self, complexes, blocks, ring: Ring, top=None):
@@ -751,7 +762,8 @@ def _check_image_columns(f, tgt, d, idx, m, starts, first, image, faces,
 
 
 def chains_of_map(f: MSMap, ring: Ring, degree_bound: int,
-                  cell_budget: int | None = DEFAULT_CELL_BUDGET) -> ChainMap:
+                  cell_budget: int | None = DEFAULT_CELL_BUDGET,
+                  reduced=(None, None)) -> ChainMap:
     """Matrix blocks of the induced map between normalized total complexes.
 
     Cells mapped to degenerate cells contribute zero; commutation with the
@@ -762,38 +774,57 @@ def chains_of_map(f: MSMap, ring: Ring, degree_bound: int,
     the top block is built.  In every degree the source's boundary is
     checked on its image columns (``_commuting``): a held boundary as one
     batch, the streamed top a batch at a time.
+
+    ``reduced`` may give, for the source and for the target, what
+    ``NormalizedChains.reduced`` left of that side at this degree bound:
+    (its NormalizedChains, its complex).  That side is then not built
+    again, and over F_p its top does not stream into a rank again: the
+    target's basis and the source's rank are read off the complexes, and
+    the source's top batches are built for the commuting check alone.
     """
-    src = NormalizedChains(f.source, degree_bound, cell_budget)
-    tgt = NormalizedChains(f.target, degree_bound, cell_budget)
+    (src, source_cx), (tgt, target_cx) = [
+        given or (NormalizedChains(x, degree_bound, cell_budget), None)
+        for x, given in zip((f.source, f.target), reduced)]
     top = degree_bound + 1
     streamed = ring.kind == "F"
     held = degree_bound if streamed else top  # the last degree held whole
     blocks = {d: _block(f, src, tgt, d) for d in range(held + 1)}
-    source_cx, target_cx = (src.lower(ring), tgt.lower(ring)) if streamed \
-        else (src.complex(ring), tgt.complex(ring))
+    if source_cx is None:
+        source_cx = src.lower(ring) if streamed else src.complex(ring)
+    if target_cx is None:
+        target_cx = tgt.lower(ring) if streamed else tgt.complex(ring)
     for d in range(1, held + 1):
         for _ in _commuting(f, src, tgt, d, blocks[d - 1],
                             [source_cx.boundary(d)]):
             pass
     kept = None
     if streamed:
-        basis = stream_top(target_cx, tgt.top_batches(),
-                           source_cx.rank(degree_bound))
-        src_basis = stream_top(source_cx, _commuting(
-            f, src, tgt, top, blocks[degree_bound], src.top_batches()))
-        kept = (src_basis.rank, basis)
+        basis = target_cx.top_basis
+        if basis is None:
+            basis = stream_top(target_cx, tgt.top_batches())
+        checked = _commuting(f, src, tgt, top, blocks[degree_bound],
+                             src.top_batches())
+        if source_cx.top_basis is None:
+            rank = stream_top(source_cx, checked).rank
+        else:
+            for _ in checked:
+                pass
+            rank = source_cx.top_basis.rank
+        kept = (rank, basis)
     return ChainMap((source_cx, target_cx), blocks, ring, kept)
 
 
-def chain_map_induces_iso(chm: ChainMap, degree: int) -> bool:
+def chain_map_induces_iso(chm: ChainMap, degree: int, groups=None) -> bool:
     """Whether a chain map induces an isomorphism on degree-d homology, for
     d up to the map's degree bound.
 
     Over a field: equal dimensions plus full rank of the induced map.  Over
     the integers: equal groups plus a surjectivity certificate via Smith
-    normal form of the induced presentation.  In the top degree over F_p
-    the test takes what the map kept of the streamed top boundaries; over
-    Z and Q the complexes hold them.
+    normal form of the induced presentation; ``groups`` may give the two
+    groups, source's and target's, when they are known, and they are then
+    not computed again.  In the top degree over F_p the test takes what
+    the map kept of the streamed top boundaries; over Z and Q the
+    complexes hold them.
     """
     if not 0 <= degree <= chm.degree_bound:
         raise ValueError(f"degree {degree} is outside the chain map's "
@@ -802,8 +833,8 @@ def chain_map_induces_iso(chm: ChainMap, degree: int) -> bool:
         top = chm.top if degree == chm.degree_bound else None
         return induced_map_is_iso_field(chm.source, chm.target, chm.blocks,
                                         degree, chm.ring, top)
-    src_group = homology(chm.source, degree).group(degree)
-    tgt_group = homology(chm.target, degree).group(degree)
+    src_group, tgt_group = groups or (
+        homology(cx, degree).group(degree) for cx in (chm.source, chm.target))
     if src_group != tgt_group:
         return False
     return induced_map_is_surjective_integer(chm.source, chm.target,

@@ -126,8 +126,8 @@ class StableResult:
 
 def spectrum_homology(x: GammaSpace, ring: Ring, i_max: int, *,
                       max_iterations: int = DEFAULT_MAX_ITERATIONS,
-                      cell_budget: int | None = DEFAULT_CELL_BUDGET
-                      ) -> StableResult:
+                      cell_budget: int | None = DEFAULT_CELL_BUDGET,
+                      keep: dict | None = None) -> StableResult:
     """Homology of the spectrum attached to a normalized Gamma-space.
 
     For each degree i <= i_max the tower values H_{i+n} of the levels are
@@ -135,6 +135,12 @@ def spectrum_homology(x: GammaSpace, ring: Ring, i_max: int, *,
     Special inputs get the certified bound; otherwise the result is labelled
     as the pre-spectrum route and marked empirical.  Budget exhaustion
     produces a partial result with the undecided degrees marked.
+
+    A comparison of two towers passes a dict as ``keep``.  A level n
+    reduced at degree bound r is kept there, keyed by (level, r), as
+    (NormalizedChains, complex) (``NormalizedChains.reduced``), if degree
+    r - n is decided once the level is: only then can a chain map at level
+    n and bound r serve that degree.
     """
     if i_max < 0:
         raise ValueError("i_max must be >= 0")
@@ -185,8 +191,8 @@ def spectrum_homology(x: GammaSpace, ring: Ring, i_max: int, *,
                            f"{reach + 1} exceed the budget of {cell_budget}")
             break
         try:
-            table = NormalizedChains(level, reach,
-                                     cell_budget).homology(ring)
+            nc = NormalizedChains(level, reach, cell_budget)
+            cx, table = nc.reduced(ring)
         except LimitExceeded as exc:
             budget_note = f"level {n}: {exc}"
             break
@@ -211,6 +217,10 @@ def spectrum_homology(x: GammaSpace, ring: Ring, i_max: int, *,
                 entry.anomalies.append(
                     f"level {n} value {group.label(ring)} disagrees with "
                     f"stabilized {entry.group.label(ring)}")
+        if keep is not None and 0 <= reach - n <= i_max \
+                and reach - n not in unresolved:
+            keep[level, reach] = (nc, cx)
+        del nc, cx  # a level not kept goes before the next is built
         if unresolved and not progress:
             budget_note = (f"level {n}: undecided degrees "
                            f"{sorted(unresolved)} are out of budget reach")
@@ -291,10 +301,15 @@ def _compare_towers_via_map(gmap: GammaMap, ring: Ring, d_max: int,
     """Equal stable tables of the source and the target of gmap, plus an
     induced isomorphism degree by degree; returns the verdict, the details
     and both tables as evidence."""
+    # The levels both towers reduced that a chain map below can take, and
+    # only for as long as this comparison runs.
+    reduced: dict = {}
     left = spectrum_homology(gmap.source, ring, d_max,
-                             cell_budget=cell_budget, **options)
+                             cell_budget=cell_budget, keep=reduced,
+                             **options)
     right = spectrum_homology(gmap.target, ring, d_max,
-                              cell_budget=cell_budget, **options)
+                              cell_budget=cell_budget, keep=reduced,
+                              **options)
     ok = True
     details = []
     for side, result in (("source", left), ("target", right)):
@@ -315,13 +330,23 @@ def _compare_towers_via_map(gmap: GammaMap, ring: Ring, d_max: int,
             continue
         n = max(el.stabilized_at or 0, er.stabilized_at or 0, i + 1)
         levels.setdefault(n, []).append(i)
+    wanted = {(spectrum_level(x, n), max(degrees) + n)
+              for n, degrees in levels.items()
+              for x in (gmap.source, gmap.target)}
+    reduced = {key: reduced[key] for key in wanted if key in reduced}
     for n in sorted(levels):
         degrees = levels[n]
         top = max(degrees) + n
-        chm = chains_of_map(tower_map(gmap, n), ring, top,
-                            cell_budget=cell_budget)
+        f = tower_map(gmap, n)
+        chm = chains_of_map(f, ring, top, cell_budget=cell_budget,
+                            reduced=(reduced.pop((f.source, top), None),
+                                     reduced.pop((f.target, top), None)))
         for i in degrees:
-            if chain_map_induces_iso(chm, i + n):
+            # Over Z the stable tables give both groups at level n.
+            groups = [dict(e.history).get(n) for e in (left.entries[i],
+                                                        right.entries[i])]
+            if chain_map_induces_iso(chm, i + n,
+                                     None if None in groups else groups):
                 details.append(
                     f"degree {i}: {left.entries[i].group.label(ring)} "
                     f"iso via level {n}")

@@ -707,6 +707,96 @@ def test_canonical_check_compares_neighbours():
     assert list(m.entries()) == [(5, 1, 1), (0, 1 << 15, -1),
                                  (7, 1 << 15, 2)]
 
+
+def combinations(rng, gens, count, most, values):
+    """A matrix of ``count`` columns, each a combination with coefficients
+    from ``values`` of 1 to ``most`` of the vectors ``gens``."""
+    entries = {}
+    for c in range(count):
+        col = [0] * len(gens[0])
+        for g in rng.sample(gens, rng.randint(1, most)):
+            coef = rng.choice(values)
+            col = [x + coef * y for x, y in zip(col, g)]
+        entries.update({(r, c): v for r, v in enumerate(col) if v})
+    return CooMatrix.from_entries((len(gens[0]), count), entries)
+
+
+@pytest.mark.parametrize("p", [2, 3, BIG_PRIME])
+def test_gather_reduction_against_dense_elimination(monkeypatch, p):
+    # Batches of random columns stream into one basis, at first on rows
+    # 0..89 of 130, then on all of them, then, after extend, on 20 rows
+    # more, as the isomorphism test feeds [F; A] after B.  With _BATCH = 3
+    # a batch streams a few vectors at a time, so pivots come between the
+    # gathers of one batch; the basis narrows, and gives slots to rows
+    # reached later.  Each column combines up to 24 of a phase's sparse
+    # vectors, 130 in all, so the rank stays below the rows, a wrongly
+    # reduced vector shows in the span, and columns of many entries can
+    # take more than one gather.  After every batch the rank is a dense
+    # elimination's, and after every phase the basis is reduced and spans
+    # every column given.  Over F_2 the reduction gathers from the
+    # position table, over odd p it does not.
+    from gammahom import chains
+    monkeypatch.setattr(chains, "_BATCH", 3)
+    events = Counter()
+    narrow, give, table = (chains._EchelonBasis._narrow,
+                           chains._EchelonBasis._give_slots,
+                           chains._EchelonBasis._gather_table)
+    absorb = chains._EchelonBasis.absorb
+
+    def narrowing(self):
+        before = len(self.cols)
+        narrow(self)
+        events["narrowed"] += len(self.cols) < before
+
+    def giving(self, pos):
+        before = len(self.cols)
+        give(self, pos)
+        events["slots given late"] += self.rank > 0 and len(self.cols) > before
+
+    def gathering(self):
+        events["tables built"] += self._table is None
+        got = table(self)
+        assert got[0].dtype == np.uint64 and len(got[0]) <= self.n
+        return got
+
+    def absorbing(self, *args):
+        before = self.rank
+        absorb(self, *args)
+        events["gains"] += self.rank > before
+
+    monkeypatch.setattr(chains._EchelonBasis, "_narrow", narrowing)
+    monkeypatch.setattr(chains._EchelonBasis, "_give_slots", giving)
+    monkeypatch.setattr(chains._EchelonBasis, "_gather_table", gathering)
+    monkeypatch.setattr(chains._EchelonBasis, "absorb", absorbing)
+    rng = random.Random(p + 11)
+    values = (1, -1, 2, 3, -3)
+    n, k = 130, 20
+    basis = chains._EchelonBasis(n, p, 4 * 60)
+    given = []
+    for phase, (rows, spanned) in enumerate(((90, 50), (n, 50), (n + k, 30))):
+        if phase == 2:
+            basis.extend(k, 2 * 60)
+        gens = sparse_random(rng, rows, spanned, 8, values,
+                             tall=True).to_dense()
+        for most in (1, 24):
+            m = combinations(rng, gens, 60, most, values)
+            events["gains"] = 0
+            basis.absorb_columns(CooMatrix((basis.n, 60), m.row, m.col,
+                                           m.val))
+            given.append(m)
+            everything = CooMatrix.from_entries(
+                (basis.n, 60 * len(given)),
+                {(r, 60 * i + c): v for i, g in enumerate(given)
+                 for r, c, v in g.entries()})
+            assert basis.rank == dense_rank(everything, p)
+            events["pivots mid-batch"] += events["gains"] >= 2
+        assert_reduced_basis_of(basis, everything, p)
+    assert events["narrowed"] and events["slots given late"]
+    assert events["pivots mid-batch"] >= 3
+    assert bool(events["tables built"]) == (p == 2)
+    assert p != 2 or events["tables built"] >= 10
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form.
 

@@ -190,6 +190,29 @@ def test_check_segal_over_z(capsys):
         "rho-iso", "wedge-iso", "wedge-iso", "smash-vanishing"]
     assert all(r["passed"] for r in payload["reports"])
 
+
+def test_check_segal_over_z_takes_one_smith_form_per_level(capsys,
+                                                           monkeypatch):
+    # The wedge (1, 1) comparison at degree 2 reads both groups of level 4
+    # off the stable tables, so the 1350 x 296820 boundary of the target's
+    # level 4 gets one Smith form, in its tower; the surjectivity
+    # certificate then refuses the level as too large.
+    from gammahom import chains
+    shapes = []
+    smith = chains.smith_normal_form
+
+    def counted(m, *args, **kwargs):
+        shapes.append(m.shape)
+        return smith(m, *args, **kwargs)
+
+    monkeypatch.setattr(chains, "smith_normal_form", counted)
+    code, _, err = run(capsys, "check", "--suite", "segal", "--space",
+                       "ab:2", "--ring", "z", "--max-degree", "2")
+    assert code == 3
+    assert "integral surjectivity certificate" in err
+    assert shapes.count((1350, 296820)) == 1
+
+
 def test_check_failure_exit_one(capsys):
     # the wedge splitting needs a special input; the sphere is not special
     code, out, _ = run(capsys, "check", "--suite", "segal", "--space",

@@ -1,5 +1,8 @@
 """Stabilization along the tower and the property suites."""
 
+import weakref
+from collections import Counter
+
 import pytest
 
 from gammahom.chains import GF, QQ, ZZ, HomologyGroup, homology
@@ -141,6 +144,41 @@ def test_check_wedge_iso():
     not_special = check_wedge_iso(sphere_space(), 1, 1, GF(2), 1)
     assert not not_special.passed
     assert "precondition" in not_special.details[0]
+
+
+def test_wedge_comparison_streams_each_top_once(monkeypatch):
+    # The towers of the (1, 1) wedge check on ab:2 reduce their levels;
+    # the chain maps take those they share (the target's level 4 at bound
+    # 6 among them), so every top streams once.  Whatever the comparison
+    # kept is gone once it returns.
+    from gammahom import chains
+    from gammahom.simplicial import NormalizedChains
+    streams, made = Counter(), []
+    top_batches, init = NormalizedChains.top_batches, \
+        NormalizedChains.__init__
+    basis_init = chains._EchelonBasis.__init__
+
+    def counted(self):
+        streams[self.x.name, self.degree_bound] += 1
+        return top_batches(self)
+
+    def tracked_init(self, *args, **kwargs):
+        made.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    def tracked_basis(self, *args):
+        made.append(weakref.ref(self))
+        basis_init(self, *args)
+
+    monkeypatch.setattr(NormalizedChains, "top_batches", counted)
+    monkeypatch.setattr(NormalizedChains, "__init__", tracked_init)
+    monkeypatch.setattr(chains._EchelonBasis, "__init__", tracked_basis)
+    report = check_wedge_iso(discrete_abelian([2]), 1, 1, GF(2), 2)
+    assert report.passed
+    assert "degree 2: F2^2 iso via level 4" in report.details
+    assert streams["B(B(B(B(mu(2)*ab:2))))@[1]", 6] == 1
+    assert set(streams.values()) == {1}
+    assert made and all(ref() is None for ref in made)
 
 
 def test_check_smash_vanishing():
