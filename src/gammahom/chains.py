@@ -35,12 +35,11 @@ The stream stops once the rank reaches n.  Vectors are stored only on
 the positions that are not yet pivots, and a batch holds as many as fit
 in the cells of _BATCH full-length ones.  Over F_2 a vector is packed
 into uint64 words, over an odd p it is held as int64 residues.
-The basis, at most n^2 entries, is what a rank is refused on.  The top
-boundary of a complex can stream into ``homology`` in batches of columns
-(``top``, ``stream_top``): each is tested for d∘d = 0, absorbed into one
-basis on the rows and dropped, so that boundary is never held whole.  A
-batch is compact, int32 indices and int8 values, and both kernels widen
-it a slice at a time.
+The basis, at most n^2 entries, is what a rank is refused on.  Over every
+ring the top boundary of a complex streams into ``homology`` in batches of
+columns (``stream_top``), each tested for d∘d = 0, absorbed into one basis
+on the rows and dropped, so it is never held whole.  A batch is compact,
+int32 indices and int8 values, and the kernels widen it a slice at a time.
 
 Over Z the same stream takes the unit pivots of a Smith form without
 transforms, in int64.  Only a +-1 entry becomes a pivot, scaled to +1, so
@@ -55,16 +54,16 @@ entry less eight products of two stays below 2^62; a gather is bounded by
 the sum of its coefficients before it runs, and every result is checked.
 If a bound trips, or the basis would pass the size a rank is refused on,
 the line engine takes the whole matrix in Python integers, which are
-arbitrary precision.  With transforms (integer kernel bases) the line
-engine takes it in any case.
+arbitrary precision (a streamed top is built whole again for it).  With
+transforms (integer kernel bases) the line engine takes it in any case.
 
 Whether a chain map induces an isomorphism on homology over a field is read
 off ranks too.  For A = d_d of the source, F the map in degree d and
 B = d_{d+1} of the target, the block matrix M = [[B, F], [0, A]] has rank
 rank A + dim(F(ker A) + im B), so the image of the map in homology has
 dimension rank M - rank A - rank B; no kernel basis and no dense matrix is
-built.  Over F_p one basis takes B's columns, giving rank B, and is then
-extended to M's rows and fed the other columns, giving rank M.
+built.  One basis takes B's columns, giving rank B, and is then extended
+to M's rows and fed the other columns, giving rank M.
 
 Over Z the map is an isomorphism iff the two groups agree and it is onto
 (a finitely generated abelian group is not isomorphic to a proper
@@ -73,7 +72,8 @@ A, the columns of G = [F K | B] span the image cycles plus the
 boundaries, inside the target's cycles: the kernel of an integer matrix,
 so a saturated lattice, of rank z.  The map is onto iff G's Smith form
 has exactly z invariant factors, all 1, that is iff any diagonal form of
-G has z entries, all +-1; so no divisibility repair is run for it.
+G has z entries, all +-1; so no divisibility repair is run for it.  A
+streamed top gives, for B, the columns its stream left, of the same span.
 
 The line engine acts on lines.  The matrix is held both ways, rows[r] =
 {c: v} and cols[c] = {r: v}, each built from the canonical order one run
@@ -846,7 +846,7 @@ class _EchelonBasis:
         values are for p > 127, where only 0 is 0 mod p.  ``_reduced``
         widens them to int64 residues one slice at a time.
         """
-        if not m.nnz:
+        if not m.nnz or self.rank == self.n:
             return
         self._give_slots(m.row)
         if not self.p:
@@ -1090,6 +1090,18 @@ class _EchelonBasis:
         row = np.cumsum(self.code >= 0) - 1
         return CooMatrix((self.n - self.rank, int(col[-1]) + 1), row[pos],
                          col, val, _canonical=True)
+
+    def columns(self) -> CooMatrix:
+        """Over Z, once every column is absorbed: the basis vectors with the
+        1 at each pivot, then the remainder; they span the columns' lattice."""
+        rest = self.remainder()
+        owner, slot = np.nonzero(self.rows[:self.rank])
+        pivot = np.flatnonzero(self.code < 0)
+        row = self.cols[slot], pivot, np.flatnonzero(self.code >= 0)[rest.row]
+        col = owner, -1 - self.code[pivot], self.rank + rest.col
+        val = self.rows[owner, slot], np.ones_like(pivot), rest.val
+        return CooMatrix((self.n, self.rank + rest.shape[1]),
+                         *map(np.concatenate, (row, col, val)))
 
 
 def _lead_entries(row, col, val, n, unit=False):
@@ -1520,10 +1532,8 @@ class ChainComplex:
         self.holds_top = holds_top
         # Set once verify_boundary_condition has passed.
         self.verified = False
-        # Over F_p, for a complex that does not hold its top boundary: the
-        # echelon basis of that boundary's columns, once ``homology`` has
-        # streamed them.
-        self.top_basis = None
+        # Set by ``stream_top``: the top boundary's basis and Smith diagonal.
+        self.top_basis = self.top_diagonal = None
         for d, m in sorted(boundaries.items()):
             expected = (self.rank(d - 1), self.rank(d))
             if m.shape != expected:
@@ -1543,6 +1553,18 @@ class ChainComplex:
                                  f"boundary, of degree {d}")
             return CooMatrix.zero((self.rank(d - 1), self.rank(d)))
         return got
+
+    def diagonal(self, d: int) -> tuple[int, ...]:
+        """The Smith diagonal of boundary d, kept for a streamed top."""
+        if d == self.degree_bound + 1 and self.top_diagonal is not None:
+            return self.top_diagonal
+        return _diagonal(self.boundary(d), self.ring)
+
+    def lattice(self, d: int) -> CooMatrix:
+        """Boundary d, or columns that span its lattice for a streamed top."""
+        if d == self.degree_bound + 1 and self.top_basis is not None:
+            return self.top_basis.columns()
+        return self.boundary(d)
 
     def verify_boundary_condition(self):
         for d in sorted(self.boundaries):
@@ -1586,73 +1608,87 @@ def homology(cx: ChainComplex, degree_bound: int | None = None,
     """Homology of a complex: Betti numbers over a field, free rank plus
     invariant-factor torsion over the integers.
 
-    Over F_p, ``top`` may stream the boundary of degree cx.degree_bound + 1,
-    which cx then does not hold: an iterable of matrices of its columns in
-    order (``stream_top``).  The echelon basis of its columns is left on
-    cx (``top_basis``).  Without ``top``, a complex that does not hold
-    that boundary is refused for its own degree bound (ValueError).
+    ``top`` may stream the boundary of degree cx.degree_bound + 1, which
+    cx then does not hold: a callable giving matrices of its columns in
+    order (``stream_top``).  Without ``top``, a complex that does not hold
+    that boundary and has not streamed it is refused for its own degree
+    bound (ValueError).
 
     Raises IntegrityError if the boundaries do not compose to zero; a
     complex that has passed that check already is not checked again.
     """
     bound = cx.degree_bound if degree_bound is None \
         else min(degree_bound, cx.degree_bound)
-    if top is not None and (cx.ring.kind != "F" or bound != cx.degree_bound
+    if top is not None and (bound != cx.degree_bound
                             or cx.degree_bound + 1 in cx.boundaries):
-        raise ValueError("a streamed top boundary needs a prime field, the "
-                         "complex's own degree bound and no top boundary "
-                         "in the complex")
+        raise ValueError("a streamed top boundary needs the complex's own "
+                         "degree bound and no top boundary in the complex")
     if not cx.verified:
         cx.verify_boundary_condition()
-    degrees = range(bound + 2)
-    if cx.ring.kind == "Z":
-        held = {d: cx.boundary(d) for d in degrees}
-        diag = {d: smith_normal_form(m).diagonal if m.nnz else ()
-                for d, m in held.items()}
-        ranks = {d: len(diag[d]) for d in degrees}
-    else:
-        if top is not None:
-            degrees = range(bound + 1)
-        ranks = {d: matrix_rank(cx.boundary(d), cx.ring) for d in degrees}
-        if top is not None:
-            cx.top_basis = stream_top(cx, top)
-            ranks[bound + 1] = cx.top_basis.rank
-        diag = None
+    if top is not None:
+        stream_top(cx, top)
+    diag = [cx.diagonal(d) for d in range(bound + 2)]
     groups = {}
     for d in range(bound + 1):
-        betti = cx.rank(d) - ranks[d] - ranks[d + 1]
+        betti = cx.rank(d) - len(diag[d]) - len(diag[d + 1])
         if betti < 0:
             raise IntegrityError(f"negative rank count in degree {d}")
-        torsion = ()
-        if diag is not None:
-            torsion = tuple(v for v in diag[d + 1] if v > 1)
-        groups[d] = HomologyGroup(betti, torsion)
+        groups[d] = HomologyGroup(betti,
+                                  tuple(v for v in diag[d + 1] if v > 1))
     return HomologyTable(cx.ring, groups, bound)
 
 
+def _diagonal(m: CooMatrix, ring: Ring) -> tuple[int, ...]:
+    """Invariant factors of m over Z; over a field, a 1 per unit of rank."""
+    if ring.kind == "Z":
+        return smith_normal_form(m).diagonal if m.nnz else ()
+    return (1,) * matrix_rank(m, ring)
+
+
+def _stream_diagonal(basis: _EchelonBasis, ring: Ring) -> tuple[int, ...]:
+    """_diagonal of the columns streamed into basis: pivots, then remainder."""
+    rest = basis.remainder()
+    return (1,) * basis.rank + (_diagonal(rest, ring) if rest.nnz else ())
+
+
 def stream_top(cx: ChainComplex, batches):
-    """Stream the boundary of degree d = cx.degree_bound + 1, which cx over
-    F_p does not hold, given as matrices of its columns in order.  Each is
-    checked against d_{d-1} of cx for d∘d = 0 and goes into one echelon
-    basis on the rows of degree d - 1, its lead columns seeded per matrix;
-    then it is dropped, so no more than one is held.  Returns the basis."""
+    """Stream the boundary of degree d = cx.degree_bound + 1, which cx does
+    not hold, given by ``batches()`` as matrices of its columns in order.
+    Each is checked against d_{d-1} for d∘d = 0, goes into one echelon
+    basis on the rows (p = 0 over Z and Q), lead columns seeded, and is
+    dropped, so no more than one is held; the basis and the Smith diagonal
+    stay on cx.  If the int64 stream over Z or Q trips, a second pass
+    builds the boundary whole, which cx then holds and the line engine
+    takes."""
     d = cx.degree_bound + 1
     below = cx.boundary(d - 1)
-    rows, cols = cx.rank(d - 1), cx.rank(d)
-    basis = _EchelonBasis(rows, cx.ring.p, cols)
     seen = 0
-    for m in batches:
-        seen += m.shape[1]
-        # A batch with the wrong number of rows fails the product's shapes.
-        if not is_zero_product(below, m):
-            raise IntegrityError(f"boundary condition d*d != 0 at degree {d}")
-        if basis.rank < rows:
+    try:
+        basis = _EchelonBasis(cx.rank(d - 1), cx.ring.p or 0, cx.rank(d))
+        for m in batches():
+            seen += m.shape[1]
+            # A batch with the wrong number of rows fails the product.
+            if not is_zero_product(below, m):
+                raise IntegrityError(
+                    f"boundary condition d*d != 0 at degree {d}")
             basis.absorb_columns(m)
-        del m  # dropped before the next batch is built
-    if seen != cols:
+            del m  # dropped before the next batch is built
+        cx.top_diagonal = _stream_diagonal(basis, cx.ring)
+        cx.top_basis = basis
+    except (_Int64Overflow, LimitExceeded):
+        if cx.ring.p:
+            raise
+        parts, seen = [], 0
+        for m in batches():
+            parts.append((m.row, m.col.astype(np.int64) + seen, m.val))
+            seen += m.shape[1]
+        cx.boundaries[d] = join_strips((cx.rank(d - 1), cx.rank(d)), parts)
+        cx.holds_top = True
+        cx.verify_boundary_condition()
+        cx.top_diagonal = cx.diagonal(d)
+    if seen != cx.rank(d):
         raise ValueError(f"the batches of boundary {d} have {seen} columns, "
-                         f"expected {cols}")
-    return basis
+                         f"expected {cx.rank(d)}")
 
 
 # ---------------------------------------------------------------------------
@@ -1748,7 +1784,7 @@ def total_complex(mc: Multicomplex, strips: dict, ring: Ring,
 
 def induced_map_is_iso_field(src: ChainComplex, tgt: ChainComplex,
                              blocks: dict[int, CooMatrix], degree: int,
-                             ring: Ring, top=None) -> bool:
+                             ring: Ring) -> bool:
     """Whether a chain map induces an isomorphism on degree-d homology over a
     field.
 
@@ -1760,14 +1796,13 @@ def induced_map_is_iso_field(src: ChainComplex, tgt: ChainComplex,
     answer is an exact rank of a sparse matrix: no kernel basis and no
     dense matrix is built.
 
-    Over F_p the columns of M stream into one echelon basis.  B's come
-    first, on the target's rows alone, and give rank B.  Only if the two
-    dimensions agree and are nonzero is the basis extended by A's rows and
-    fed the columns of [F; A]; its rank is then rank M, so B is eliminated
-    once.  In the top degree of complexes that stream their top boundary,
-    ``top`` gives what was kept of it: (rank of src.boundary(d+1), B's
-    basis).  That basis is copied before it is extended, so it can serve
-    again.
+    The columns of M stream into one echelon basis (over Q a rank adds
+    that of the remainder): B's first, on the target's rows alone, for
+    rank B; in the top degree that is the target's kept basis, copied
+    before it is extended.  Only if the two dimensions agree and are
+    nonzero is it extended by A's rows and fed [F; A] for rank M, so B is
+    eliminated once.  If the int64 stream over Q trips, M is ranked
+    whole, with ``lattice`` for B.
     """
     a, f = src.boundary(degree), blocks[degree]
     rows = tgt.rank(degree)
@@ -1775,37 +1810,34 @@ def induced_map_is_iso_field(src: ChainComplex, tgt: ChainComplex,
         raise ValueError(f"chain map block {f.shape} does not fit the "
                          f"complexes in degree {degree}")
     rank_a = matrix_rank(a, ring)
-    if top is not None:
-        next_rank, basis = top
-        rank_b = basis.rank
-    else:
-        next_rank = matrix_rank(src.boundary(degree + 1), ring)
-        b = tgt.boundary(degree + 1)
-        if ring.kind == "F":
-            basis = _EchelonBasis(rows, ring.p, b.shape[1])
+    hs = src.rank(degree) - rank_a - len(src.diagonal(degree + 1))
+    ht = tgt.rank(degree) - len(tgt.diagonal(degree))
+    kept = tgt.top_basis if degree == tgt.degree_bound else None
+    try:
+        if kept is None:
+            b = tgt.boundary(degree + 1)
+            basis = _EchelonBasis(rows, ring.p or 0, b.shape[1])
             basis.absorb_columns(b)
-            rank_b = basis.rank
-        else:
-            rank_b = matrix_rank(b, ring)
-    hs = src.rank(degree) - rank_a - next_rank
-    ht = tgt.rank(degree) - matrix_rank(tgt.boundary(degree), ring) - rank_b
-    if hs != ht:
-        return False
-    if ht == 0:
-        return True
-    if ring.kind == "F":
-        if top is not None:
-            basis = copy.deepcopy(basis)
+        rank_b = len(_stream_diagonal(basis, ring) if kept is None
+                     else tgt.top_diagonal)
+        if hs != ht - rank_b or hs == 0:
+            return hs == ht - rank_b
+        basis = basis if kept is None else copy.deepcopy(kept)
         basis.extend(a.shape[0], a.shape[1])
         basis.absorb_columns(place_blocks(
             (rows + a.shape[0], a.shape[1]), [(0, 0, f, 1), (rows, 0, a, 1)]))
-        rank_m = basis.rank
-    else:
+        rank_m = len(_stream_diagonal(basis, ring))
+    except (_Int64Overflow, LimitExceeded):
+        if ring.p:
+            raise
+        b, rank_b = tgt.lattice(degree + 1), len(tgt.diagonal(degree + 1))
+        if hs != ht - rank_b or hs == 0:
+            return hs == ht - rank_b
         rank_m = matrix_rank(place_blocks(
             (rows + a.shape[0], b.shape[1] + a.shape[1]),
             [(0, 0, b, 1), (0, b.shape[1], f, 1), (rows, b.shape[1], a, 1)]),
             ring)
-    return rank_m - rank_a - rank_b == ht
+    return rank_m - rank_a - rank_b == hs
 
 
 def induced_map_is_surjective_integer(src: ChainComplex, tgt: ChainComplex,
@@ -1831,7 +1863,7 @@ def induced_map_is_surjective_integer(src: ChainComplex, tgt: ChainComplex,
     z = tgt.rank(degree) - _rank_integer(dt)
     if z == 0:
         return True
-    f, b = blocks[degree], tgt.boundary(degree + 1)
+    f, b = blocks[degree], tgt.lattice(degree + 1)
     kernel = integer_kernel_basis(src.boundary(degree))
     # F K and d_d F K are taken in int64.  No sum in them exceeds the
     # largest kernel entry times the absolute sums of F and of d_d.

@@ -11,15 +11,15 @@ chains: level-wise reduced free modules modulo the span of degenerate cells,
 with one alternating face sum per direction, each with its Koszul sign,
 assembled level by level into column strips of the total boundary.  This
 avoids the multiplicative cell blow-up of diagonal simplicial sets while
-computing the same homology.  Over a prime field the strips of the top
+computing the same homology.  Over every ring the strips of the top
 degree are built a chunk of cells at a time and go into the rank in
 compact batches that are then dropped, as in the out-of-core elimination
 of simplicial boundaries of Dumas, Heckenbach, Saunders and Welker (2003).
 A chain map takes the top degree of both sides as the homology does,
-streamed over F_p and held whole over Z and Q, and checks every square on
-the image columns of the source's boundary.  It can take a side as a
-tower level's homology left it (``NormalizedChains.reduced``), so that a
-comparison of two towers builds and reduces each level once.
+streamed, and checks every square on the image columns of the source's
+boundary.  It can take a side as a tower level's homology left it
+(``NormalizedChains.reduced``), so that a comparison of two towers builds
+and reduces each level once.
 """
 
 from __future__ import annotations
@@ -414,9 +414,9 @@ class NormalizedChains:
     multi-index gets its column strip of the total boundary, all directions
     at once with their Koszul signs.  The strips up to degree_bound are
     kept (``strips``); those of the top degree, the largest, are built when
-    asked for.  ``complex`` concatenates them all, and ``homology`` over
-    F_p streams the top degree into the rank a batch at a time
-    (``top_batches``), so its boundary is never held whole.
+    asked for.  ``homology`` streams the top degree into the rank a batch
+    at a time (``top_batches``), so its boundary is never held whole;
+    ``complex`` concatenates them all, for ``dump`` and for tests.
 
     Only the structure maps that can reach a cell off the basepoint are
     built.  A degeneracy into or out of a level that holds the basepoint
@@ -560,7 +560,7 @@ class NormalizedChains:
                    val[keep])
 
     def complex(self, ring: Ring) -> ChainComplex:
-        """The total complex, the top degree's boundary included."""
+        """The total complex, top boundary included; for ``dump`` and tests."""
         top = dict(self._strips_of(self.degree_bound + 1))
         return total_complex(self.multicomplex, {**self.strips, **top}, ring,
                              self.degree_bound)
@@ -605,17 +605,10 @@ class NormalizedChains:
         return self.reduced(ring)[1]
 
     def reduced(self, ring: Ring) -> tuple[ChainComplex, HomologyTable]:
-        """The complex the homology takes, and the homology up to
-        degree_bound.  Over F_p the complex is ``lower``: the top boundary
-        is never held whole, its batches stream into the rank inside
-        ``homology``, which leaves the echelon basis of its columns on the
-        complex (``top_basis``).  Over Z and Q the Smith form takes the
-        whole complex."""
-        if ring.kind != "F":
-            cx = self.complex(ring)
-            return cx, homology(cx)
+        """The complex ``lower`` and its homology up to degree_bound, the top
+        boundary's batches streamed into it (``stream_top``)."""
         cx = self.lower(ring)
-        return cx, homology(cx, top=self.top_batches())
+        return cx, homology(cx, top=self.top_batches)
 
 
 def _index_of(codes, points):
@@ -629,31 +622,18 @@ def _index_of(codes, points):
 def normalized_chains(x: MSSet, ring: Ring, degree_bound: int,
                       cell_budget: int | None = DEFAULT_CELL_BUDGET,
                       ) -> ChainComplex:
-    """Total complex of the normalized chains of a multisimplicial set."""
+    """Total complex of the normalized chains of x; for ``dump`` and tests."""
     return NormalizedChains(x, degree_bound, cell_budget).complex(ring)
 
 
 class ChainMap:
-    """The matrix blocks induced by an MSMap on normalized chains, and both
-    complexes, up to the degree bound; their tops (degree bound + 1) as
-    ``NormalizedChains.homology`` has them.
+    """The matrix blocks induced by an MSMap on normalized chains up to the
+    degree bound, and both complexes, each keeping what the isomorphism
+    test needs of its streamed top (degree bound + 1)."""
 
-    Over F_p both tops streamed once, when the map was built or when a
-    tower level's homology was, and the map keeps what the isomorphism
-    test needs of them: the source's top rank and the target's top echelon
-    basis (``top``).  Over Z and Q, whose Smith forms take whole matrices,
-    both complexes hold their top boundaries and ``blocks`` the top block.
-    """
-
-    def __init__(self, complexes, blocks, ring: Ring, top=None):
-        self.source, self.target = complexes
-        self.blocks = blocks
-        self.ring = ring
-        self.top = top
-
-    @property
-    def degree_bound(self) -> int:
-        return self.source.degree_bound
+    def __init__(self, source: ChainComplex, target: ChainComplex, blocks):
+        self.source, self.target, self.blocks = source, target, blocks
+        self.ring, self.degree_bound = source.ring, source.degree_bound
 
     def block(self, degree: int) -> CooMatrix:
         got = self.blocks.get(degree)
@@ -768,50 +748,39 @@ def chains_of_map(f: MSMap, ring: Ring, degree_bound: int,
 
     Cells mapped to degenerate cells contribute zero; commutation with the
     differentials is asserted and failures raise IntegrityError.  The top
-    degree, degree_bound + 1, is taken as ``NormalizedChains.homology``
-    takes it.  Over F_p it streams, a batch of each side at a time, each
-    batch tested for d∘d = 0.  Over Z and Q both complexes hold it, and
-    the top block is built.  In every degree the source's boundary is
-    checked on its image columns (``_commuting``): a held boundary as one
-    batch, the streamed top a batch at a time.
+    degree, degree_bound + 1, streams as in ``NormalizedChains.homology``,
+    a batch of each side at a time, and gets no block.  In every degree
+    the source's boundary is checked on its image columns (``_commuting``):
+    a held boundary as one batch, the streamed top a batch at a time.
 
     ``reduced`` may give, for the source and for the target, what
     ``NormalizedChains.reduced`` left of that side at this degree bound:
-    (its NormalizedChains, its complex).  That side is then not built
-    again, and over F_p its top does not stream into a rank again: the
-    target's basis and the source's rank are read off the complexes, and
-    the source's top batches are built for the commuting check alone.
+    (its NormalizedChains, its complex).  That side is then neither built
+    nor streamed into a rank again; the source's top batches are built
+    for the commuting check alone.
     """
     (src, source_cx), (tgt, target_cx) = [
-        given or (NormalizedChains(x, degree_bound, cell_budget), None)
+        given or (nc := NormalizedChains(x, degree_bound, cell_budget),
+                  nc.lower(ring))
         for x, given in zip((f.source, f.target), reduced)]
     top = degree_bound + 1
-    streamed = ring.kind == "F"
-    held = degree_bound if streamed else top  # the last degree held whole
-    blocks = {d: _block(f, src, tgt, d) for d in range(held + 1)}
-    if source_cx is None:
-        source_cx = src.lower(ring) if streamed else src.complex(ring)
-    if target_cx is None:
-        target_cx = tgt.lower(ring) if streamed else tgt.complex(ring)
-    for d in range(1, held + 1):
-        for _ in _commuting(f, src, tgt, d, blocks[d - 1],
-                            [source_cx.boundary(d)]):
+    blocks = {d: _block(f, src, tgt, d) for d in range(top)}
+
+    def checked(d):
+        return _commuting(f, src, tgt, d, blocks[d - 1], src.top_batches()
+                          if d == top else [source_cx.boundary(d)])
+
+    for d in range(1, top):
+        for _ in checked(d):
             pass
-    kept = None
-    if streamed:
-        basis = target_cx.top_basis
-        if basis is None:
-            basis = stream_top(target_cx, tgt.top_batches())
-        checked = _commuting(f, src, tgt, top, blocks[degree_bound],
-                             src.top_batches())
-        if source_cx.top_basis is None:
-            rank = stream_top(source_cx, checked).rank
-        else:
-            for _ in checked:
-                pass
-            rank = source_cx.top_basis.rank
-        kept = (rank, basis)
-    return ChainMap((source_cx, target_cx), blocks, ring, kept)
+    if target_cx.top_diagonal is None:
+        stream_top(target_cx, tgt.top_batches)
+    if source_cx.top_diagonal is None:
+        stream_top(source_cx, lambda: checked(top))
+    else:
+        for _ in checked(top):
+            pass
+    return ChainMap(source_cx, target_cx, blocks)
 
 
 def chain_map_induces_iso(chm: ChainMap, degree: int, groups=None) -> bool:
@@ -822,17 +791,15 @@ def chain_map_induces_iso(chm: ChainMap, degree: int, groups=None) -> bool:
     the integers: equal groups plus a surjectivity certificate via Smith
     normal form of the induced presentation; ``groups`` may give the two
     groups, source's and target's, when they are known, and they are then
-    not computed again.  In the top degree over F_p the test takes what
-    the map kept of the streamed top boundaries; over Z and Q the
-    complexes hold them.
+    not computed again.  In the top degree both tests take what the
+    complexes kept of their streamed top boundaries.
     """
     if not 0 <= degree <= chm.degree_bound:
         raise ValueError(f"degree {degree} is outside the chain map's "
                          f"degree bound {chm.degree_bound}")
     if chm.ring.is_field:
-        top = chm.top if degree == chm.degree_bound else None
         return induced_map_is_iso_field(chm.source, chm.target, chm.blocks,
-                                        degree, chm.ring, top)
+                                        degree, chm.ring)
     src_group, tgt_group = groups or (
         homology(cx, degree).group(degree) for cx in (chm.source, chm.target))
     if src_group != tgt_group:

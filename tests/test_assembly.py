@@ -22,7 +22,7 @@ from gammahom import simplicial
 from gammahom.chains import (GF, QQ, ZZ, ChainComplex, CooMatrix, Multicomplex,
                              coo_mul, homology, induced_map_is_iso_field,
                              induced_map_is_surjective_integer, place_blocks,
-                             total_complex)
+                             smith_normal_form, total_complex)
 from gammahom.errors import IntegrityError
 from gammahom.gamma import (FinPointedSet, PointedMap, constant_map,
                             identity_map)
@@ -292,14 +292,20 @@ def test_chain_map_blocks_match_naive_assembly(name):
     src = NormalizedChains(f.source, bound)
     tgt = NormalizedChains(f.target, bound)
     chm = chains_of_map(f, ZZ, bound)
-    # Over Z the map holds the top degree, bound + 1, as well.
     source_cx, target_cx = src.complex(ZZ), tgt.complex(ZZ)
-    for d in range(bound + 2):
+    for d in range(bound + 1):
         assert chm.source.boundary(d) == source_cx.boundary(d)
         assert chm.target.boundary(d) == target_cx.boundary(d)
         m = chm.block(d)
         assert m == resorted(m)
         assert m == naive_block(f, src, tgt, d)
+    # The top degree, bound + 1, streamed: the map holds no block there,
+    # and each complex keeps the Smith diagonal of its top boundary.
+    with pytest.raises(ValueError, match="degree bound"):
+        chm.block(bound + 1)
+    for cx, whole in ((chm.source, source_cx), (chm.target, target_cx)):
+        assert cx.diagonal(bound + 1) == \
+            smith_normal_form(whole.boundary(bound + 1)).diagonal
 
 
 def wedge_fold(n):
@@ -349,13 +355,11 @@ def check_streamed_chain_map(name, ring):
     build, bound = {**MAPS, **TOWER_MAPS}[name]
     f = build()
     chm = chains_of_map(f, ring, bound)
-    # Over F_p the tower maps stream a top degree; over Z and Q both
-    # complexes hold theirs.
-    if ring.kind == "F":
-        assert not (chm.source.holds_top and chm.target.holds_top) or \
-            name in MAPS
-    else:
-        assert chm.source.holds_top and chm.target.holds_top
+    # Over every ring the tower maps stream a top degree: no complex of
+    # theirs holds its top, and each keeps the basis of its columns.
+    if name in TOWER_MAPS:
+        for cx in (chm.source, chm.target):
+            assert not cx.holds_top and cx.top_basis is not None
     want = whole_iso(f, ring, bound)
     # The top degree twice: the kept basis is copied, not used up.
     got = [chain_map_induces_iso(chm, d) for d in range(bound + 1)]
@@ -439,8 +443,9 @@ def test_streamed_chain_maps_agree_across_split_batches(monkeypatch, ring):
         checks.clear()
         check_streamed_chain_map(name, ring)
         spanned += [key for key in set(checks) if checks.count(key) > 1]
-    # Held boundaries pass as one batch; streamed tops split multi-indices.
-    assert bool(spanned) == (ring.kind == "F")
+    # Held boundaries pass as one batch; streamed tops, over every ring,
+    # split multi-indices.
+    assert spanned
 
 
 def test_split_top_batches_that_do_not_commute_are_refused(monkeypatch):
@@ -471,8 +476,9 @@ def test_a_complex_without_its_top_boundary_is_refused():
 
 @pytest.mark.parametrize("ring", [ZZ, QQ], ids=str)
 def test_integral_chain_map_builds_each_top_once(monkeypatch, ring):
-    # Over Z and Q the map's complexes hold their top boundaries from the
-    # start, so the iso test in the top degree builds neither again.
+    # Over Z and Q the map streams each top once, and the iso test in the
+    # top degree takes what the complexes kept of it: it builds neither
+    # again.
     builds = []
     strips_of = NormalizedChains._strips_of
     top_batches = NormalizedChains.top_batches
@@ -500,16 +506,16 @@ def test_integral_chain_map_builds_each_top_once(monkeypatch, ring):
 def test_chain_maps_take_the_levels_a_homology_reduced(monkeypatch, name,
                                                        ring):
     # Both sides reduced as spectrum_homology reduces a tower level: the
-    # chain map builds neither again, and over F_p no top streams into a
-    # rank again.  The top degree's answer is asked for twice, and the
-    # target's kept basis keeps its rank.
+    # chain map builds neither again, and over every ring no top streams
+    # into a rank again.  The top degree's answer is asked for twice, and
+    # the target's kept basis keeps its rank.
     build, bound = TOWER_MAPS[name]
     f = build()
     reduced = [(nc, nc.reduced(ring)[0]) for nc in (
         NormalizedChains(f.source, bound), NormalizedChains(f.target, bound))]
     basis = reduced[1][1].top_basis
-    assert (basis is None) == (ring.kind != "F")
-    rank = None if basis is None else basis.rank
+    assert basis is not None and reduced[0][1].top_basis is not None
+    rank = basis.rank
     built, streamed = [], []
     init, stream_top = NormalizedChains.__init__, simplicial.stream_top
 
@@ -529,7 +535,7 @@ def test_chain_maps_take_the_levels_a_homology_reduced(monkeypatch, name,
     want = whole_iso(f, ring, bound)
     assert [chain_map_induces_iso(chm, d) for d in range(bound + 1)] == want
     assert chain_map_induces_iso(chm, bound) == want[bound]
-    assert basis is None or basis.rank == rank
+    assert basis.rank == rank
 
 
 def test_streamed_chain_map_holds_one_batch_of_the_top_degree():
@@ -727,7 +733,7 @@ def test_homology_of_random_total_complexes_against_references(seed):
 
 
 # ---------------------------------------------------------------------------
-# The top degree streamed into the field rank.
+# The top degree streamed into the rank.
 
 # Tower levels with 1 to 4 directions: (spec, level, degree bound).  Every
 # top degree with two or more directions holds multi-indices with no cells,
@@ -749,6 +755,73 @@ def test_streamed_homology_matches_the_whole_complex(name, p):
     nc = NormalizedChains(spectrum_level(parse_space(spec), n), bound)
     ring = GF(p)
     assert nc.homology(ring) == homology(nc.complex(ring))
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=str)
+@pytest.mark.parametrize("name", sorted(STREAMED))
+def test_streamed_integral_homology_matches_the_whole_complex(name, ring):
+    spec, n, bound = STREAMED[name]
+    nc = NormalizedChains(spectrum_level(parse_space(spec), n), bound)
+    cx, table = nc.reduced(ring)
+    whole = nc.complex(ring)
+    assert table == homology(whole)
+    assert cx.top_basis is not None
+    # The columns the stream left span the top boundary's lattice: they
+    # lie in it, and their Smith form is the boundary's.
+    top = bound + 1
+    assert smith_normal_form(cx.lattice(top)).diagonal == \
+        smith_normal_form(whole.boundary(top)).diagonal
+
+
+@pytest.mark.parametrize("limit, value", [("_INT_TOP", 0),
+                                          ("_BASIS_LIMIT", 16)])
+def test_integral_top_stream_falls_back_to_the_whole_boundary(
+        monkeypatch, limit, value):
+    # Over Z and Q, a top whose int64 stream trips (any entry past an
+    # _INT_TOP of 0, or a basis of more than two entries) is built whole by
+    # a second pass of its batches, which the line engine takes.  The
+    # tables and the top-degree iso answers are those of the whole
+    # complexes, found before the limit is lowered.  The torus has rational
+    # homology in the top degree, so over Q the iso test ranks M there.
+    # Small batches put each top's columns in several.
+    from gammahom import chains
+    monkeypatch.setattr(simplicial, "_TOP_BATCH", 100)
+    monkeypatch.setattr(simplicial, "_STRIP_CHUNK", 30)
+    maps = [(TOWER_MAPS["wedge fold(ab:2) level 2"][0], 3),
+            (MAPS["id(circle x circle)"][0], 1)]
+    rings = (ZZ, QQ)
+    cases = [(build(), bound, ring) for build, bound in maps
+             for ring in rings]
+    want = [whole_iso(f, ring, bound)[bound] for f, bound, ring in cases]
+    torus, bound, _ = cases[-1]
+    assert homology(NormalizedChains(torus.target, bound).complex(
+        QQ)).group(bound).free_rank == 2
+    levels = [NormalizedChains(spectrum_level(parse_space(spec), n), b)
+              for spec, n, b in (STREAMED["ab:2 level 2"],
+                                 STREAMED["mu(2)*ab:2 level 3"])]
+    tables = {(nc, ring): homology(nc.complex(ring))
+              for nc in levels for ring in rings}
+    # Maps whose tops streamed before the limit fell: over Q the torus's
+    # iso test then trips on [F; A] and ranks M whole, with B as the
+    # columns the top's stream left; over Z the certificate takes them.
+    kept = [chains_of_map(f, ring, bound) for f, bound, ring in cases]
+    monkeypatch.setattr(chains, limit, value)
+    for nc, ring in tables:
+        cx, table = nc.reduced(ring)
+        assert table == tables[nc, ring]
+        assert cx.holds_top and cx.top_basis is None
+    for (f, bound, ring), answer, chm in zip(cases, want, kept):
+        fresh = chains_of_map(f, ring, bound)
+        for cx in (fresh.source, fresh.target):
+            assert cx.top_basis is None
+        assert fresh.target.holds_top
+        assert chain_map_induces_iso(fresh, bound) == answer
+        assert chm.target.top_basis is not None
+        assert chain_map_induces_iso(chm, bound) == answer
+    # The second pass is checked for d∘d = 0 too: under _BASIS_LIMIT the
+    # stream trips before the first batch.
+    with pytest.raises(IntegrityError, match=r"d\*d != 0 at degree 2"):
+        NormalizedChains(unit_square(False), 1).homology(ZZ)
 
 
 def test_top_batches_split_the_top_boundary_at_chunk_ends(monkeypatch):
@@ -805,11 +878,17 @@ def test_streamed_top_degree_is_checked_for_d_squared():
 
 
 def test_streamed_homology_needs_a_prime_field_and_no_top_boundary():
+    # Every ring takes a streamed top and gives the whole complex's table;
+    # a complex that already holds its top is refused one.
     nc = NormalizedChains(spectrum_level(parse_space("ab:2"), 2), 2)
-    with pytest.raises(ValueError):
-        homology(nc.complex(ZZ), top=nc.top_batches())
-    with pytest.raises(ValueError):
-        homology(nc.complex(GF(2)), top=nc.top_batches())
+    for ring in (ZZ, QQ, GF(2)):
+        whole = nc.complex(ring)
+        with pytest.raises(ValueError, match="no top boundary"):
+            homology(whole, top=nc.top_batches)
+        lower = nc.lower(ring)
+        assert homology(lower, top=nc.top_batches) == homology(whole)
+        assert lower.top_basis is not None and not lower.holds_top
+    assert homology(nc.complex(ZZ)).group(2).torsion
 
 
 def test_streamed_homology_holds_one_batch_of_the_top_degree():

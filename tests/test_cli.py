@@ -195,22 +195,32 @@ def test_check_segal_over_z_takes_one_smith_form_per_level(capsys,
                                                            monkeypatch):
     # The wedge (1, 1) comparison at degree 2 reads both groups of level 4
     # off the stable tables, so the 1350 x 296820 boundary of the target's
-    # level 4 gets one Smith form, in its tower; the surjectivity
-    # certificate then refuses the level as too large.
-    from gammahom import chains
-    shapes = []
-    smith = chains.smith_normal_form
+    # level 4 streams once, in its tower, and the remainder its unit
+    # pivots leave gets one Smith form; the whole boundary gets none.  The
+    # surjectivity certificate then refuses the level as too large.
+    from gammahom import chains, simplicial
+    shapes, streamed = [], []
+    smith, stream_top = chains.smith_normal_form, chains.stream_top
 
     def counted(m, *args, **kwargs):
         shapes.append(m.shape)
         return smith(m, *args, **kwargs)
 
+    def counted_stream(cx, batches):
+        stream_top(cx, batches)
+        d = cx.degree_bound + 1
+        if (cx.rank(d - 1), cx.rank(d)) == (1350, 296820):
+            streamed.append(cx.top_basis.remainder().shape)
+
     monkeypatch.setattr(chains, "smith_normal_form", counted)
+    monkeypatch.setattr(chains, "stream_top", counted_stream)
+    monkeypatch.setattr(simplicial, "stream_top", counted_stream)
     code, _, err = run(capsys, "check", "--suite", "segal", "--space",
                        "ab:2", "--ring", "z", "--max-degree", "2")
     assert code == 3
     assert "integral surjectivity certificate" in err
-    assert shapes.count((1350, 296820)) == 1
+    assert len(streamed) == 1 and shapes.count(streamed[0]) == 1
+    assert (1350, 296820) not in shapes
 
 
 def test_check_failure_exit_one(capsys):

@@ -149,18 +149,34 @@ def test_check_wedge_iso():
 def test_wedge_comparison_streams_each_top_once(monkeypatch):
     # The towers of the (1, 1) wedge check on ab:2 reduce their levels;
     # the chain maps take those they share (the target's level 4 at bound
-    # 6 among them), so every top streams once.  Whatever the comparison
-    # kept is gone once it returns.
-    from gammahom import chains
+    # 6 among them), so every top streams once over each ring: the
+    # connectivity test streams the underlying space over Z, the tower's
+    # level 0 over F_2.  Whatever the comparison kept is gone once it
+    # returns.
+    from gammahom import chains, simplicial
     from gammahom.simplicial import NormalizedChains
-    streams, made = Counter(), []
+    streams, made, rings = Counter(), [], []
     top_batches, init = NormalizedChains.top_batches, \
         NormalizedChains.__init__
     basis_init = chains._EchelonBasis.__init__
 
     def counted(self):
-        streams[self.x.name, self.degree_bound] += 1
+        # The ring of the stream that asks for the batches, if any.
+        streams[self.x.name, self.degree_bound,
+                rings[-1] if rings else None] += 1
         return top_batches(self)
+
+    def ringed(stream_top):
+        def run(cx, batches):
+            rings.append(cx.ring)
+            try:
+                return stream_top(cx, batches)
+            finally:
+                rings.pop()
+        return run
+
+    for module in (chains, simplicial):
+        monkeypatch.setattr(module, "stream_top", ringed(module.stream_top))
 
     def tracked_init(self, *args, **kwargs):
         made.append(weakref.ref(self))
@@ -176,7 +192,7 @@ def test_wedge_comparison_streams_each_top_once(monkeypatch):
     report = check_wedge_iso(discrete_abelian([2]), 1, 1, GF(2), 2)
     assert report.passed
     assert "degree 2: F2^2 iso via level 4" in report.details
-    assert streams["B(B(B(B(mu(2)*ab:2))))@[1]", 6] == 1
+    assert streams["B(B(B(B(mu(2)*ab:2))))@[1]", 6, GF(2)] == 1
     assert set(streams.values()) == {1}
     assert made and all(ref() is None for ref in made)
 
