@@ -497,8 +497,8 @@ def matrix_rank(m: CooMatrix, ring: Ring) -> int:
     if m.nnz == 0:
         return 0
     if ring.kind == "F":
-        return _field_rank(m, ring.p)
-    return _rank_integer(m)
+        return _streamed(m, ring.p).rank
+    return len(_snf_core(m, transforms=False, need_chain=False).diagonal)
 
 
 # A batch of vectors takes the cells of this many full-length vectors.
@@ -527,20 +527,6 @@ class _PackedBits:
     @staticmethod
     def zeros(count, size):
         return np.zeros((count, (size + 63) >> 6), dtype=np.uint64)
-
-    @staticmethod
-    def scatter(out, owner, idx, val):
-        """Set entry idx of vector owner; the pairs are sorted and distinct."""
-        key = owner * out.shape[1] + (idx >> 6)
-        bits = np.left_shift(np.uint64(1), (idx & 63).astype(np.uint64))
-        starts = _run_starts(key)
-        out.reshape(-1)[key[starts]] = np.bitwise_or.reduceat(bits, starts)
-
-    @staticmethod
-    def subtract(vecs, targets, rows, coef, starts):
-        """Subtract from vecs[targets[i]] the sum of coef * rows over the
-        i-th segment of rows, the segments beginning at starts."""
-        vecs[targets] ^= np.bitwise_xor.reduceat(rows, starts, axis=0)
 
     @staticmethod
     def lead(v):
@@ -630,6 +616,7 @@ class _Residues:
 
     @staticmethod
     def scatter(out, owner, idx, val):
+        """Set entry idx of vector owner to val."""
         out[owner, idx] = val
 
     def mod(self, x):
@@ -639,6 +626,8 @@ class _Residues:
         return x
 
     def subtract(self, vecs, targets, rows, coef, starts):
+        """Subtract from vecs[targets[i]] the sum of coef * rows over the
+        i-th segment of rows, the segments beginning at starts."""
         # A product is below p^2 < 2^62; reduce the products first unless
         # the whole sum of them stays below 2^63.
         terms = rows * coef[:, None]
@@ -1139,20 +1128,16 @@ def _lead_entries(row, col, val, n, unit=False):
     return owner, at
 
 
-def _field_rank(m: CooMatrix, p: int) -> int:
-    """Rank over F_p of the columns of m, which stream into a reduced
-    echelon basis on the rows; a tall matrix is ranked as its transpose,
-    so the basis is on the short side.  No dense matrix of the long side
-    is built, and the stream stops once the rank reaches the short side."""
+def _streamed(m: CooMatrix, p: int) -> _EchelonBasis:
+    """The reduced echelon basis over F_p, or over Z for p = 0, into which
+    the columns of m stream; a tall matrix streams as its transpose, so
+    the basis is on the short side.  No dense matrix of the long side is
+    built, and the stream stops once the rank reaches the short side."""
     if m.shape[0] > m.shape[1]:
         m = m.transpose()
     basis = _EchelonBasis(m.shape[0], p, m.shape[1])
     basis.absorb_columns(m)
-    return basis.rank
-
-
-def _rank_integer(m: CooMatrix) -> int:
-    return len(_snf_core(m, transforms=False, need_chain=False).diagonal)
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -1329,16 +1314,12 @@ def _pivot_spots(elim: _SparseElim, active_rows, active_cols):
 
 
 def _unit_reduction(m: CooMatrix) -> tuple[int, CooMatrix]:
-    """(k, S) with SNF(m) = I_k + SNF(S): the columns of m (of its
-    transpose if it is tall) stream into an echelon basis over Z whose k
-    pivots are all +-1, and S is the remainder, the vectors with no unit
-    left, on the rows that are not pivots.  Raises _Int64Overflow when an
-    entry would leave the int64 bound, LimitExceeded when the basis would
-    be too large."""
-    if m.shape[0] > m.shape[1]:
-        m = m.transpose()
-    basis = _EchelonBasis(m.shape[0], 0, m.shape[1])
-    basis.absorb_columns(m)
+    """(k, S) with SNF(m) = I_k + SNF(S): m streams into an echelon basis
+    over Z (``_streamed``) whose k pivots are all +-1, and S is the
+    remainder, the vectors with no unit left, on the rows that are not
+    pivots.  Raises _Int64Overflow when an entry would leave the int64
+    bound, LimitExceeded when the basis would be too large."""
+    basis = _streamed(m, 0)
     rest = basis.remainder()  # its rounds may add pivots
     return basis.rank, rest
 
@@ -1348,8 +1329,9 @@ def _snf_core(m: CooMatrix, transforms: bool, need_chain: bool) -> SmithResult:
     length and the same product.  Without transforms the unit pivots are
     taken first by the int64 stream and the line engine sees only the
     remainder; if the stream cannot hold the matrix, the line engine takes
-    all of it in Python integers."""
-    if not transforms and m.nnz:
+    all of it in Python integers.  A matrix with no +-1 entry skips the
+    stream, which could take no pivot in it."""
+    if not transforms and (np.abs(m.val) == 1).any():
         try:
             units, rest = _unit_reduction(m)
         except (_Int64Overflow, LimitExceeded):
@@ -1860,7 +1842,7 @@ def induced_map_is_surjective_integer(src: ChainComplex, tgt: ChainComplex,
         raise LimitExceeded("integral surjectivity certificate needs dense "
                             "transforms; complex too large")
     dt = tgt.boundary(degree)
-    z = tgt.rank(degree) - _rank_integer(dt)
+    z = tgt.rank(degree) - len(tgt.diagonal(degree))
     if z == 0:
         return True
     f, b = blocks[degree], tgt.lattice(degree + 1)

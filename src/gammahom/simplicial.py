@@ -783,16 +783,14 @@ def chains_of_map(f: MSMap, ring: Ring, degree_bound: int,
     return ChainMap(source_cx, target_cx, blocks)
 
 
-def chain_map_induces_iso(chm: ChainMap, degree: int, groups=None) -> bool:
+def chain_map_induces_iso(chm: ChainMap, degree: int) -> bool:
     """Whether a chain map induces an isomorphism on degree-d homology, for
     d up to the map's degree bound.
 
     Over a field: equal dimensions plus full rank of the induced map.  Over
     the integers: equal groups plus a surjectivity certificate via Smith
-    normal form of the induced presentation; ``groups`` may give the two
-    groups, source's and target's, when they are known, and they are then
-    not computed again.  In the top degree both tests take what the
-    complexes kept of their streamed top boundaries.
+    normal form of the induced presentation.  In the top degree both tests
+    take what the complexes kept of their streamed top boundaries.
     """
     if not 0 <= degree <= chm.degree_bound:
         raise ValueError(f"degree {degree} is outside the chain map's "
@@ -800,8 +798,8 @@ def chain_map_induces_iso(chm: ChainMap, degree: int, groups=None) -> bool:
     if chm.ring.is_field:
         return induced_map_is_iso_field(chm.source, chm.target, chm.blocks,
                                         degree, chm.ring)
-    src_group, tgt_group = groups or (
-        homology(cx, degree).group(degree) for cx in (chm.source, chm.target))
+    src_group, tgt_group = (homology(cx, degree).group(degree)
+                            for cx in (chm.source, chm.target))
     if src_group != tgt_group:
         return False
     return induced_map_is_surjective_integer(chm.source, chm.target,

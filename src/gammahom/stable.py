@@ -135,7 +135,9 @@ def spectrum_homology(x: GammaSpace, ring: Ring, i_max: int, *,
     computed for increasing n until two consecutive values agree and n > i.
     Special inputs get the certified bound; otherwise the result is labelled
     as the pre-spectrum route and marked empirical.  Budget exhaustion
-    produces a partial result with the undecided degrees marked.
+    produces a partial result with the undecided degrees marked; a level
+    whose rank is refused is first built again at the bound the lowest
+    undecided degree needs.
 
     A comparison of two towers passes a dict as ``keep``.  A level n
     reduced at degree bound r is kept there, keyed by (level, r), as
@@ -191,11 +193,17 @@ def spectrum_homology(x: GammaSpace, ring: Ring, i_max: int, *,
             budget_note = (f"level {n}: cells above total degree "
                            f"{reach + 1} exceed the budget of {cell_budget}")
             break
-        try:
-            nc = NormalizedChains(level, reach, cell_budget)
-            cx, table = nc.reduced(ring)
-        except LimitExceeded as exc:
-            budget_note = f"level {n}: {exc}"
+        # A refused rank is tried once more at the bound the lowest
+        # undecided degree needs, the refused level dropped first.
+        for reach in sorted({reach, min(unresolved) + n}, reverse=True):
+            try:
+                nc = NormalizedChains(level, reach, cell_budget)
+                cx, table = nc.reduced(ring)
+                break
+            except LimitExceeded as exc:
+                nc, refusal = None, f"level {n}: {exc}"
+        else:
+            budget_note = refusal
             break
         progress = False
         for i in range(i_max + 1):
@@ -343,11 +351,7 @@ def _compare_towers_via_map(gmap: GammaMap, ring: Ring, d_max: int,
                             reduced=(reduced.pop((f.source, top), None),
                                      reduced.pop((f.target, top), None)))
         for i in degrees:
-            # Over Z the stable tables give both groups at level n.
-            groups = [dict(e.history).get(n) for e in (left.entries[i],
-                                                        right.entries[i])]
-            if chain_map_induces_iso(chm, i + n,
-                                     None if None in groups else groups):
+            if chain_map_induces_iso(chm, i + n):
                 details.append(
                     f"degree {i}: {left.entries[i].group.label(ring)} "
                     f"iso via level {n}")

@@ -22,7 +22,7 @@ from gammahom import simplicial
 from gammahom.chains import (GF, QQ, ZZ, ChainComplex, CooMatrix, Multicomplex,
                              coo_mul, homology, induced_map_is_iso_field,
                              induced_map_is_surjective_integer, place_blocks,
-                             smith_normal_form, total_complex)
+                             smith_normal_form, stream_top, total_complex)
 from gammahom.errors import IntegrityError
 from gammahom.gamma import (FinPointedSet, PointedMap, constant_map,
                             identity_map)
@@ -889,6 +889,29 @@ def test_streamed_homology_needs_a_prime_field_and_no_top_boundary():
         assert homology(lower, top=nc.top_batches) == homology(whole)
         assert lower.top_basis is not None and not lower.holds_top
     assert homology(nc.complex(ZZ)).group(2).torsion
+
+
+@pytest.mark.parametrize("limit", [None, "_BASIS_LIMIT"])
+def test_a_top_stream_short_of_columns_is_refused(monkeypatch, limit):
+    # Batches that stop before the last column of the top boundary are
+    # refused, whether they stream into the basis or, once the int64
+    # stream over Z or Q has tripped on a basis of more than two entries,
+    # are built whole.
+    from gammahom import chains
+    nc = NormalizedChains(spectrum_level(parse_space("ab:2"), 2), 2)
+    batches = list(nc.top_batches())
+    last = batches[-1]
+    keep = last.col < last.shape[1] - 1
+    batches[-1] = CooMatrix((last.shape[0], last.shape[1] - 1),
+                            last.row[keep], last.col[keep], last.val[keep])
+    top = nc.multicomplex.degree_ranks[3]
+    rings = (ZZ, QQ, GF(2))
+    if limit:
+        monkeypatch.setattr(chains, limit, 16)
+        rings = (ZZ, QQ)
+    for ring in rings:
+        with pytest.raises(ValueError, match=f"columns, expected {top}"):
+            stream_top(nc.lower(ring), lambda: iter(batches))
 
 
 def test_streamed_homology_holds_one_batch_of_the_top_degree():

@@ -928,8 +928,11 @@ def assert_stream_matches_lines(m, runs):
     """The Smith form through the stream is the line engine's on all of m;
     without the divisibility repair the diagonal form has the same length
     and the same all-units verdict; the Q rank is its length; and every
-    stream ran to the end in int64.  Returns the line engine's diagonal."""
+    stream ran to the end in int64.  A stream runs only if m holds a +-1
+    entry: with none it could take no pivot.  Returns the line engine's
+    diagonal; ``runs`` then holds the streams of m alone."""
     from gammahom import chains
+    runs.clear()
     want = chains._snf_lines(m, False, True).diagonal
     assert smith_normal_form(m).diagonal == want
     loose = chains._snf_lines(m, False, False).diagonal
@@ -937,14 +940,15 @@ def assert_stream_matches_lines(m, runs):
     assert len(got) == len(loose) == len(want)
     assert (set(got) <= {1}) == (set(loose) <= {1}) == (set(want) <= {1})
     assert matrix_rank(m, QQ) == matrix_rank(m, ZZ) == len(want)
-    assert runs and all(isinstance(run, tuple) for run in runs)
+    assert all(isinstance(run, tuple) for run in runs)
+    assert bool(runs) == bool((np.abs(m.val) == 1).any())
     return want
 
 
 @pytest.mark.parametrize("rows, cols, factors", [
     (30, 70, [1] * 25 + [2, 6]),      # wide
     (70, 30, [1] * 20 + [3, 3, 9]),   # tall
-    (20, 20, [2] * 8 + [4]),          # no unit pivot at all
+    (20, 20, [2] * 8 + [4]),          # no unit entry: no stream
 ])
 def test_unit_stream_of_planted_diagonal(stream_runs, rows, cols, factors):
     rng = random.Random(rows * 7 + cols)
@@ -1036,9 +1040,14 @@ def test_unit_stream_falls_back_to_python_integers(stream_runs):
     stream_runs.clear()
     assert smith_normal_form(m).diagonal == (1,) * 64 + (1 << 64,)
     assert isinstance(stream_runs[0], chains._Int64Overflow)
-    # An entry beyond the int64 bound goes to the line engine at once.
+    # An entry beyond the int64 bound sends the matrix to the line engine
+    # at once; alone, with no +-1 beside it, it is never streamed.
     stream_runs.clear()
     assert smith_normal_form(scalar(1 << 40)).diagonal == (1 << 40,)
+    assert not stream_runs
+    m = CooMatrix.from_entries((2, 2), {(0, 0): 1 << 40, (1, 1): 1})
+    assert smith_normal_form(m).diagonal == (1, 1 << 40)
+    assert len(stream_runs) == 1
     assert isinstance(stream_runs[0], chains._Int64Overflow)
 
 

@@ -119,21 +119,36 @@ def test_usage_errors_exit_two(capsys):
     assert main(["compute", "--space", "ab:2", "--format", "yaml"]) == 2
 
 
-def test_huge_prime_ring_rejected_quickly():
-    # Run apart, so that a primality test that hangs fails instead of
-    # stalling the suite.
+def fresh_python(*args):
+    """Run python on args in a new process that imports the package from
+    this checkout's sources; gives up after 30 s."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=30)
+
+
+def test_huge_prime_ring_rejected_quickly():
+    # Run apart, so that a primality test that hangs fails instead of
+    # stalling the suite.
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "gammahom.cli", "compute", "--space",
-             "point", "--ring", "f1000000000000000003"],
-            env=env, capture_output=True, text=True, timeout=30)
+        proc = fresh_python("-m", "gammahom.cli", "compute", "--space",
+                            "point", "--ring", "f1000000000000000003")
     except subprocess.TimeoutExpired:
         pytest.fail("ring parsing did not return within 30 s")
     assert proc.returncode == 2
     assert "2^31" in proc.stderr
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    # scipy is imported only where a sparse product is taken; a fresh
+    # import of it costs more than the smallest jobs take in all.
+    proc = fresh_python("-c", "import sys, gammahom, gammahom.cli; "
+                        "print(sorted(m for m in sys.modules "
+                        "if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_budget_exhaustion_exit_three(capsys):
@@ -193,11 +208,12 @@ def test_check_segal_over_z(capsys):
 
 def test_check_segal_over_z_takes_one_smith_form_per_level(capsys,
                                                            monkeypatch):
-    # The wedge (1, 1) comparison at degree 2 reads both groups of level 4
-    # off the stable tables, so the 1350 x 296820 boundary of the target's
-    # level 4 streams once, in its tower, and the remainder its unit
-    # pivots leave gets one Smith form; the whole boundary gets none.  The
-    # surjectivity certificate then refuses the level as too large.
+    # The wedge (1, 1) comparison at degree 2 takes the target's level 4
+    # from its tower, with the Smith diagonal of its top kept, so the
+    # 1350 x 296820 boundary of that level streams once, and the remainder
+    # its unit pivots leave gets one Smith form; the whole boundary gets
+    # none.  The surjectivity certificate then refuses the level as too
+    # large.
     from gammahom import chains, simplicial
     shapes, streamed = [], []
     smith, stream_top = chains.smith_normal_form, chains.stream_top
@@ -221,6 +237,23 @@ def test_check_segal_over_z_takes_one_smith_form_per_level(capsys,
     assert "integral surjectivity certificate" in err
     assert len(streamed) == 1 and shapes.count(streamed[0]) == 1
     assert (1350, 296820) not in shapes
+
+
+def test_a_refused_rank_is_retried_at_the_lowest_undecided_degree(capsys):
+    # At level 3 the reach of degree 3 asks for a mod-3 rank of 1602624
+    # vectors of length 9184, more than a basis may hold.  The level is
+    # retried at the bound degree 2 needs, which fits, and degree 2
+    # stabilizes at level 4; degree 3 is left to the cell budget of
+    # level 5.
+    code, out, _ = run(capsys, "compute", "--space", "ab:3", "--ring", "f3",
+                       "--max-degree", "3", "--format", "json")
+    assert code == 3
+    payload = json.loads(out)
+    degrees = payload["degrees"]
+    assert [e["label"] for e in degrees] == ["F3", "F3", "0", "?"]
+    assert (degrees[2]["stabilized_at"], degrees[2]["certificate"]) \
+        == (4, "i<n")
+    assert payload["budget_note"].startswith("level 5: cells above")
 
 
 def test_check_failure_exit_one(capsys):
