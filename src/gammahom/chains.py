@@ -52,10 +52,10 @@ and SNF(M) = I_k + SNF(S) for k unit pivots, so the line engine below sees
 S alone.  int64 never wraps: every stored entry stays within +-2^29, so an
 entry less eight products of two stays below 2^62; a gather is bounded by
 the sum of its coefficients before it runs, and every result is checked.
-If a bound trips, or the basis would pass the size a rank is refused on,
-the line engine takes the whole matrix in Python integers, which are
-arbitrary precision (a streamed top is built whole again for it).  With
-transforms (integer kernel bases) the line engine takes it in any case.
+If a bound trips, or a held matrix's basis would pass the size a rank is
+refused on, the line engine takes it whole in Python integers, which are
+arbitrary precision (a streamed top is built whole for it only if a bound
+trips).  With transforms (integer kernel bases) it takes it in any case.
 
 Whether a chain map induces an isomorphism on homology over a field is read
 off ranks too.  For A = d_d of the source, F the map in degree d and
@@ -792,10 +792,10 @@ class _EchelonBasis:
         n = self.n + k
         self.short = min(n, self.vectors)
         if self.short * self.field.width(n) * 8 > _BASIS_LIMIT:
+            over = f"a mod-{self.p} rank" if self.p else "a rank over Z"
             raise LimitExceeded(
-                f"a mod-{self.p} rank of {self.vectors} vectors of length "
-                f"{n} is too large: its basis needs {self.short}x{n} "
-                f"entries")
+                f"{over} of {self.vectors} vectors of length {n} is too "
+                f"large: its basis needs {self.short}x{n} entries")
         self.code = np.concatenate(
             (self.code, np.full(k, _NO_SLOT, dtype=np.int64)))
         self.n = n
@@ -1514,8 +1514,9 @@ class ChainComplex:
         self.holds_top = holds_top
         # Set once verify_boundary_condition has passed.
         self.verified = False
-        # Set by ``stream_top``: the top boundary's basis and Smith diagonal.
-        self.top_basis = self.top_diagonal = None
+        # The top boundary's echelon basis (``stream_top``), and the Smith
+        # diagonal of each boundary found so far, by degree.
+        self.top_basis, self._diagonals = None, {}
         for d, m in sorted(boundaries.items()):
             expected = (self.rank(d - 1), self.rank(d))
             if m.shape != expected:
@@ -1537,10 +1538,10 @@ class ChainComplex:
         return got
 
     def diagonal(self, d: int) -> tuple[int, ...]:
-        """The Smith diagonal of boundary d, kept for a streamed top."""
-        if d == self.degree_bound + 1 and self.top_diagonal is not None:
-            return self.top_diagonal
-        return _diagonal(self.boundary(d), self.ring)
+        """The Smith diagonal of boundary d, found once."""
+        if d not in self._diagonals:
+            self._diagonals[d] = _diagonal(self.boundary(d), self.ring)
+        return self._diagonals[d]
 
     def lattice(self, d: int) -> CooMatrix:
         """Boundary d, or columns that span its lattice for a streamed top."""
@@ -1639,9 +1640,9 @@ def stream_top(cx: ChainComplex, batches):
     Each is checked against d_{d-1} for d∘d = 0, goes into one echelon
     basis on the rows (p = 0 over Z and Q), lead columns seeded, and is
     dropped, so no more than one is held; the basis and the Smith diagonal
-    stay on cx.  If the int64 stream over Z or Q trips, a second pass
-    builds the boundary whole, which cx then holds and the line engine
-    takes."""
+    stay on cx.  A basis too large is refused (LimitExceeded) on every
+    ring.  If the int64 stream over Z or Q trips, a second pass builds the
+    boundary whole, which cx then holds and the line engine takes."""
     d = cx.degree_bound + 1
     below = cx.boundary(d - 1)
     seen = 0
@@ -1655,11 +1656,9 @@ def stream_top(cx: ChainComplex, batches):
                     f"boundary condition d*d != 0 at degree {d}")
             basis.absorb_columns(m)
             del m  # dropped before the next batch is built
-        cx.top_diagonal = _stream_diagonal(basis, cx.ring)
+        cx._diagonals[d] = _stream_diagonal(basis, cx.ring)
         cx.top_basis = basis
-    except (_Int64Overflow, LimitExceeded):
-        if cx.ring.p:
-            raise
+    except _Int64Overflow:
         parts, seen = [], 0
         for m in batches():
             parts.append((m.row, m.col.astype(np.int64) + seen, m.val))
@@ -1667,7 +1666,7 @@ def stream_top(cx: ChainComplex, batches):
         cx.boundaries[d] = join_strips((cx.rank(d - 1), cx.rank(d)), parts)
         cx.holds_top = True
         cx.verify_boundary_condition()
-        cx.top_diagonal = cx.diagonal(d)
+        cx.diagonal(d)  # kept on cx, as a streamed top's is
     if seen != cx.rank(d):
         raise ValueError(f"the batches of boundary {d} have {seen} columns, "
                          f"expected {cx.rank(d)}")
@@ -1780,18 +1779,19 @@ def induced_map_is_iso_field(src: ChainComplex, tgt: ChainComplex,
 
     The columns of M stream into one echelon basis (over Q a rank adds
     that of the remainder): B's first, on the target's rows alone, for
-    rank B; in the top degree that is the target's kept basis, copied
-    before it is extended.  Only if the two dimensions agree and are
-    nonzero is it extended by A's rows and fed [F; A] for rank M, so B is
-    eliminated once.  If the int64 stream over Q trips, M is ranked
-    whole, with ``lattice`` for B.
+    rank B, kept on the target as the other ranks are on their complexes;
+    in the top degree that is the target's kept basis, copied before it is
+    extended.  Only if the two dimensions agree and are nonzero is it
+    extended by A's rows and fed [F; A] for rank M, so B is eliminated
+    once.  If the int64 stream over Q trips, M is ranked whole, with
+    ``lattice`` for B; a basis too large is refused (LimitExceeded).
     """
     a, f = src.boundary(degree), blocks[degree]
     rows = tgt.rank(degree)
     if f.shape != (rows, a.shape[1]):
         raise ValueError(f"chain map block {f.shape} does not fit the "
                          f"complexes in degree {degree}")
-    rank_a = matrix_rank(a, ring)
+    rank_a = len(src.diagonal(degree))
     hs = src.rank(degree) - rank_a - len(src.diagonal(degree + 1))
     ht = tgt.rank(degree) - len(tgt.diagonal(degree))
     kept = tgt.top_basis if degree == tgt.degree_bound else None
@@ -1800,8 +1800,8 @@ def induced_map_is_iso_field(src: ChainComplex, tgt: ChainComplex,
             b = tgt.boundary(degree + 1)
             basis = _EchelonBasis(rows, ring.p or 0, b.shape[1])
             basis.absorb_columns(b)
-        rank_b = len(_stream_diagonal(basis, ring) if kept is None
-                     else tgt.top_diagonal)
+            tgt._diagonals[degree + 1] = _stream_diagonal(basis, ring)
+        rank_b = len(tgt.diagonal(degree + 1))
         if hs != ht - rank_b or hs == 0:
             return hs == ht - rank_b
         basis = basis if kept is None else copy.deepcopy(kept)
@@ -1809,9 +1809,7 @@ def induced_map_is_iso_field(src: ChainComplex, tgt: ChainComplex,
         basis.absorb_columns(place_blocks(
             (rows + a.shape[0], a.shape[1]), [(0, 0, f, 1), (rows, 0, a, 1)]))
         rank_m = len(_stream_diagonal(basis, ring))
-    except (_Int64Overflow, LimitExceeded):
-        if ring.p:
-            raise
+    except _Int64Overflow:
         b, rank_b = tgt.lattice(degree + 1), len(tgt.diagonal(degree + 1))
         if hs != ht - rank_b or hs == 0:
             return hs == ht - rank_b

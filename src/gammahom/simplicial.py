@@ -773,9 +773,9 @@ def chains_of_map(f: MSMap, ring: Ring, degree_bound: int,
     for d in range(1, top):
         for _ in checked(d):
             pass
-    if target_cx.top_diagonal is None:
+    if top not in target_cx._diagonals:
         stream_top(target_cx, tgt.top_batches)
-    if source_cx.top_diagonal is None:
+    if top not in source_cx._diagonals:
         stream_top(source_cx, lambda: checked(top))
     else:
         for _ in checked(top):

@@ -23,7 +23,7 @@ from gammahom.chains import (GF, QQ, ZZ, ChainComplex, CooMatrix, Multicomplex,
                              coo_mul, homology, induced_map_is_iso_field,
                              induced_map_is_surjective_integer, place_blocks,
                              smith_normal_form, stream_top, total_complex)
-from gammahom.errors import IntegrityError
+from gammahom.errors import IntegrityError, LimitExceeded
 from gammahom.gamma import (FinPointedSet, PointedMap, constant_map,
                             identity_map)
 from gammahom.segal import (block_inclusion_maps, discrete_abelian,
@@ -365,6 +365,34 @@ def check_streamed_chain_map(name, ring):
     got = [chain_map_induces_iso(chm, d) for d in range(bound + 1)]
     assert got == want
     assert chain_map_induces_iso(chm, bound) == want[bound]
+
+
+@pytest.mark.parametrize("ring", [GF(3), ZZ], ids=str)
+def test_a_complex_finds_each_boundary_diagonal_once(monkeypatch, ring):
+    # The iso tests, the certificate and homology read each boundary's
+    # Smith diagonal off its complex, which finds it once: asked again,
+    # no degree finds it anew.  (Over Q the iso test also ranks what its
+    # streams leave.)
+    from gammahom import chains
+    build, bound = TOWER_MAPS["wedge fold(ab:2) level 2"]
+    f = build()
+    want = [homology(NormalizedChains(x, bound).complex(ring))
+            for x in (f.source, f.target)]
+    found = []
+    diagonal = chains._diagonal
+
+    def counted(m, ring):
+        found.append(m.shape)
+        return diagonal(m, ring)
+
+    monkeypatch.setattr(chains, "_diagonal", counted)
+    chm = chains_of_map(f, ring, bound)
+    first = [chain_map_induces_iso(chm, d) for d in range(bound + 1)]
+    assert found
+    found.clear()
+    assert [chain_map_induces_iso(chm, d) for d in range(bound + 1)] == first
+    assert [homology(cx) for cx in (chm.source, chm.target)] == want
+    assert not found
 
 
 def relabelled(f, idx, change):
@@ -773,17 +801,13 @@ def test_streamed_integral_homology_matches_the_whole_complex(name, ring):
         smith_normal_form(whole.boundary(top)).diagonal
 
 
-@pytest.mark.parametrize("limit, value", [("_INT_TOP", 0),
-                                          ("_BASIS_LIMIT", 16)])
-def test_integral_top_stream_falls_back_to_the_whole_boundary(
-        monkeypatch, limit, value):
+def test_integral_top_stream_falls_back_to_the_whole_boundary(monkeypatch):
     # Over Z and Q, a top whose int64 stream trips (any entry past an
-    # _INT_TOP of 0, or a basis of more than two entries) is built whole by
-    # a second pass of its batches, which the line engine takes.  The
-    # tables and the top-degree iso answers are those of the whole
-    # complexes, found before the limit is lowered.  The torus has rational
-    # homology in the top degree, so over Q the iso test ranks M there.
-    # Small batches put each top's columns in several.
+    # _INT_TOP of 0) is built whole by a second pass of its batches, which
+    # the line engine takes.  The tables and the top-degree iso answers are
+    # those of the whole complexes, found before the limit is lowered.  The
+    # torus has rational homology in the top degree, so over Q the iso test
+    # ranks M there.  Small batches put each top's columns in several.
     from gammahom import chains
     monkeypatch.setattr(simplicial, "_TOP_BATCH", 100)
     monkeypatch.setattr(simplicial, "_STRIP_CHUNK", 30)
@@ -805,7 +829,7 @@ def test_integral_top_stream_falls_back_to_the_whole_boundary(
     # iso test then trips on [F; A] and ranks M whole, with B as the
     # columns the top's stream left; over Z the certificate takes them.
     kept = [chains_of_map(f, ring, bound) for f, bound, ring in cases]
-    monkeypatch.setattr(chains, limit, value)
+    monkeypatch.setattr(chains, "_INT_TOP", 0)
     for nc, ring in tables:
         cx, table = nc.reduced(ring)
         assert table == tables[nc, ring]
@@ -818,10 +842,42 @@ def test_integral_top_stream_falls_back_to_the_whole_boundary(
         assert chain_map_induces_iso(fresh, bound) == answer
         assert chm.target.top_basis is not None
         assert chain_map_induces_iso(chm, bound) == answer
-    # The second pass is checked for d∘d = 0 too: under _BASIS_LIMIT the
-    # stream trips before the first batch.
+    # The second pass is checked for d∘d = 0 too: the stream trips on the
+    # first batch, so the second, which fails d∘d, is checked only there.
+    cx = ChainComplex(ZZ, {0: 1, 1: 2, 2: 2},
+                      {1: CooMatrix.from_entries((1, 2), {(0, 0): 1,
+                                                          (0, 1): 1})},
+                      1, holds_top=False)
+    batches = [CooMatrix.from_entries((2, 1), {(0, 0): 1, (1, 0): -1}),
+               CooMatrix.from_entries((2, 1), {(0, 0): 1})]
     with pytest.raises(IntegrityError, match=r"d\*d != 0 at degree 2"):
-        NormalizedChains(unit_square(False), 1).homology(ZZ)
+        stream_top(cx, lambda: iter(batches))
+    assert cx.holds_top
+
+
+def test_an_integral_top_too_large_for_its_basis_is_refused(monkeypatch):
+    # Over Z and Q, as over a field, a top whose echelon basis would pass
+    # _BASIS_LIMIT is refused, not built whole: in the homology of a
+    # level, in a fresh chain map, and in the iso test of a kept map, whose
+    # top basis would grow by A's rows.  The refusal names the ring: the
+    # unit stream's is over Z, and a field's names its modulus.
+    from gammahom import chains
+    spec, n, bound = STREAMED["ab:2 level 2"]
+    nc = NormalizedChains(spectrum_level(parse_space(spec), n), bound)
+    f = MAPS["id(circle x circle)"][0]()
+    kept = chains_of_map(f, QQ, 1)
+    assert chain_map_induces_iso(kept, 1)
+    monkeypatch.setattr(chains, "_BASIS_LIMIT", 16)
+    for ring, rank in ((ZZ, "a rank over Z"), (QQ, "a rank over Z"),
+                       (GF(3), "a mod-3 rank")):
+        refusal = (rf"^{rank} of \d+ vectors of length \d+ is too large: "
+                   r"its basis needs \d+x\d+ entries$")
+        with pytest.raises(LimitExceeded, match=refusal):
+            nc.reduced(ring)
+        with pytest.raises(LimitExceeded, match=refusal):
+            chains_of_map(f, ring, 1)
+    with pytest.raises(LimitExceeded, match="^a rank over Z of "):
+        chain_map_induces_iso(kept, 1)
 
 
 def test_top_batches_split_the_top_boundary_at_chunk_ends(monkeypatch):
@@ -891,11 +947,11 @@ def test_streamed_homology_needs_a_prime_field_and_no_top_boundary():
     assert homology(nc.complex(ZZ)).group(2).torsion
 
 
-@pytest.mark.parametrize("limit", [None, "_BASIS_LIMIT"])
+@pytest.mark.parametrize("limit", [None, "_INT_TOP"])
 def test_a_top_stream_short_of_columns_is_refused(monkeypatch, limit):
     # Batches that stop before the last column of the top boundary are
     # refused, whether they stream into the basis or, once the int64
-    # stream over Z or Q has tripped on a basis of more than two entries,
+    # stream over Z or Q has tripped on an entry past an _INT_TOP of 0,
     # are built whole.
     from gammahom import chains
     nc = NormalizedChains(spectrum_level(parse_space("ab:2"), 2), 2)
@@ -907,11 +963,13 @@ def test_a_top_stream_short_of_columns_is_refused(monkeypatch, limit):
     top = nc.multicomplex.degree_ranks[3]
     rings = (ZZ, QQ, GF(2))
     if limit:
-        monkeypatch.setattr(chains, limit, 16)
+        monkeypatch.setattr(chains, limit, 0)
         rings = (ZZ, QQ)
     for ring in rings:
+        cx = nc.lower(ring)
         with pytest.raises(ValueError, match=f"columns, expected {top}"):
-            stream_top(nc.lower(ring), lambda: iter(batches))
+            stream_top(cx, lambda: iter(batches))
+        assert cx.holds_top == bool(limit)
 
 
 def test_streamed_homology_holds_one_batch_of_the_top_degree():

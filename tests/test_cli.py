@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -119,14 +120,21 @@ def test_usage_errors_exit_two(capsys):
     assert main(["compute", "--space", "ab:2", "--format", "yaml"]) == 2
 
 
-def fresh_python(*args):
+def fresh_python(*args, address_space=None):
     """Run python on args in a new process that imports the package from
-    this checkout's sources; gives up after 30 s."""
+    this checkout's sources, its address space capped at ``address_space``
+    bytes if given; gives up after 30 s."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS,
+                           (address_space, address_space))
+
     return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, timeout=30)
+                          capture_output=True, text=True, timeout=30,
+                          preexec_fn=cap if address_space else None)
 
 
 def test_huge_prime_ring_rejected_quickly():
@@ -254,6 +262,25 @@ def test_a_refused_rank_is_retried_at_the_lowest_undecided_degree(capsys):
     assert (degrees[2]["stabilized_at"], degrees[2]["certificate"]) \
         == (4, "i<n")
     assert payload["budget_note"].startswith("level 5: cells above")
+
+
+@pytest.mark.parametrize("ring, labels, stop", [
+    ("z", ["Z/3", "0", "0", "?"], "level 5"),
+    ("q", ["0", "0", "0", "?"], "level 4")], ids=["z", "q"])
+def test_an_integral_rank_too_large_is_refused_and_retried(ring, labels,
+                                                          stop):
+    # Over Z and Q as over F_3, level 3 of ab:3 at the reach of degree 3
+    # asks for a rank whose basis would pass the limit.  It is refused and
+    # the level retried at the bound degree 2 needs; building that top
+    # whole for the line engine instead took 1.3 GB before a MemoryError.
+    # A fresh process capped at 1.5 GB of address space fails fast if so.
+    proc = fresh_python("-m", "gammahom.cli", "compute", "--space", "ab:3",
+                        "--ring", ring, "--max-degree", "3", "--format",
+                        "json", address_space=1_500_000_000)
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    payload = json.loads(proc.stdout)
+    assert [e["label"] for e in payload["degrees"]] == labels
+    assert payload["budget_note"].startswith(f"{stop}: cells above")
 
 
 def test_check_failure_exit_one(capsys):

@@ -7,15 +7,17 @@ import pytest
 
 from gammahom.chains import GF, QQ, ZZ, HomologyGroup, homology
 from gammahom.errors import BudgetExceeded
-from gammahom.segal import (delooping, discrete_abelian,
+from gammahom.gamma import constant_map
+from gammahom.segal import (GammaMap, delooping, discrete_abelian,
                             free_gamma_space, is_special, point_space,
                             spectrum_level, sphere_space)
-from gammahom.simplicial import (circle, normalized_chains, smash_ss,
-                                 suspension_ss, two_point_object)
-from gammahom.stable import (check_commuting_square, check_rho_iso,
-                             check_smash_vanishing, check_stable_range,
-                             check_wedge_iso, connectivity, gamma_homology,
-                             spectrum_homology)
+from gammahom.simplicial import (DEFAULT_CELL_BUDGET, circle,
+                                 normalized_chains, smash_ss, suspension_ss,
+                                 two_point_object)
+from gammahom.stable import (_compare_towers_via_map, check_commuting_square,
+                             check_rho_iso, check_smash_vanishing,
+                             check_stable_range, check_wedge_iso,
+                             connectivity, gamma_homology, spectrum_homology)
 
 Z_ONE = HomologyGroup(1)
 Z_TWO = HomologyGroup(0, (2,))
@@ -202,6 +204,47 @@ def test_check_smash_vanishing():
                                  2).passed
     assert check_smash_vanishing(point_space(), 1, 1, ZZ, 2).passed
     assert check_smash_vanishing(sphere_space(), 1, 1, ZZ, 2).passed
+
+
+def test_check_smash_vanishing_reports_a_group_that_is_not_zero(
+        monkeypatch):
+    # With the smash taken to be the sphere, whose degree 0 is Z, the
+    # check fails in that degree and names the group.
+    from gammahom import stable
+    monkeypatch.setattr(stable, "smash_gamma", lambda x, y: sphere_space())
+    report = check_smash_vanishing(sphere_space(), 1, 1, ZZ, 1)
+    assert not report.passed
+    assert report.details == ["degree 0: Z != 0",
+                              "degree 1: 0 (stabilized at n=2)"]
+
+
+def constant_gamma_map(source, target):
+    """The natural map from source to target that sends every cell to the
+    basepoint."""
+    return GammaMap(source, target, lambda n, idx: constant_map(
+        source.at(n).cell(idx), target.at(n).cell(idx)), name="constant")
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(2), QQ], ids=str)
+def test_a_map_zero_on_homology_is_not_an_isomorphism(ring):
+    # The sphere's degree 0 matches itself, but the constant map induces
+    # zero there.
+    sphere = sphere_space()
+    zero = constant_gamma_map(sphere, sphere)
+    zero.verify_natural(size_bound=2, level_bound=1)
+    ok, details, _ = _compare_towers_via_map(zero, ring, 0,
+                                             DEFAULT_CELL_BUDGET, {})
+    assert not ok
+    assert details == ["degree 0: induced map not an isomorphism at "
+                       "level 1"]
+
+
+def test_towers_with_different_groups_are_not_isomorphic():
+    ok, details, _ = _compare_towers_via_map(
+        constant_gamma_map(point_space(), sphere_space()), ZZ, 0,
+        DEFAULT_CELL_BUDGET, {})
+    assert not ok
+    assert details == ["degree 0: 0 != Z"]
 
 
 def test_check_stable_range():
