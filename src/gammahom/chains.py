@@ -425,9 +425,9 @@ def _abs_max(val) -> int:
 _PRODUCT_CHUNK = 1 << 14
 
 
-def is_zero_product(a: CooMatrix, b: CooMatrix) -> bool:
+def is_zero_product(a: CooMatrix, b: CooMatrix, p: int = 0) -> bool:
     """Whether the integer product a*b vanishes, with no product matrix
-    built.
+    built; for p > 0, whether it vanishes mod p.
 
     An entry of a*b is a sum of at most c products, c the most entries in a
     column of b, so it is below B = max|a| max|b| c in absolute value.  With
@@ -437,7 +437,9 @@ def is_zero_product(a: CooMatrix, b: CooMatrix) -> bool:
     digits, each below half a digit, so their sum is below 2^63 and it is
     zero mod 2^64, where uint64 products wrap, only if every digit is.
     Raises LimitExceeded when w would reach 64.  Compact values of b are
-    widened a chunk of columns at a time.
+    widened a chunk of columns at a time.  Mod p the product is built in
+    int64 instead, a chunk of columns at a time, each chunk at most about
+    2^20 entries even if dense.
     """
     if a.shape[1] != b.shape[0]:
         raise ValueError("shape mismatch in product")
@@ -449,6 +451,8 @@ def is_zero_product(a: CooMatrix, b: CooMatrix) -> bool:
     if w >= 64:
         raise LimitExceeded("a product of integer matrices has entries too "
                             "large to test for zero in 64-bit words")
+    if p:
+        return _is_zero_product_mod(a, b, p, start)
     g = 64 // w
     packed = np.zeros((a.shape[1], -(-a.shape[0] // g)), dtype=np.uint64)
     shift = (a.row % g * w).astype(np.uint64)
@@ -468,6 +472,21 @@ def is_zero_product(a: CooMatrix, b: CooMatrix) -> bool:
         part = csr_matrix((_as_uint64(b.val[s:e]), row[s:e],
                            start[lo:hi + 1] - s), shape=(hi - lo, b.shape[0]))
         if (part @ packed).any():
+            return False
+    return True
+
+
+def _is_zero_product_mod(a: CooMatrix, b: CooMatrix, p: int, start) -> bool:
+    """is_zero_product mod p; ``start`` gives the column starts of b."""
+    from scipy.sparse import csc_matrix
+    left = a.to_scipy()
+    step = max(1, min(_PRODUCT_CHUNK, (1 << 20) // a.shape[0]))
+    for lo in range(0, b.shape[1], step):
+        hi = min(lo + step, b.shape[1])
+        s, e = start[lo], start[hi]
+        part = csc_matrix((b.val[s:e].astype(np.int64), b.row[s:e],
+                           start[lo:hi + 1] - s), shape=(b.shape[0], hi - lo))
+        if ((left @ part).data % p).any():
             return False
     return True
 
@@ -580,15 +599,19 @@ class _PackedBits:
             np.uint64(1), (slots & 63).astype(np.uint64))
 
     @staticmethod
+    def unpacked(vecs):
+        """The entries of the vectors, one byte per bit."""
+        raw = vecs.astype("<u8", copy=False)
+        return np.unpackbits(raw.view(np.uint8), axis=1, bitorder="little")
+
+    @staticmethod
     def move(vecs, src, dst, size):
         """Vectors of size entries holding entry src[i] of vecs at dst[i]
         and 0 elsewhere; they are unpacked to one byte per bit _BATCH
         vectors at a time."""
         out = np.zeros((len(vecs), 8 * ((size + 63) >> 6)), dtype=np.uint8)
         for lo in range(0, len(vecs), _BATCH):
-            raw = vecs[lo:lo + _BATCH].astype("<u8", copy=False)
-            bits = np.unpackbits(raw.view(np.uint8), axis=1,
-                                 bitorder="little")
+            bits = _PackedBits.unpacked(vecs[lo:lo + _BATCH])
             moved = np.zeros((len(bits), 8 * out.shape[1]), dtype=np.uint8)
             moved[:, dst] = bits[:, src]
             out[lo:lo + _BATCH] = np.packbits(moved, axis=1,
@@ -664,6 +687,10 @@ class _Residues:
     @staticmethod
     def unset(vecs, slots):
         vecs[np.arange(len(slots)), slots] = 0
+
+    @staticmethod
+    def unpacked(vecs):
+        return vecs
 
     @staticmethod
     def move(vecs, src, dst, size):
@@ -1081,14 +1108,25 @@ class _EchelonBasis:
                          col, val, _canonical=True)
 
     def columns(self) -> CooMatrix:
-        """Over Z, once every column is absorbed: the basis vectors with the
-        1 at each pivot, then the remainder; they span the columns' lattice."""
+        """Once every column is absorbed: the basis vectors with the 1 at
+        each pivot, then over Z the remainder; they span the columns'
+        space, over Z their lattice.  The vectors are unpacked _BATCH at a
+        time."""
         rest = self.remainder()
-        owner, slot = np.nonzero(self.rows[:self.rank])
+        owner, slot, val = [], [], []
+        for lo in range(0, self.rank, _BATCH):
+            vecs = self.field.unpacked(self.rows[lo:min(lo + _BATCH,
+                                                        self.rank)])
+            at = np.nonzero(vecs)
+            owner.append(at[0] + lo)
+            slot.append(at[1])
+            val.append(vecs[at].astype(np.int64))
+        slot = np.concatenate(slot or [np.empty(0, dtype=np.int64)])
         pivot = np.flatnonzero(self.code < 0)
-        row = self.cols[slot], pivot, np.flatnonzero(self.code >= 0)[rest.row]
-        col = owner, -1 - self.code[pivot], self.rank + rest.col
-        val = self.rows[owner, slot], np.ones_like(pivot), rest.val
+        row = [self.cols[slot], pivot,
+               np.flatnonzero(self.code >= 0)[rest.row]]
+        col = owner + [-1 - self.code[pivot], self.rank + rest.col]
+        val += [np.ones_like(pivot), rest.val]
         return CooMatrix((self.n, self.rank + rest.shape[1]),
                          *map(np.concatenate, (row, col, val)))
 
@@ -1587,13 +1625,14 @@ class ChainComplex:
 
 
 def homology(cx: ChainComplex, degree_bound: int | None = None,
-             top=None) -> HomologyTable:
+             top=None, spanning=None) -> HomologyTable:
     """Homology of a complex: Betti numbers over a field, free rank plus
     invariant-factor torsion over the integers.
 
     ``top`` may stream the boundary of degree cx.degree_bound + 1, which
     cx then does not hold: a callable giving matrices of its columns in
-    order (``stream_top``).  Without ``top``, a complex that does not hold
+    order, or ``spanning``, columns of the same span, in their place
+    (``stream_top``).  Without ``top``, a complex that does not hold
     that boundary and has not streamed it is refused for its own degree
     bound (ValueError).
 
@@ -1609,7 +1648,7 @@ def homology(cx: ChainComplex, degree_bound: int | None = None,
     if not cx.verified:
         cx.verify_boundary_condition()
     if top is not None:
-        stream_top(cx, top)
+        stream_top(cx, top, spanning)
     diag = [cx.diagonal(d) for d in range(bound + 2)]
     groups = {}
     for d in range(bound + 1):
@@ -1634,7 +1673,7 @@ def _stream_diagonal(basis: _EchelonBasis, ring: Ring) -> tuple[int, ...]:
     return (1,) * basis.rank + (_diagonal(rest, ring) if rest.nnz else ())
 
 
-def stream_top(cx: ChainComplex, batches):
+def stream_top(cx: ChainComplex, batches, spanning=None):
     """Stream the boundary of degree d = cx.degree_bound + 1, which cx does
     not hold, given by ``batches()`` as matrices of its columns in order.
     Each is checked against d_{d-1} for d∘d = 0, goes into one echelon
@@ -1642,22 +1681,31 @@ def stream_top(cx: ChainComplex, batches):
     dropped, so no more than one is held; the basis and the Smith diagonal
     stay on cx.  A basis too large is refused (LimitExceeded) on every
     ring.  If the int64 stream over Z or Q trips, a second pass builds the
-    boundary whole, which cx then holds and the line engine takes."""
+    boundary whole, which cx then holds and the line engine takes.
+
+    ``spanning`` may give, in place of the batches, one matrix whose
+    columns span the same space as the boundary's, over Z its lattice.  It
+    is checked and absorbed as a batch is, into a basis of the same size,
+    with d∘d = 0 taken mod p over F_p, where its columns are combinations
+    mod p; the batches are then built only if the int64 stream trips."""
     d = cx.degree_bound + 1
     below = cx.boundary(d - 1)
+    p = cx.ring.p or 0
     seen = 0
     try:
-        basis = _EchelonBasis(cx.rank(d - 1), cx.ring.p or 0, cx.rank(d))
-        for m in batches():
+        basis = _EchelonBasis(cx.rank(d - 1), p, cx.rank(d))
+        for m in batches() if spanning is None else (spanning,):
             seen += m.shape[1]
             # A batch with the wrong number of rows fails the product.
-            if not is_zero_product(below, m):
+            if not is_zero_product(below, m, 0 if spanning is None else p):
                 raise IntegrityError(
                     f"boundary condition d*d != 0 at degree {d}")
             basis.absorb_columns(m)
             del m  # dropped before the next batch is built
         cx._diagonals[d] = _stream_diagonal(basis, cx.ring)
         cx.top_basis = basis
+        if spanning is not None:
+            return
     except _Int64Overflow:
         parts, seen = [], 0
         for m in batches():

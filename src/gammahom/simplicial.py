@@ -15,6 +15,10 @@ computing the same homology.  Over every ring the strips of the top
 degree are built a chunk of cells at a time and go into the rank in
 compact batches that are then dropped, as in the out-of-core elimination
 of simplicial boundaries of Dumas, Heckenbach, Saunders and Welker (2003).
+In the stable range of a delooping tower no top strip is built: every top
+cell of level n has some delooping coordinate 1 and lies in a copy of level
+n - 1, so the top is spanned by copies of the columns that span the top of
+level n - 1 (``NormalizedChains._spanning_top``).
 A chain map takes the top degree of both sides as the homology does,
 streamed, and checks every square on the image columns of the source's
 boundary.  It can take a side as a tower level's homology left it
@@ -24,6 +28,7 @@ and reduces each level once.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -57,6 +62,11 @@ _TOP_BATCH = 1 << 17
 
 def raised(idx: MultiIndex, j: int) -> MultiIndex:
     return idx[:j] + (idx[j] + 1,) + idx[j + 1:]
+
+
+def _slab(idx: MultiIndex, j: int) -> MultiIndex:
+    """idx with a 1 put in at position j."""
+    return idx[:j] + (1,) + idx[j:]
 
 
 def indices_up_to(directions: int, degree: int) -> list[MultiIndex]:
@@ -405,6 +415,30 @@ def product_to_smash_msmap(x: MSSet, y: MSSet) -> MSMap:
 # ---------------------------------------------------------------------------
 # Normalized chains.
 
+@dataclass
+class LevelBelow:
+    """What level n - 1 of a delooping tower leaves for level n to derive
+    its top boundary from (``NormalizedChains._spanning_top``): its MSSet,
+    degree bound, codes and layout, the echelon basis its top streamed
+    into (None if the top was built whole), and n, the count of level n's
+    delooping directions, its first ones."""
+
+    x: MSSet
+    degree_bound: int
+    codes: dict
+    layout: Multicomplex
+    basis: object
+    slabs: int
+
+    @classmethod
+    def of(cls, nc: NormalizedChains, cx: ChainComplex,
+           slabs: int) -> LevelBelow:
+        """The level nc, reduced to cx, below a level of ``slabs``
+        delooping directions."""
+        return cls(nc.x, nc.degree_bound, nc.codes, nc.multicomplex,
+                   cx.top_basis, slabs)
+
+
 class NormalizedChains:
     """Normalized chain data of an MSSet up to a total-degree bound.
 
@@ -604,11 +638,79 @@ class NormalizedChains:
         """Homology up to degree_bound."""
         return self.reduced(ring)[1]
 
-    def reduced(self, ring: Ring) -> tuple[ChainComplex, HomologyTable]:
+    def reduced(self, ring: Ring, below: LevelBelow | None = None,
+                ) -> tuple[ChainComplex, HomologyTable]:
         """The complex ``lower`` and its homology up to degree_bound, the top
-        boundary's batches streamed into it (``stream_top``)."""
+        boundary's batches streamed into it (``stream_top``).  Given the
+        level below in a delooping tower, the top is derived from that
+        level's instead where it can be (``_spanning_top``), and no batch
+        is built."""
         cx = self.lower(ring)
-        return cx, homology(cx, top=self.top_batches)
+        spanning = None if below is None else self._spanning_top(below)
+        return cx, homology(cx, top=self.top_batches, spanning=spanning)
+
+    def _spanning_top(self, below: LevelBelow) -> CooMatrix | None:
+        """Columns that span the top boundary's space (over Z its lattice),
+        derived from the level below, or None where the derivation does not
+        hold.
+
+        With x level n of a delooping tower, the cells whose delooping
+        coordinate q_j is 1, for a j < n, form the slab j: they are the
+        cells of level n - 1, with q_j left out, and so are their faces in
+        the other directions, while their faces in direction j reach the
+        basepoint alone.  Each slab is a copy of level n - 1, one degree
+        up: the cell c of level n - 1 at idx goes to its copy at idx with
+        1 put in at j, times (-1)^(idx[j] + ... + idx[-1]), which turns the
+        Koszul signs of level n - 1 into those of level n, so that the
+        boundaries commute.  If every top cell lies in a slab, the top
+        boundary's columns are spanned by the copies of the columns that
+        span the top of level n - 1 (``ChainComplex.lattice``), one copy
+        per slab.  Before that is used, every slab cell of the two top
+        degrees is checked to have the codes of its cell below, and every
+        face of a top slab cell to reach no cell in direction j and to be
+        the very map of level n - 1 in the others."""
+        d = self.degree_bound + 1
+        x, codes, layout = self.x, self.codes, self.multicomplex
+        if below.basis is None or below.degree_bound != d - 2 \
+                or not layout.degree_ranks.get(d) \
+                or below.x.directions + 1 != x.directions \
+                or any(len(codes[idx]) and 1 not in idx[:below.slabs]
+                       for idx in layout.by_degree.get(d, ())):
+            return None
+        rows, tops = (below.layout.by_degree.get(e, []) for e in (d - 2,
+                                                                 d - 1))
+        for j in range(below.slabs):
+            for idx in rows + tops:
+                if not np.array_equal(codes[_slab(idx, j)],
+                                      below.codes[idx]):
+                    return None
+            for idx in tops:
+                up = _slab(idx, j)
+                if not len(codes[up]):
+                    continue
+                if len(codes[lowered(up, j)]):
+                    return None
+                for k, q in enumerate(idx):
+                    if q and len(below.codes[lowered(idx, k)]) and any(
+                            x.face(up, k + (k >= j), i)
+                            is not below.x.face(idx, k, i)
+                            for i in range(q + 1)):
+                        return None
+        span = below.basis.columns()
+        where = np.empty(span.shape[0], dtype=np.int64)
+        sign = np.empty(span.shape[0], dtype=np.int64)
+        parts = []
+        for j in range(below.slabs):
+            for idx in rows:
+                lo, rank = below.layout.offsets[idx], below.layout.ranks[idx]
+                where[lo:lo + rank] = layout.offsets[_slab(idx, j)] \
+                    + np.arange(rank)
+                sign[lo:lo + rank] = 1 - 2 * (sum(idx[j:]) & 1)
+            parts.append((where[span.row], span.col + j * span.shape[1],
+                          sign[span.row] * span.val))
+        return CooMatrix((layout.degree_ranks.get(d - 1, 0),
+                          below.slabs * span.shape[1]),
+                         *map(np.concatenate, zip(*parts)), _canonical=True)
 
 
 def _index_of(codes, points):
@@ -807,7 +909,8 @@ def chain_map_induces_iso(chm: ChainMap, degree: int) -> bool:
 
 
 __all__ = [
-    "MSSet", "MSMap", "MultiIndex", "NormalizedChains", "ChainMap",
+    "MSSet", "MSMap", "MultiIndex", "NormalizedChains", "LevelBelow",
+    "ChainMap",
     "point_object", "constant_object", "two_point_object", "circle",
     "smash_ss", "wedge_ss", "product_ss", "suspension_ss", "diagonal_ss",
     "identity_msmap", "compose_msmap", "collapse_msmap", "smash_msmap",

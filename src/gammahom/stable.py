@@ -28,7 +28,7 @@ from .segal import (GammaMap, GammaSpace, SpecialVerdict, counit,
                     structure_map, suspension, suspension_map, tower,
                     tower_map, underlying_map, underlying_space,
                     wedge_case_gamma, wedge_gamma)
-from .simplicial import (DEFAULT_CELL_BUDGET, NormalizedChains,
+from .simplicial import (DEFAULT_CELL_BUDGET, LevelBelow, NormalizedChains,
                          chain_map_induces_iso, chains_of_map, indices_up_to,
                          total_degree)
 
@@ -137,7 +137,9 @@ def spectrum_homology(x: GammaSpace, ring: Ring, i_max: int, *,
     as the pre-spectrum route and marked empirical.  Budget exhaustion
     produces a partial result with the undecided degrees marked; a level
     whose rank is refused is first built again at the bound the lowest
-    undecided degree needs.
+    undecided degree needs.  Each level is carried to the next
+    (``LevelBelow``), which derives its top boundary from it where every
+    top cell lies in a slab of the level below (the stable range).
 
     A comparison of two towers passes a dict as ``keep``.  A level n
     reduced at degree bound r is kept there, keyed by (level, r), as
@@ -184,6 +186,7 @@ def spectrum_homology(x: GammaSpace, ring: Ring, i_max: int, *,
                                             [(0, group)])
                 unresolved.discard(i)
 
+    below = None  # level n - 1, for level n to derive its top from
     for n in range(max_iterations + 1):
         if not unresolved:
             break
@@ -198,7 +201,7 @@ def spectrum_homology(x: GammaSpace, ring: Ring, i_max: int, *,
         for reach in sorted({reach, min(unresolved) + n}, reverse=True):
             try:
                 nc = NormalizedChains(level, reach, cell_budget)
-                cx, table = nc.reduced(ring)
+                cx, table = nc.reduced(ring, below)
                 break
             except LimitExceeded as exc:
                 nc, refusal = None, f"level {n}: {exc}"
@@ -229,6 +232,7 @@ def spectrum_homology(x: GammaSpace, ring: Ring, i_max: int, *,
         if keep is not None and 0 <= reach - n <= i_max \
                 and reach - n not in unresolved:
             keep[level, reach] = (nc, cx)
+        below = LevelBelow.of(nc, cx, n + 1)
         del nc, cx  # a level not kept goes before the next is built
         if unresolved and not progress:
             budget_note = (f"level {n}: undecided degrees "
@@ -243,11 +247,16 @@ def spectrum_homology(x: GammaSpace, ring: Ring, i_max: int, *,
 def _feasible_degree_bound(level, target: int, budget: int | None) -> int:
     """Largest degree bound <= target whose chain assembly (total degrees up
     to bound + 1) stays within the cell budget.  Only cell sizes are
-    evaluated, no structure maps."""
+    evaluated, no structure maps; a cell too large to enumerate at all
+    (LimitExceeded) is over the budget too."""
     if budget is None:
         return target
     for idx in indices_up_to(level.directions, target + 1):
-        if level.cell(idx).points > budget:
+        try:
+            over = level.cell(idx).points > budget
+        except LimitExceeded:
+            over = True
+        if over:
             # Indices are ordered by total degree, so the first offender
             # caps every bound that would materialize its degree.
             return total_degree(idx) - 2

@@ -21,8 +21,9 @@ import pytest
 from gammahom import simplicial
 from gammahom.chains import (GF, QQ, ZZ, ChainComplex, CooMatrix, Multicomplex,
                              coo_mul, homology, induced_map_is_iso_field,
-                             induced_map_is_surjective_integer, place_blocks,
-                             smith_normal_form, stream_top, total_complex)
+                             induced_map_is_surjective_integer, matrix_rank,
+                             place_blocks, smith_normal_form, stream_top,
+                             total_complex)
 from gammahom.errors import IntegrityError, LimitExceeded
 from gammahom.gamma import (FinPointedSet, PointedMap, constant_map,
                             identity_map)
@@ -994,3 +995,131 @@ def test_streamed_homology_holds_one_batch_of_the_top_degree():
         ring))
     assert whole == streamed == want
     assert streamed_peak < 0.6 * whole_peak, (streamed_peak, whole_peak)
+
+
+def reduced_level(x, n, bound, ring, below=None):
+    nc = NormalizedChains(spectrum_level(x, n), bound)
+    return nc, *nc.reduced(ring, below)
+
+
+def invariants(m, ring):
+    """The Smith diagonal over Z, the rank over a field."""
+    if ring == ZZ:
+        return smith_normal_form(m).diagonal if m.nnz else ()
+    return matrix_rank(m, ring)
+
+
+@pytest.mark.parametrize("spec, n, bound, ring", [
+    ("mu(2)*ab:2", 4, 6, GF(2)),
+    ("ab:3", 4, 6, GF(3)),
+    ("ab:2,4", 3, 4, ZZ),
+    ("ab:2", 4, 6, ZZ),
+], ids=str)
+def test_a_derived_top_spans_the_streamed_one(monkeypatch, spec, n, bound,
+                                              ring):
+    # Level n at bound 2n - 2 lies in the stable range: every top cell has
+    # some q_j = 1, j < n, so the top is derived from level n - 1 at bound
+    # - 1 and builds no batch.  Its diagonal and its homology are those of
+    # the streamed top, and its basis spans the same space (over Z the
+    # same lattice): the two sets of columns together have the invariants
+    # of each.  A level of another parse of the same space has other
+    # maps, so its top streams.
+    x = parse_space(spec)
+    nc, cx, _ = reduced_level(x, n - 1, bound - 1, ring)
+    below = simplicial.LevelBelow.of(nc, cx, n)
+    streamed_nc, streamed_cx, streamed = reduced_level(x, n, bound, ring)
+    built = []
+    top_batches = NormalizedChains.top_batches
+    monkeypatch.setattr(NormalizedChains, "top_batches",
+                        lambda self: built.append(self) or top_batches(self))
+    _, derived_cx, derived = reduced_level(x, n, bound, ring, below)
+    assert not built
+    assert reduced_level(parse_space(spec), n, bound, ring, below)[2] \
+        == streamed
+    assert len(built) == 1
+    assert derived == streamed
+    top = bound + 1
+    assert derived_cx.diagonal(top) == streamed_cx.diagonal(top)
+    if spec == "ab:2":
+        assert 2 in derived_cx.diagonal(top)  # a Z/2 in degree 6
+    a, b = derived_cx.lattice(top), streamed_cx.lattice(top)
+    both = place_blocks((a.shape[0], a.shape[1] + b.shape[1]),
+                        [(0, 0, a, 1), (0, a.shape[1], b, 1)])
+    assert invariants(both, ring) == invariants(a, ring) \
+        == invariants(b, ring) == invariants(
+            streamed_nc.complex(ring).boundary(top), ring)
+
+
+def test_a_top_is_derived_only_along_delooping_directions():
+    # sigma(ab:3) has a circle direction of its own, the last of each
+    # level.  Its slabs are no copies of the level below, so a level
+    # whose top needs that direction streams: level 1 at bound 2, whose
+    # cells (2, 1) lie in no other slab, and every level whose level below
+    # claims the circle as a slab.  Level 2 at bound 3 is derived along
+    # its two delooping directions alone, and agrees with the stream.
+    x = parse_space("sigma(ab:3)")
+    ring = GF(3)
+    for n, bound in ((1, 2), (2, 3), (3, 4)):
+        nc = NormalizedChains(spectrum_level(x, n - 1), bound - 1)
+        cx, _ = nc.reduced(ring)
+        up = NormalizedChains(spectrum_level(x, n), bound)
+        claimed = simplicial.LevelBelow.of(nc, cx, n + 1)
+        assert up._spanning_top(claimed) is None
+        below = simplicial.LevelBelow.of(nc, cx, n)
+        assert (up._spanning_top(below) is None) == (n == 1)
+        assert up.reduced(ring, below)[1] == up.reduced(ring)[1]
+
+
+def test_a_slab_face_that_is_another_map_is_not_derived():
+    # A copy of level 4 of ab:2 whose faces are equal maps but not the
+    # very maps of level 3: the slab identity is not taken on trust, so
+    # the top streams, with the same homology.
+    space = parse_space("ab:2")
+    x = spectrum_level(space, 4)
+
+    def copied_face(idx, j, i):
+        f = x.face(idx, j, i)
+        return PointedMap(f.source, f.target, f.as_array)
+
+    copied = MSSet(x.directions, x.cell, copied_face, x.degeneracy,
+                   name="copy")
+    nc = NormalizedChains(spectrum_level(space, 3), 5)
+    cx, _ = nc.reduced(GF(2))
+    below = simplicial.LevelBelow.of(nc, cx, 4)
+    assert NormalizedChains(x, 6)._spanning_top(below) is not None
+    up = NormalizedChains(copied, 6)
+    assert up._spanning_top(below) is None
+    assert up.reduced(GF(2), below)[1] == \
+        NormalizedChains(x, 6).reduced(GF(2))[1]
+
+
+def test_a_slab_cell_with_other_codes_is_not_derived():
+    # A copy of level 4 of ab:2 with the very faces of level 3, whose
+    # degeneracies into one top multi-index are followed by a swap of a
+    # degenerate cell with a cell that is not: as many cells, other codes.
+    # The top streams.
+    space = parse_space("ab:2")
+    x = spectrum_level(space, 4)
+    nc = NormalizedChains(spectrum_level(space, 3), 5)
+    cx, _ = nc.reduced(GF(2))
+    below = simplicial.LevelBelow.of(nc, cx, 4)
+    real = NormalizedChains(x, 6)
+    up = next(idx for idx in real.multicomplex.by_degree[7]
+              if 0 < len(real.codes[idx]) < x.cell(idx).size)
+    codes = real.codes[up]
+    swap = np.arange(x.cell(up).points)
+    a = int(np.setdiff1d(swap[1:], codes)[0])
+    swap[[a, codes[0]]] = codes[0], a
+
+    def degeneracy(idx, j, i):
+        s = x.degeneracy(idx, j, i)
+        if raised(idx, j) != up:
+            return s
+        return PointedMap(s.source, s.target, swap[s.as_array])
+
+    other = NormalizedChains(MSSet(x.directions, x.cell, x.face, degeneracy,
+                                   name="swapped"), 6)
+    assert len(other.codes[up]) == len(codes)
+    assert not np.array_equal(other.codes[up], codes)
+    assert other._spanning_top(below) is None
+    assert real._spanning_top(below) is not None

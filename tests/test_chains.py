@@ -797,6 +797,53 @@ def test_gather_reduction_against_dense_elimination(monkeypatch, p):
     assert p != 2 or events["tables built"] >= 10
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ring", [GF(2), GF(3), ZZ], ids=str)
+def test_basis_columns_span_the_columns_given(ring):
+    # Seeded sparse random matrices A B, A of r columns, r below half of
+    # either side, stream into a basis in three batches.  Its ``columns``, the
+    # basis vectors with the 1 at each pivot (over Z then the remainder),
+    # span what the matrix's columns span: alone and next to them they
+    # have the matrix's rank, over Z its Smith diagonal.  Over F_2 the
+    # vectors must be unpacked from their 64-bit words first.
+    from gammahom import chains
+    p = ring.p or 0
+    rng = np.random.default_rng(7 + p)
+
+    def invariants(m):
+        if p:
+            return matrix_rank(m, ring)
+        return smith_normal_form(m).diagonal
+
+    def sparse(rows, cols, per_column, values):
+        out = np.zeros((rows, cols), dtype=np.int64)
+        for c in range(cols):
+            at = rng.choice(rows, min(per_column, rows), replace=False)
+            out[at, c] = rng.choice(values, len(at))
+        return out
+
+    for _ in range(20):
+        rows, cols = (int(v) for v in rng.integers(20, 100, size=2))
+        r = int(rng.integers(1, min(rows, cols) // 2))
+        dense = sparse(rows, r, 3, [-1, 1, 2, 3]) @ sparse(r, cols, 2, [-1, 1])
+        if p:
+            dense %= p
+        m = CooMatrix((rows, cols), *np.nonzero(dense),
+                      dense[np.nonzero(dense)])
+        basis = chains._EchelonBasis(rows, p, cols)
+        for lo in range(0, cols, -(-cols // 3)):
+            part = dense[:, lo:lo + -(-cols // 3)]
+            basis.absorb_columns(CooMatrix(
+                (rows, part.shape[1]), *np.nonzero(part),
+                part[np.nonzero(part)]))
+        got = basis.columns()
+        both = CooMatrix((rows, cols + got.shape[1]),
+                         np.r_[m.row, got.row], np.r_[m.col, cols + got.col],
+                         np.r_[m.val, got.val])
+        assert invariants(got) == invariants(m) == invariants(both)
+        assert matrix_rank(m, ring) < min(rows, cols)
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form.
 

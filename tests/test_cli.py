@@ -214,37 +214,64 @@ def test_check_segal_over_z(capsys):
     assert all(r["passed"] for r in payload["reports"])
 
 
+def test_check_segal_over_f3(capsys):
+    # The F_3 suite on ab:3: rho, both wedge splittings and the smash
+    # vanishing hold up to degree 1.  Level 3 of each tower lies in the
+    # stable range and derives its top from level 2.
+    code, out, _ = run(capsys, "check", "--suite", "segal", "--space",
+                       "ab:3", "--ring", "f3", "--max-degree", "1",
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    assert [r["check"] for r in payload["reports"]] == [
+        "rho-iso", "wedge-iso", "wedge-iso", "smash-vanishing"]
+    assert all(r["passed"] for r in payload["reports"])
+
+
 def test_check_segal_over_z_takes_one_smith_form_per_level(capsys,
                                                            monkeypatch):
     # The wedge (1, 1) comparison at degree 2 takes the target's level 4
-    # from its tower, with the Smith diagonal of its top kept, so the
-    # 1350 x 296820 boundary of that level streams once, and the remainder
-    # its unit pivots leave gets one Smith form; the whole boundary gets
-    # none.  The surjectivity certificate then refuses the level as too
-    # large.
+    # from its tower, with the Smith diagonal of its top kept.  That level
+    # lies in the stable range, so its 1350 x 296820 top is derived from
+    # level 3's (``NormalizedChains._spanning_top``) and builds no batch;
+    # the remainder its unit pivots leave gets one Smith form, the whole
+    # boundary none.  The surjectivity certificate then refuses the level
+    # as too large.
     from gammahom import chains, simplicial
-    shapes, streamed = [], []
+    shapes, streamed, batches_of = [], [], []
     smith, stream_top = chains.smith_normal_form, chains.stream_top
+    top_batches = simplicial.NormalizedChains.top_batches
 
     def counted(m, *args, **kwargs):
         shapes.append(m.shape)
         return smith(m, *args, **kwargs)
 
-    def counted_stream(cx, batches):
-        stream_top(cx, batches)
+    def counted_stream(cx, batches, spanning=None):
+        stream_top(cx, batches, spanning)
         d = cx.degree_bound + 1
         if (cx.rank(d - 1), cx.rank(d)) == (1350, 296820):
-            streamed.append(cx.top_basis.remainder().shape)
+            streamed.append((spanning is not None,
+                             cx.top_basis.remainder().shape))
+
+    def counted_batches(self):
+        batches_of.append(self.multicomplex.degree_ranks.get(
+            self.degree_bound + 1))
+        return top_batches(self)
 
     monkeypatch.setattr(chains, "smith_normal_form", counted)
     monkeypatch.setattr(chains, "stream_top", counted_stream)
     monkeypatch.setattr(simplicial, "stream_top", counted_stream)
+    monkeypatch.setattr(simplicial.NormalizedChains, "top_batches",
+                        counted_batches)
     code, _, err = run(capsys, "check", "--suite", "segal", "--space",
                        "ab:2", "--ring", "z", "--max-degree", "2")
     assert code == 3
     assert "integral surjectivity certificate" in err
-    assert len(streamed) == 1 and shapes.count(streamed[0]) == 1
+    assert len(streamed) == 1 and streamed[0][0]
+    assert shapes.count(streamed[0][1]) == 1
     assert (1350, 296820) not in shapes
+    assert 296820 not in batches_of
 
 
 def test_a_refused_rank_is_retried_at_the_lowest_undecided_degree(capsys):

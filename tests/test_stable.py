@@ -6,15 +6,16 @@ from collections import Counter
 import pytest
 
 from gammahom.chains import GF, QQ, ZZ, HomologyGroup, homology
-from gammahom.errors import BudgetExceeded
+from gammahom.errors import BudgetExceeded, LimitExceeded
 from gammahom.gamma import constant_map
 from gammahom.segal import (GammaMap, delooping, discrete_abelian,
-                            free_gamma_space, is_special, point_space,
-                            spectrum_level, sphere_space)
+                            free_gamma_space, is_special, mu_pullback,
+                            point_space, spectrum_level, sphere_space)
 from gammahom.simplicial import (DEFAULT_CELL_BUDGET, circle,
                                  normalized_chains, smash_ss, suspension_ss,
                                  two_point_object)
-from gammahom.stable import (_compare_towers_via_map, check_commuting_square,
+from gammahom.stable import (_compare_towers_via_map, _feasible_degree_bound,
+                             check_commuting_square,
                              check_rho_iso, check_smash_vanishing,
                              check_stable_range, check_wedge_iso,
                              connectivity, gamma_homology, spectrum_homology)
@@ -110,6 +111,19 @@ def test_specialness_check_keeps_to_the_cell_budget():
     assert is_special(discrete_abelian((11,)), cell_budget=1331)
 
 
+def test_a_cell_too_large_to_enumerate_caps_the_feasible_bound():
+    # Level 2 of mu(3)*ab:3 has the cells A^(3 q_0 q_1).  Up to total
+    # degree 4 the largest, A^12 at (2, 2), fits the budget; (2, 3) in
+    # degree 5 is A^18, which refuses to be enumerated at all
+    # (LimitExceeded).  That caps the bound at 3, as a budget stop does,
+    # instead of ending the job.
+    level = spectrum_level(mu_pullback(3, discrete_abelian([3])), 2)
+    assert _feasible_degree_bound(level, 4, DEFAULT_CELL_BUDGET) == 3
+    with pytest.raises(LimitExceeded, match=r"^A\^18 has"):
+        level.cell((2, 3))
+    assert _feasible_degree_bound(level, 3, DEFAULT_CELL_BUDGET) == 3
+
+
 def test_connectivity_examples():
     assert connectivity(circle(), 3) == 0
     assert connectivity(suspension_ss(circle()), 3) == 1
@@ -151,13 +165,15 @@ def test_check_wedge_iso():
 def test_wedge_comparison_streams_each_top_once(monkeypatch):
     # The towers of the (1, 1) wedge check on ab:2 reduce their levels;
     # the chain maps take those they share (the target's level 4 at bound
-    # 6 among them), so every top streams once over each ring: the
+    # 6 among them), so every top streams at most once over each ring: the
     # connectivity test streams the underlying space over Z, the tower's
-    # level 0 over F_2.  Whatever the comparison kept is gone once it
-    # returns.
+    # level 0 over F_2.  Level 4 of the target at bound 6 lies in the
+    # stable range, every top cell in a slab of level 3, so its 1350 x
+    # 296820 top is derived from level 3's and builds no batch at all.
+    # Whatever the comparison kept is gone once it returns.
     from gammahom import chains, simplicial
     from gammahom.simplicial import NormalizedChains
-    streams, made, rings = Counter(), [], []
+    streams, made, rings, derived = Counter(), [], [], []
     top_batches, init = NormalizedChains.top_batches, \
         NormalizedChains.__init__
     basis_init = chains._EchelonBasis.__init__
@@ -169,10 +185,13 @@ def test_wedge_comparison_streams_each_top_once(monkeypatch):
         return top_batches(self)
 
     def ringed(stream_top):
-        def run(cx, batches):
+        def run(cx, batches, spanning=None):
             rings.append(cx.ring)
+            if spanning is not None:
+                d = cx.degree_bound + 1
+                derived.append((cx.rank(d - 1), cx.rank(d)))
             try:
-                return stream_top(cx, batches)
+                return stream_top(cx, batches, spanning)
             finally:
                 rings.pop()
         return run
@@ -194,7 +213,9 @@ def test_wedge_comparison_streams_each_top_once(monkeypatch):
     report = check_wedge_iso(discrete_abelian([2]), 1, 1, GF(2), 2)
     assert report.passed
     assert "degree 2: F2^2 iso via level 4" in report.details
-    assert streams["B(B(B(B(mu(2)*ab:2))))@[1]", 6, GF(2)] == 1
+    assert (1350, 296820) in derived
+    assert not any(key[0] == "B(B(B(B(mu(2)*ab:2))))@[1]" and key[1] == 6
+                   for key in streams)
     assert set(streams.values()) == {1}
     assert made and all(ref() is None for ref in made)
 
