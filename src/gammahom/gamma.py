@@ -2,19 +2,24 @@
 
 Objects are the pointed sets ``[n]+ = {o, 1, ..., n}``, stored as the integer
 ``n`` with elements encoded ``0..n`` and ``0`` the basepoint.  Morphisms are
-total basepoint-preserving maps stored as lookup tables.  A table of 1024
-entries or more is held as one read-only array and composed, smashed and
-wedged with numpy; its tuple view is built only when read.  The array is
-int32 (4 bytes a point) while the target has fewer than 2^31 points, as
+total basepoint-preserving maps, read a chunk of codes at a time through
+``PointedMap.take``.  Every map built here is a lookup table.  A table of
+1024 entries or more is held as one read-only array and composed, smashed
+and wedged with numpy; its tuple view is built only when read.  The array
+is int32 (4 bytes a point) while the target has fewer than 2^31 points, as
 every cell within the cell budget has, and int64 from there on
 (``code_type``).  Each operation computes in a type in which no
 intermediate value can wrap, so NumPy's promotion rules (value-based
 before NumPy 2) never decide a table.  Shorter tables stay Python tuples,
 because for the many small maps of the circle and of small Gamma-objects
-the per-call cost of numpy outweighs the loop it replaces.  ``sharp`` runs
-an injection backwards as a pointed map, sending the points outside its
-image to the basepoint; the specialness check builds its splitting maps
-from it.
+the per-call cost of numpy outweighs the loop it replaces.  The one map
+that holds no table is the action of a pointed map on a power of a finite
+abelian group with 1024 points or more (``segal._AbelianAction``): it
+evaluates the codes it is given, and builds a table, which it does not
+keep, only for the operations here and for a caller of ``as_array``.
+``sharp`` runs an injection backwards as a pointed map, sending the points
+outside its image to the basepoint; the specialness check builds its
+splitting maps from it.
 
 The smash product uses the mixed-radix pairing ``(i, j) -> (i-1)*m + j`` and
 the wedge uses block numbering.  These choices make smash strictly
@@ -77,6 +82,12 @@ class PointedMap:
     as a tuple and ``as_array`` builds and caches an intp array on first
     use (numpy casts a narrower index array to intp on every gather, which
     on short tables costs more than the narrow type saves).
+
+    Readers that map many codes at once call ``take``.  A subclass that
+    holds its map by a rule (``segal._AbelianAction``, for sources of
+    ``_VECTOR_MIN`` points or more) has neither table: it evaluates
+    ``take`` on the codes given, and ``as_array`` builds a whole table on
+    each call.  Equality and hashing follow the table in every case.
     """
 
     __slots__ = ("source", "target", "_table", "_array")
@@ -112,7 +123,7 @@ class PointedMap:
     @property
     def table(self) -> tuple[int, ...]:
         if self._table is None:
-            return tuple(self._array.tolist())
+            return tuple(self.as_array.tolist())
         return self._table
 
     @property
@@ -123,24 +134,29 @@ class PointedMap:
             self._array = arr
         return self._array
 
+    def take(self, codes) -> np.ndarray:
+        """The images of ``codes``, an integer array or a slice of the
+        source's codes, as an integer array."""
+        return self.as_array[codes]
+
     def __eq__(self, other) -> bool:
-        if other.__class__ is not PointedMap:
+        if not isinstance(other, PointedMap):
             return NotImplemented
         if self._table is None:
             return (self.source == other.source
                     and self.target == other.target
-                    and bool(np.array_equal(self._array, other._array)))
+                    and bool(np.array_equal(self.as_array, other.as_array)))
         return (self.source, self.target, self._table) == \
             (other.source, other.target, other._table)
 
     def __hash__(self) -> int:
         table = self._table
         if table is None:
-            table = self._array.tobytes()
+            table = self.as_array.tobytes()
         return hash((self.source, self.target, table))
 
     def __call__(self, x: int) -> int:
-        return int(self.as_array[x])
+        return int(self.take(x))
 
     def then(self, g: "PointedMap") -> "PointedMap":
         """The composite g after self."""

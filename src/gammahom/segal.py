@@ -17,6 +17,7 @@ feeds the commuting-square and stabilization checks.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,43 +141,171 @@ def discrete_abelian(factors) -> GammaSpace:
 
 
 def _abelian_action(factors, order, f: PointedMap) -> PointedMap:
-    """The action of f on A^n -> A^m, built one fiber at a time.
+    """The action of f on A^n -> A^m.
 
     Points of A^n are coded in mixed radix with the first coordinate most
     significant and each coordinate coded by the factors with the last one
     least significant.  Target coordinate j is the sum of the source
-    coordinates in the fiber f^-1(j), so the table, seen as an array with
-    one axis per source coordinate, is a broadcast sum over the fibers.
+    coordinates in the fiber f^-1(j).  A source of ``_VECTOR_MIN`` points
+    or more gives an ``_AbelianAction``, which holds f and the factors and
+    no table; a smaller one gives its table (``_abelian_table``).
     """
     n, m = f.source.size, f.target.size
     points = order ** n
     if points > 1 << 27:
         raise LimitExceeded(f"A^{n} has {points} points; refusing to build")
-    # Every partial sum below is a code of A^m, so none can wrap.
-    work = gamma.code_type(order ** m)
-    codes = np.arange(order, dtype=work)
-    table = np.zeros((order,) * n, dtype=work)
-    for j in range(1, m + 1):
-        axes = [i - 1 for i in range(1, n + 1) if f(i) == j]
-        if not axes:
-            continue
-        coordinate = 0
-        scale = 1
+    source, target = FinPointedSet(points - 1), FinPointedSet(order ** m - 1)
+    if points >= gamma._VECTOR_MIN:
+        return _AbelianAction(source, target, factors, order, f)
+    return PointedMap(source, target, _abelian_table(factors, order, f))
+
+
+def _abelian_table(factors, order, f: PointedMap) -> np.ndarray:
+    """The table of the action of f on A^n -> A^m, as intp: the wide codes
+    of A^n, built one source coordinate at a time, appended to those
+    before it as the least significant, so in O(points); then read as
+    target codes (``_wide_images``)."""
+    add, images, reads = _wide_images(factors, order, f)
+    return _read_wide(_outer_sums((images[j] for j in f.table[1:]), add),
+                      reads)
+
+
+def _wide_images(factors, order, f: PointedMap):
+    """How the action of f on A^n -> A^m is summed: (add, images, reads).
+
+    The image of a point is summed in a wide code, in which the digit of
+    target coordinate j for factor d has room for the sum of the
+    |f^-1(j)| source digits that reach it; images[j][a] is the wide code
+    of a in A put in at j, and ``add`` adds wide codes.  ``reads`` are
+    the lookups that give the target code of a wide code, one run of its
+    digits each (``_read_wide``), or none where the wide code is the
+    target code.  Over A = (Z/2)^k digits add mod 2, by XOR, and the wide
+    code is the target code.
+    """
+    m = f.target.size
+    reach = Counter(j for j in f.table[1:] if j)
+    values = np.arange(order, dtype=np.intp)
+    images = {0: np.zeros(order, dtype=np.intp)}
+    xor = set(factors) == {2}
+    if xor or max(reach.values(), default=0) < 2:
+        # No two source digits reach one target digit, or they add by XOR.
+        images.update((j, values * order ** (m - j)) for j in reach)
+        return np.bitwise_xor if xor else np.add, images, []
+    # The digits of a target code, least significant first: (radix in the
+    # wide code, weight there, factor d, weight in the target code).  As
+    # r(d - 1) + 1 <= d^r, a wide code is less than |A^n|, so none can
+    # wrap.
+    digits, wide, weight = [], 1, 1
+    for j in range(m, 0, -1):
         for d in reversed(factors):
-            digits = (codes // scale) % d
-            fiber_sum = sum(_along_axis(digits, axis, n) for axis in axes)
-            coordinate = coordinate + (fiber_sum % d) * scale
+            radix = reach[j] * (d - 1) + 1
+            digits.append((radix, wide, d, weight))
+            wide, weight = wide * radix, weight * d
+    k = len(factors)
+    for j in reach:
+        images[j], scale = np.zeros(order, dtype=np.intp), 1
+        for _, place, d, _ in digits[(m - j) * k:(m - j + 1) * k]:
+            images[j] += values // scale % d * place
             scale *= d
-        table += coordinate * order ** (m - j)
-    return PointedMap(FinPointedSet(points - 1),
-                      FinPointedSet(order ** m - 1), table.reshape(points))
+    # Runs of digits of at most 256 wide values, or of one digit.
+    runs, size = [[]], 1
+    for digit in digits:
+        if runs[-1] and size * digit[0] > 256:
+            runs.append([])
+            size = 1
+        runs[-1].append(digit)
+        size *= digit[0]
+    return np.add, images, [
+        (run[0][1], _outer_sums(np.arange(radix, dtype=np.intp) % d * weight
+                                for radix, _, d, weight in reversed(run)))
+        for run in runs]
 
 
-def _along_axis(values: np.ndarray, axis: int, ndim: int) -> np.ndarray:
-    """A view of the vector ``values`` laid along ``axis`` of ``ndim``."""
-    shape = [1] * ndim
-    shape[axis] = len(values)
-    return values.reshape(shape)
+def _read_wide(wide: np.ndarray, reads) -> np.ndarray:
+    """The target codes of the wide codes ``wide``: the sum of the lookups
+    of its runs of digits."""
+    if not reads:
+        return wide
+    out = np.zeros(wide.shape, dtype=np.intp)
+    for below, images in reads:
+        out += images[_digits(wide, below, len(images))]
+    return out
+
+
+def _digits(codes: np.ndarray, below: int, size: int) -> np.ndarray:
+    """codes // below % size.  By powers of two it shifts and masks;
+    otherwise it takes the remainder from a quotient, as numpy divides by
+    a constant several times faster than it takes a remainder."""
+    if not (below & (below - 1) or size & (size - 1)):
+        return codes >> below.bit_length() - 1 & size - 1
+    high = codes // below
+    high -= high // size * size
+    return high
+
+
+def _outer_sums(parts, add=np.add) -> np.ndarray:
+    """The sum, by ``add``, of one entry of each of ``parts`` for every
+    choice of entries, the choice in the first part most significant."""
+    table = np.zeros(1, dtype=np.intp)
+    for part in parts:
+        table = add(table[:, None], part).reshape(-1)
+    return table
+
+
+class _AbelianAction(PointedMap):
+    """The action of a pointed map f on A^n -> A^m, for A^n of
+    ``_VECTOR_MIN`` points or more, held by f and the factors of A with no
+    table.  ``take`` evaluates the codes given by the Four-Russians method
+    of Albrecht and Bard (arXiv:1111.6549): the source coordinates fall
+    into pieces of at most 256 points, and the wide code of a point
+    (``_wide_images``) is the sum of the images of its pieces, one lookup
+    each.  ``as_array`` builds the whole table on each call
+    (``_abelian_table``) and keeps it nowhere; ``take`` reads a slice of
+    codes from such a table, which is faster than evaluating the run."""
+
+    __slots__ = ("_factors", "_order", "_f", "_plan")
+
+    def __init__(self, source: FinPointedSet, target: FinPointedSet,
+                 factors, order: int, f: PointedMap):
+        self.source, self.target = source, target
+        self._table = self._array = None
+        self._factors, self._order, self._f = factors, order, f
+        self._plan = None  # built on the first ``take``
+
+    @property
+    def as_array(self) -> np.ndarray:
+        arr = _abelian_table(self._factors, self._order, self._f).astype(
+            gamma.code_type(self.target.points))
+        arr.setflags(write=False)
+        return arr
+
+    def take(self, codes) -> np.ndarray:
+        if isinstance(codes, slice):
+            # A run of codes reads faster from a table built for it.
+            return _abelian_table(self._factors, self._order, self._f)[codes]
+        if self._plan is None:
+            self._plan = self._pieces()
+        add, pieces, reads = self._plan
+        codes = np.asarray(codes, dtype=np.intp)
+        wide = np.zeros(codes.shape, dtype=np.intp)
+        for below, images in pieces:
+            add(wide, images[_digits(codes, below, len(images))], out=wide)
+        return _read_wide(wide, reads)
+
+    def _pieces(self):
+        """(add, pieces, reads) of ``_wide_images``, with pieces in place
+        of the images: (below, table), least significant first, where
+        table holds the wide codes of the points of the piece's
+        coordinates, at the piece's digits code // below % len(table)."""
+        n, order, f = self._f.source.size, self._order, self._f
+        add, images, reads = _wide_images(self._factors, order, f)
+        size = 1
+        while order ** (size + 1) <= 256:
+            size += 1
+        pieces = [(order ** (n - hi), _outer_sums(
+            (images[j] for j in f.table[max(hi - size, 0) + 1:hi + 1]), add))
+            for hi in range(n, 0, -size)]
+        return add, pieces, reads
 
 
 # ---------------------------------------------------------------------------

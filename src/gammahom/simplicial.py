@@ -480,7 +480,7 @@ class NormalizedChains:
                     continue
                 below = lowered(idx, j)
                 for i in range(idx[j] if sizes[below] else 0):
-                    images = x.degeneracy(below, j, i).as_array[1:]
+                    images = x.degeneracy(below, j, i).take(slice(1, None))
                     alive[images] = False
             codes = alive.nonzero()[0]
             # Narrowed as map tables are: below _VECTOR_MIN points numpy's
@@ -514,7 +514,7 @@ class NormalizedChains:
 
     def _faces(self, idx):
         """The faces of level idx, fetched once for all its strips: (rows,
-        k, slots), a slot (lookup, face table, sign bit) for each of the k
+        k, slots), a slot (lookup, face map, sign bit) for each of the k
         faces that can reach a cell.  lookup[point] is 2 * row for a cell,
         its row in the layout of the degree below, and 2 * rows for the
         basepoint and the degenerate cells.  The sign bit is that of
@@ -533,7 +533,7 @@ class NormalizedChains:
                                 dtype=self._index)
                 where[tgt_codes] = 2 * (layout.offsets[below]
                                         + np.arange(len(tgt_codes)))
-                slots.extend((where, face.as_array, parity ^ (i & 1))
+                slots.extend((where, face, parity ^ (i & 1))
                              for i, face in enumerate(faces))
             parity ^= idx[j] & 1
         return (rows, len(slots), slots) if slots else None
@@ -569,7 +569,7 @@ class NormalizedChains:
             # The slots are filled one face at a time, a contiguous line each.
             key = np.empty((k, len(chunk)), dtype=self._index)
             for line, (where, face, sign) in zip(key, slots):
-                np.take(where, face[chunk], out=line)
+                np.take(where, face.take(chunk), out=line)
                 line += sign
             key = key.T.copy()
             key.sort(axis=1)
@@ -643,10 +643,11 @@ class NormalizedChains:
         """The complex ``lower`` and its homology up to degree_bound, the top
         boundary's batches streamed into it (``stream_top``).  Given the
         level below in a delooping tower, the top is derived from that
-        level's instead where it can be (``_spanning_top``), and no batch
-        is built."""
+        level's instead where it can be (``_spanning_top``, which the
+        stream runs), and no batch is built."""
         cx = self.lower(ring)
-        spanning = None if below is None else self._spanning_top(below)
+        spanning = None if below is None \
+            else lambda: self._spanning_top(below)
         return cx, homology(cx, top=self.top_batches, spanning=spanning)
 
     def _spanning_top(self, below: LevelBelow) -> CooMatrix | None:
@@ -754,7 +755,7 @@ def _images(f: MSMap, src: NormalizedChains, tgt: NormalizedChains, idx):
         return None
     component = f.component(idx)
     return _index_of(tgt_codes, component.target.points)[
-        component.as_array[src_codes]]
+        component.take(src_codes)]
 
 
 def _block(f: MSMap, src: NormalizedChains, tgt: NormalizedChains,

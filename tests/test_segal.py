@@ -3,11 +3,14 @@ structure maps, specialness, spec strings."""
 
 import itertools
 import math
+import random
 
+import numpy as np
 import pytest
 
 from gammahom.chains import ZZ
-from gammahom.gamma import FinPointedSet, PointedMap, identity_map
+from gammahom.gamma import (_VECTOR_MIN, FinPointedSet, PointedMap, code_type,
+                            identity_map)
 from gammahom.segal import (GammaMap, _abelian_action, block_inclusion_maps,
                             counit, delooping, discrete_abelian,
                             free_gamma_space, is_special, mu_pullback,
@@ -119,6 +122,47 @@ def test_abelian_action_matches_pointwise_sum_over_fibers(factors):
         for f in all_pointed_maps(a, b):
             assert _abelian_action(factors, order, f).table == \
                 abelian_action_reference(factors, f)
+
+
+# factors: source sizes n whose A^n lies below, at (for ab:2) and above
+# _VECTOR_MIN points.
+ACTION_SOURCES = {(2,): (9, 10, 12), (3,): (6, 7), (2, 4): (3, 4)}
+
+
+@pytest.mark.parametrize("factors", sorted(ACTION_SOURCES))
+def test_abelian_action_evaluates_codes_as_its_table(factors):
+    # Seeded random pointed maps [n]+ -> [m]+: the codes taken, in int32
+    # and in int64, the basepoint and the last code alone, and a slice,
+    # give the reference table; a large source holds no table, and
+    # equality and hashing follow its table.
+    order = math.prod(factors)
+    rng = random.Random(sum(factors))
+    for n in ACTION_SOURCES[factors]:
+        for m in (1, 3, n):
+            values = [0] + [rng.randrange(m + 1) for _ in range(n)]
+            f = PointedMap(FinPointedSet(n), FinPointedSet(m), values)
+            g = _abelian_action(factors, order, f)
+            want = np.array(abelian_action_reference(factors, f),
+                            dtype=np.int64)
+            points = order ** n
+            assert (g._table is None and g._array is None) \
+                == (points >= _VECTOR_MIN)
+            assert g.as_array.dtype == (code_type(order ** m)
+                                        if points >= _VECTOR_MIN else np.intp)
+            assert np.array_equal(g.as_array, want)
+            for dtype in (np.int32, np.int64):
+                codes = np.arange(points, dtype=dtype)
+                assert np.array_equal(g.take(codes), want)
+                assert np.array_equal(g.take(codes[::-7]), want[::-7])
+                ends = np.array([0, points - 1], dtype=dtype)
+                assert g.take(ends).tolist() == [0, int(want[-1])]
+            assert np.array_equal(g.take(slice(1, None)), want[1:])
+            assert (g(0), g(points - 1)) == (0, int(want[-1]))
+            copy = PointedMap(g.source, g.target, want)
+            assert g == copy and copy == g and hash(g) == hash(copy)
+            other = want.copy()
+            other[-1] = (other[-1] + 1) % order ** m
+            assert g != PointedMap(g.source, g.target, other)
 
 
 def test_underlying_space_examples():
