@@ -1631,7 +1631,7 @@ def homology(cx: ChainComplex, degree_bound: int | None = None,
 
     ``top`` may stream the boundary of degree cx.degree_bound + 1, which
     cx then does not hold: a callable giving matrices of its columns in
-    order; ``spanning`` may give columns of the same span in their place
+    order, or ``spanning``, columns of the same span, in their place
     (``stream_top``).  Without ``top``, a complex that does not hold
     that boundary and has not streamed it is refused for its own degree
     bound (ValueError).
@@ -1683,30 +1683,28 @@ def stream_top(cx: ChainComplex, batches, spanning=None):
     ring.  If the int64 stream over Z or Q trips, a second pass builds the
     boundary whole, which cx then holds and the line engine takes.
 
-    ``spanning`` may be a callable that gives, in place of the batches,
-    one matrix whose columns span the same space as the boundary's, over Z
-    its lattice, or None where it cannot.  The matrix is checked and
-    absorbed as a batch is, into a basis of the same size, with d∘d = 0
-    taken mod p over F_p, where its columns are combinations mod p; the
-    batches are then built only if the int64 stream trips."""
+    ``spanning`` may give, in place of the batches, one matrix whose
+    columns span the same space as the boundary's, over Z its lattice.  It
+    is checked and absorbed as a batch is, into a basis of the same size,
+    with d∘d = 0 taken mod p over F_p, where its columns are combinations
+    mod p; the batches are then built only if the int64 stream trips."""
     d = cx.degree_bound + 1
     below = cx.boundary(d - 1)
     p = cx.ring.p or 0
     seen = 0
-    span = None if spanning is None else spanning()
     try:
         basis = _EchelonBasis(cx.rank(d - 1), p, cx.rank(d))
-        for m in batches() if span is None else (span,):
+        for m in batches() if spanning is None else (spanning,):
             seen += m.shape[1]
             # A batch with the wrong number of rows fails the product.
-            if not is_zero_product(below, m, 0 if span is None else p):
+            if not is_zero_product(below, m, 0 if spanning is None else p):
                 raise IntegrityError(
                     f"boundary condition d*d != 0 at degree {d}")
             basis.absorb_columns(m)
             del m  # dropped before the next batch is built
         cx._diagonals[d] = _stream_diagonal(basis, cx.ring)
         cx.top_basis = basis
-        if span is not None:
+        if spanning is not None:
             return
     except _Int64Overflow:
         parts, seen = [], 0

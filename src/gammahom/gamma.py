@@ -85,17 +85,24 @@ class PointedMap:
 
     Readers that map many codes at once call ``take``.  A subclass that
     holds its map by a rule (``segal._AbelianAction``, for sources of
-    ``_VECTOR_MIN`` points or more) has neither table: it evaluates
-    ``take`` on the codes given, and ``as_array`` builds a whole table on
-    each call.  Equality and hashing follow the table in every case.
+    ``_VECTOR_MIN`` points or more) passes no table and holds neither: it
+    evaluates ``take`` on the codes given, and ``as_array`` evaluates
+    every code on each call.  Equality and hashing follow the table in
+    every case.
     """
 
     __slots__ = ("source", "target", "_table", "_array")
 
     def __init__(self, source: FinPointedSet, target: FinPointedSet,
-                 table: Sequence[int] | np.ndarray):
+                 table: Sequence[int] | np.ndarray | None):
         self.source = source
         self.target = target
+        if table is None:
+            # Only a subclass that holds its map by a rule has no table.
+            if type(self) is PointedMap:
+                raise ValueError("a PointedMap needs a table")
+            self._table = self._array = None
+            return
         if isinstance(table, np.ndarray):
             if table.ndim != 1:
                 raise ValueError("table must be one-dimensional")
@@ -135,8 +142,8 @@ class PointedMap:
         return self._array
 
     def take(self, codes) -> np.ndarray:
-        """The images of ``codes``, an integer array or a slice of the
-        source's codes, as an integer array."""
+        """The images of ``codes``, an integer array of source codes, as
+        an integer array."""
         return self.as_array[codes]
 
     def __eq__(self, other) -> bool:

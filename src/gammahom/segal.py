@@ -148,7 +148,8 @@ def _abelian_action(factors, order, f: PointedMap) -> PointedMap:
     least significant.  Target coordinate j is the sum of the source
     coordinates in the fiber f^-1(j).  A source of ``_VECTOR_MIN`` points
     or more gives an ``_AbelianAction``, which holds f and the factors and
-    no table; a smaller one gives its table (``_abelian_table``).
+    no table; a smaller one gives its table, which the same evaluation
+    (``_evaluate``) gives on every code.
     """
     n, m = f.source.size, f.target.size
     points = order ** n
@@ -157,17 +158,8 @@ def _abelian_action(factors, order, f: PointedMap) -> PointedMap:
     source, target = FinPointedSet(points - 1), FinPointedSet(order ** m - 1)
     if points >= gamma._VECTOR_MIN:
         return _AbelianAction(source, target, factors, order, f)
-    return PointedMap(source, target, _abelian_table(factors, order, f))
-
-
-def _abelian_table(factors, order, f: PointedMap) -> np.ndarray:
-    """The table of the action of f on A^n -> A^m, as intp: the wide codes
-    of A^n, built one source coordinate at a time, appended to those
-    before it as the least significant, so in O(points); then read as
-    target codes (``_wide_images``)."""
-    add, images, reads = _wide_images(factors, order, f)
-    return _read_wide(_outer_sums((images[j] for j in f.table[1:]), add),
-                      reads)
+    return PointedMap(source, target, _evaluate(
+        _action_plan(factors, order, f), np.arange(points, dtype=np.intp)))
 
 
 def _wide_images(factors, order, f: PointedMap):
@@ -252,60 +244,63 @@ def _outer_sums(parts, add=np.add) -> np.ndarray:
     return table
 
 
+def _action_plan(factors, order, f: PointedMap):
+    """How ``_evaluate`` sums the action of f on A^n -> A^m: (add, pieces,
+    reads) of ``_wide_images``, with pieces in place of the images:
+    (below, table), least significant first, where the source
+    coordinates fall into pieces of at most 256 points and table holds
+    the wide codes of the points of a piece, at the piece's digits
+    code // below % len(table)."""
+    n = f.source.size
+    add, images, reads = _wide_images(factors, order, f)
+    size = 1
+    while order ** (size + 1) <= 256:
+        size += 1
+    pieces = [(order ** (n - hi), _outer_sums(
+        (images[j] for j in f.table[max(hi - size, 0) + 1:hi + 1]), add))
+        for hi in range(n, 0, -size)]
+    return add, pieces, reads
+
+
+def _evaluate(plan, codes) -> np.ndarray:
+    """The target codes of the action of ``plan`` (``_action_plan``) on
+    the integer array ``codes``, as intp, by the Four-Russians method of
+    Albrecht and Bard (arXiv:1111.6549): the wide code of a point is the
+    sum of the images of its pieces, one lookup each."""
+    add, pieces, reads = plan
+    codes = np.asarray(codes, dtype=np.intp)
+    wide = np.zeros(codes.shape, dtype=np.intp)
+    for below, images in pieces:
+        add(wide, images[_digits(codes, below, len(images))], out=wide)
+    return _read_wide(wide, reads)
+
+
 class _AbelianAction(PointedMap):
     """The action of a pointed map f on A^n -> A^m, for A^n of
     ``_VECTOR_MIN`` points or more, held by f and the factors of A with no
-    table.  ``take`` evaluates the codes given by the Four-Russians method
-    of Albrecht and Bard (arXiv:1111.6549): the source coordinates fall
-    into pieces of at most 256 points, and the wide code of a point
-    (``_wide_images``) is the sum of the images of its pieces, one lookup
-    each.  ``as_array`` builds the whole table on each call
-    (``_abelian_table``) and keeps it nowhere; ``take`` reads a slice of
-    codes from such a table, which is faster than evaluating the run."""
+    table.  ``take`` evaluates the codes given (``_evaluate``), by a plan
+    built on its first call; ``as_array`` evaluates every code on each
+    call and keeps the table nowhere."""
 
     __slots__ = ("_factors", "_order", "_f", "_plan")
 
     def __init__(self, source: FinPointedSet, target: FinPointedSet,
                  factors, order: int, f: PointedMap):
-        self.source, self.target = source, target
-        self._table = self._array = None
+        super().__init__(source, target, None)
         self._factors, self._order, self._f = factors, order, f
-        self._plan = None  # built on the first ``take``
+        self._plan = None
 
     @property
     def as_array(self) -> np.ndarray:
-        arr = _abelian_table(self._factors, self._order, self._f).astype(
+        arr = self.take(np.arange(self.source.points, dtype=np.intp)).astype(
             gamma.code_type(self.target.points))
         arr.setflags(write=False)
         return arr
 
     def take(self, codes) -> np.ndarray:
-        if isinstance(codes, slice):
-            # A run of codes reads faster from a table built for it.
-            return _abelian_table(self._factors, self._order, self._f)[codes]
         if self._plan is None:
-            self._plan = self._pieces()
-        add, pieces, reads = self._plan
-        codes = np.asarray(codes, dtype=np.intp)
-        wide = np.zeros(codes.shape, dtype=np.intp)
-        for below, images in pieces:
-            add(wide, images[_digits(codes, below, len(images))], out=wide)
-        return _read_wide(wide, reads)
-
-    def _pieces(self):
-        """(add, pieces, reads) of ``_wide_images``, with pieces in place
-        of the images: (below, table), least significant first, where
-        table holds the wide codes of the points of the piece's
-        coordinates, at the piece's digits code // below % len(table)."""
-        n, order, f = self._f.source.size, self._order, self._f
-        add, images, reads = _wide_images(self._factors, order, f)
-        size = 1
-        while order ** (size + 1) <= 256:
-            size += 1
-        pieces = [(order ** (n - hi), _outer_sums(
-            (images[j] for j in f.table[max(hi - size, 0) + 1:hi + 1]), add))
-            for hi in range(n, 0, -size)]
-        return add, pieces, reads
+            self._plan = _action_plan(self._factors, self._order, self._f)
+        return _evaluate(self._plan, codes)
 
 
 # ---------------------------------------------------------------------------

@@ -479,9 +479,10 @@ class NormalizedChains:
                 if idx[j] < 1:
                     continue
                 below = lowered(idx, j)
+                # The basepoint goes to the basepoint, which is not alive.
+                every = np.arange(sizes[below] + 1, dtype=np.intp)
                 for i in range(idx[j] if sizes[below] else 0):
-                    images = x.degeneracy(below, j, i).take(slice(1, None))
-                    alive[images] = False
+                    alive[x.degeneracy(below, j, i).take(every)] = False
             codes = alive.nonzero()[0]
             # Narrowed as map tables are: below _VECTOR_MIN points numpy's
             # cast of an int32 index array costs more than it saves.
@@ -643,11 +644,10 @@ class NormalizedChains:
         """The complex ``lower`` and its homology up to degree_bound, the top
         boundary's batches streamed into it (``stream_top``).  Given the
         level below in a delooping tower, the top is derived from that
-        level's instead where it can be (``_spanning_top``, which the
-        stream runs), and no batch is built."""
+        level's instead where it can be (``_spanning_top``), and no batch
+        is built."""
         cx = self.lower(ring)
-        spanning = None if below is None \
-            else lambda: self._spanning_top(below)
+        spanning = None if below is None else self._spanning_top(below)
         return cx, homology(cx, top=self.top_batches, spanning=spanning)
 
     def _spanning_top(self, below: LevelBelow) -> CooMatrix | None:

@@ -36,6 +36,8 @@ def test_map_validation():
         PointedMap(FinPointedSet(1), FinPointedSet(1), (0, 2))
     with pytest.raises(ValueError):
         PointedMap(FinPointedSet(2), FinPointedSet(1), (0, 1))
+    with pytest.raises(ValueError):
+        PointedMap(FinPointedSet(1), FinPointedSet(1), None)
 
 
 def test_compose_identity_cases():

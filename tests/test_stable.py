@@ -186,17 +186,12 @@ def test_wedge_comparison_streams_each_top_once(monkeypatch):
 
     def ringed(stream_top):
         def run(cx, batches, spanning=None):
-            def recorded():
-                span = spanning()
-                if span is not None:
-                    d = cx.degree_bound + 1
-                    derived.append((cx.rank(d - 1), cx.rank(d)))
-                return span
-
             rings.append(cx.ring)
+            if spanning is not None:
+                d = cx.degree_bound + 1
+                derived.append((cx.rank(d - 1), cx.rank(d)))
             try:
-                return stream_top(cx, batches, None if spanning is None
-                                  else recorded)
+                return stream_top(cx, batches, spanning)
             finally:
                 rings.pop()
         return run
