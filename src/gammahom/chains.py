@@ -24,6 +24,10 @@ its pivot: in rounds of dependency depth, each reduced against the leads
 it reaches, with no elimination among them (structural pivots, as in
 Dumas, Heckenbach, Saunders and Welker 2003).  On boundary matrices they
 give almost the whole rank, and the basis narrows before the long stream.
+Over a field a streamed vector takes its last nonzero entry as its pivot
+too, so no basis vector holds an entry past its own pivot: clearing a new
+pivot from it cannot put one there.  Later leads then stay free to seed,
+and the columns of a basis copied into a derived top stay sparse.
 Because the basis is reduced, a batch is reduced by one gather of basis
 vectors; over F_2 the same gather also places the entries on positions
 that are not pivots, from a table that holds a unit vector for each.
@@ -422,6 +426,8 @@ def _abs_max(val) -> int:
 # The columns of b that one packed product takes at a time.  Its dense
 # result holds a uint64 word per column and word of a's packed rows: about
 # 1.3 MB for the largest top degree of the benchmark (ten words a column).
+# A chunk of a streamed top (``simplicial._STRIP_CHUNK`` cells) is one
+# product.
 _PRODUCT_CHUNK = 1 << 14
 
 
@@ -439,48 +445,76 @@ def is_zero_product(a: CooMatrix, b: CooMatrix, p: int = 0) -> bool:
     Raises LimitExceeded when w would reach 64.  Compact values of b are
     widened a chunk of columns at a time.  Mod p the product is built in
     int64 instead, a chunk of columns at a time, each chunk at most about
-    2^20 entries even if dense.
+    2^20 entries even if dense.  ``_ZeroProducts`` tests many b against
+    one a.
     """
-    if a.shape[1] != b.shape[0]:
-        raise ValueError("shape mismatch in product")
-    if a.nnz == 0 or b.nnz == 0:
+    return _ZeroProducts(a, p)(b)
+
+
+class _ZeroProducts:
+    """``is_zero_product(a, b, p)`` for one a and many b, as for d_{d-1}
+    and the chunks of a streamed top: max|a| is found once and the rows of
+    a are packed once, again only for a b that needs wider digits (wider
+    digits than needed give the same answer)."""
+
+    def __init__(self, a: CooMatrix, p: int = 0):
+        self.a, self.p = a, p
+        self.a_max = _abs_max(a.val) if a.nnz else 0
+        # The digit width the packed rows of a have, and the rows (over
+        # F_p: a as scipy takes it).
+        self.width, self.packed = 0, None
+
+    def __call__(self, b: CooMatrix) -> bool:
+        a = self.a
+        if a.shape[1] != b.shape[0]:
+            raise ValueError("shape mismatch in product")
+        if a.nnz == 0 or b.nnz == 0:
+            return True
+        start = _col_starts(b)
+        w = (self.a_max * _abs_max(b.val) * int(np.diff(start).max())
+             ).bit_length() + 1
+        if w >= 64:
+            raise LimitExceeded("a product of integer matrices has entries "
+                                "too large to test for zero in 64-bit words")
+        if self.p:
+            if self.packed is None:
+                self.packed = a.to_scipy()
+            return _is_zero_product_mod(self.packed, b, self.p, start)
+        if w > self.width:
+            g = 64 // w
+            self.packed = None  # dropped before the wider rows are built
+            packed = np.zeros((a.shape[1], -(-a.shape[0] // g)),
+                              dtype=np.uint64)
+            shift = (a.row % g * w).astype(np.uint64)
+            np.add.at(packed, (a.col, a.row // g),
+                      _as_uint64(a.val) << shift)
+            self.width, self.packed = w, packed
+        from scipy.sparse import csr_matrix
+        # scipy keeps int32 indices as given; int64 ones it scans and
+        # converts for every chunk.
+        if max(b.shape[0], b.nnz) < 1 << 31:
+            row = b.row.astype(np.int32, copy=False)
+            start = start.astype(np.int32)
+        else:
+            row = b.row.astype(np.int64, copy=False)
+        # The columns of b, a chunk at a time, are the rows of b's
+        # transpose.
+        for lo in range(0, b.shape[1], _PRODUCT_CHUNK):
+            hi = min(lo + _PRODUCT_CHUNK, b.shape[1])
+            s, e = start[lo], start[hi]
+            part = csr_matrix((_as_uint64(b.val[s:e]), row[s:e],
+                               start[lo:hi + 1] - s),
+                              shape=(hi - lo, b.shape[0]))
+            if (part @ self.packed).any():
+                return False
         return True
-    start = _col_starts(b)
-    w = (_abs_max(a.val) * _abs_max(b.val) * int(np.diff(start).max())
-         ).bit_length() + 1
-    if w >= 64:
-        raise LimitExceeded("a product of integer matrices has entries too "
-                            "large to test for zero in 64-bit words")
-    if p:
-        return _is_zero_product_mod(a, b, p, start)
-    g = 64 // w
-    packed = np.zeros((a.shape[1], -(-a.shape[0] // g)), dtype=np.uint64)
-    shift = (a.row % g * w).astype(np.uint64)
-    np.add.at(packed, (a.col, a.row // g), _as_uint64(a.val) << shift)
-    from scipy.sparse import csr_matrix
-    # scipy keeps int32 indices as given; int64 ones it scans and converts
-    # for every chunk.
-    if max(b.shape[0], b.nnz) < 1 << 31:
-        row = b.row.astype(np.int32, copy=False)
-        start = start.astype(np.int32)
-    else:
-        row = b.row.astype(np.int64, copy=False)
-    # The columns of b, a chunk at a time, are the rows of b's transpose.
-    for lo in range(0, b.shape[1], _PRODUCT_CHUNK):
-        hi = min(lo + _PRODUCT_CHUNK, b.shape[1])
-        s, e = start[lo], start[hi]
-        part = csr_matrix((_as_uint64(b.val[s:e]), row[s:e],
-                           start[lo:hi + 1] - s), shape=(hi - lo, b.shape[0]))
-        if (part @ packed).any():
-            return False
-    return True
 
 
-def _is_zero_product_mod(a: CooMatrix, b: CooMatrix, p: int, start) -> bool:
-    """is_zero_product mod p; ``start`` gives the column starts of b."""
+def _is_zero_product_mod(left, b: CooMatrix, p: int, start) -> bool:
+    """is_zero_product mod p, with ``left`` a as scipy takes it; ``start``
+    gives the column starts of b."""
     from scipy.sparse import csc_matrix
-    left = a.to_scipy()
-    step = max(1, min(_PRODUCT_CHUNK, (1 << 20) // a.shape[0]))
+    step = max(1, min(_PRODUCT_CHUNK, (1 << 20) // left.shape[0]))
     for lo in range(0, b.shape[1], step):
         hi = min(lo + step, b.shape[1])
         s, e = start[lo], start[hi]
@@ -549,17 +583,20 @@ class _PackedBits:
 
     @staticmethod
     def lead(v):
-        """The first nonzero position of v and v scaled to 1 there."""
-        word = int(np.flatnonzero(v)[0])
-        bits = int(v[word])
-        return word * 64 + (bits & -bits).bit_length() - 1, v
+        """The last nonzero position of v and v scaled to 1 there."""
+        word = int(np.flatnonzero(v)[-1])
+        return word * 64 + int(v[word]).bit_length() - 1, v
 
     @staticmethod
-    def held(vecs, slots):
-        """Whether any of the vectors is nonzero at each of the slots."""
-        word = np.bitwise_or.reduce(vecs, axis=0) if len(vecs) \
+    def union(vecs):
+        """Where any of the vectors is nonzero, as ``held`` reads it."""
+        return np.bitwise_or.reduce(vecs, axis=0) if len(vecs) \
             else np.zeros(vecs.shape[1], dtype=np.uint64)
-        return (word[slots >> 6] >> (slots & 63).astype(np.uint64)
+
+    @staticmethod
+    def held(union, slots):
+        """Whether the vectors of ``union`` are nonzero at each slot."""
+        return (union[slots >> 6] >> (slots & 63).astype(np.uint64)
                 & np.uint64(1)).astype(bool)
 
     @staticmethod
@@ -660,12 +697,16 @@ class _Residues:
             vecs[targets] - np.add.reduceat(terms, starts, axis=0))
 
     def lead(self, v):
-        s = int(np.flatnonzero(v)[0])
+        s = int(np.flatnonzero(v)[-1])
         return s, self.mod(v * pow(int(v[s]), self.p - 2, self.p))
 
     @staticmethod
-    def held(vecs, slots):
-        return vecs.any(axis=0)[slots]
+    def union(vecs):
+        return vecs.any(axis=0)
+
+    @staticmethod
+    def held(union, slots):
+        return union[slots]
 
     def scale(self, vecs, pivots):
         unique, back = np.unique(pivots, return_inverse=True)
@@ -810,6 +851,12 @@ class _EchelonBasis:
         # Over F_2, the table of _gather_table while the basis and the
         # slots stay as they are.
         self._table = None
+        # Where any basis vector is nonzero (``field.union``), kept as
+        # vectors are installed and found again, once it is asked for,
+        # after a step that changes the basis vectors or the slots.
+        self._union = None
+        # How many positions have no slot yet.
+        self.unslotted = 0
         self.extend(n)
 
     def extend(self, k, vectors=0):
@@ -826,11 +873,16 @@ class _EchelonBasis:
         self.code = np.concatenate(
             (self.code, np.full(k, _NO_SLOT, dtype=np.int64)))
         self.n = n
+        self.unslotted += k
         self._table = None
 
     def _give_slots(self, pos):
         """Give every position of pos that has no slot one, keeping the
         slots in position order; every vector is 0 at the new ones."""
+        # Once every position has a slot, as after the first chunks of
+        # most streamed tops, a chunk costs nothing here.
+        if not self.unslotted:
+            return
         new = np.zeros(self.n, dtype=bool)
         new[pos] = True
         new = np.flatnonzero(new & (self.code == _NO_SLOT))
@@ -844,7 +896,8 @@ class _EchelonBasis:
         self.code[cols[free]] = np.flatnonzero(free)
         self.cols = cols
         self.open += len(new)
-        self._table = None
+        self.unslotted -= len(new)
+        self._table = self._union = None
 
     def batch(self):
         """How many vectors fit, as stored now, in the cells of _BATCH
@@ -889,15 +942,19 @@ class _EchelonBasis:
         against that one's basis vector, so it comes in a later round;
         those entries lie above the pivot, so the rounds end.  A round
         scatters the free entries, gathers the installed rows for the
-        others and divides by the pivot.
+        others and divides by the pivot, for as many columns at a time as
+        a batch of the stream holds (``batch``).  The columns of one round
+        hold no entry at each other's pivots, so they install in any
+        grouping.
         """
         field = self.field
         end = np.ones(len(owner), dtype=bool)
         np.not_equal(owner[1:], owner[:-1], out=end[:-1])
         pivot = pos[end]
         seeded = self.code[pivot] >= 0
-        seeded[seeded] = ~field.held(self.rows[:self.rank],
-                                     self.code[pivot[seeded]])
+        if self._union is None:
+            self._union = field.union(self.rows[:self.rank])
+        seeded[seeded] = ~field.held(self._union, self.code[pivot[seeded]])
         taken = seeded[owner]
         live = taken & (val != 0)
         owner = (np.cumsum(seeded) - 1)[owner[live]]
@@ -914,11 +971,18 @@ class _EchelonBasis:
             ready = pending.copy()
             ready[needs[pending[needed]]] = False
             pending &= ~ready
+            lead = np.flatnonzero(ready)
             at = np.flatnonzero(ready[owner] & ~end)
-            vecs = self._reduced((np.cumsum(ready) - 1)[owner[at]], pos[at],
-                                 val[at], int(ready.sum()))
-            self._install(field.scale(vecs, pivot_val[ready]),
-                          self.code[pivot[ready]])
+            number = (np.cumsum(ready) - 1)[owner[at]]
+            step = self.batch()
+            cut = np.searchsorted(number, np.arange(0, len(lead), step))
+            for lo, s, e in zip(range(0, len(lead), step), cut,
+                                [*cut[1:], len(at)]):
+                group = lead[lo:lo + step]
+                vecs = self._reduced(number[s:e] - lo, pos[at[s:e]],
+                                     val[at[s:e]], len(group))
+                self._install(field.scale(vecs, pivot_val[group]),
+                              self.code[pivot[group]])
         self._narrow()
         return taken
 
@@ -1020,7 +1084,7 @@ class _EchelonBasis:
                                         np.arange(len(keep)), len(keep))
             self.cols = self.cols[keep]
             self.code[self.cols] = np.arange(len(keep), dtype=np.int64)
-            self._table = None
+            self._table = self._union = None
 
     def _add(self, head, rest):
         """Make the nonzero vectors of head, reduced against the basis,
@@ -1042,6 +1106,7 @@ class _EchelonBasis:
         if slots:
             block, slots = head[kept], np.array(slots, dtype=np.int64)
             field.clear_block((rest, self.rows[:self.rank]), block, slots)
+            self._union = None
             field.unset(block, slots)
             self._install(block, slots)
         if spare:
@@ -1058,6 +1123,8 @@ class _EchelonBasis:
             grown[:self.rank] = self.rows[:self.rank]
             self.rows = grown
         self.rows[self.rank:top] = block
+        if self._union is not None:
+            self._union |= self.field.union(block)
         self.code[self.cols[slots]] = -1 - np.arange(self.rank, top)
         self.rank = top
         self.open -= len(slots)
@@ -1103,6 +1170,8 @@ class _EchelonBasis:
         col = np.zeros(len(owner), dtype=np.int64)
         col[_run_starts(owner)[1:]] = 1
         np.cumsum(col, out=col)
+        # One part in place of the many, sharing its arrays with the matrix.
+        self.spare = [(self.rank, col, pos, val)]
         row = np.cumsum(self.code >= 0) - 1
         return CooMatrix((self.n - self.rank, int(col[-1]) + 1), row[pos],
                          col, val, _canonical=True)
@@ -1676,10 +1745,11 @@ def _stream_diagonal(basis: _EchelonBasis, ring: Ring) -> tuple[int, ...]:
 def stream_top(cx: ChainComplex, batches, spanning=None):
     """Stream the boundary of degree d = cx.degree_bound + 1, which cx does
     not hold, given by ``batches()`` as matrices of its columns in order.
-    Each is checked against d_{d-1} for d∘d = 0, goes into one echelon
-    basis on the rows (p = 0 over Z and Q), lead columns seeded, and is
-    dropped, so no more than one is held; the basis and the Smith diagonal
-    stay on cx.  A basis too large is refused (LimitExceeded) on every
+    Each is checked against d_{d-1} for d∘d = 0 (``_ZeroProducts``, which
+    packs d_{d-1} once for all of them), goes into one echelon basis on
+    the rows (p = 0 over Z and Q), lead columns seeded, and is dropped, so
+    no more than one is held; the basis and the Smith diagonal stay on
+    cx.  A basis too large is refused (LimitExceeded) on every
     ring.  If the int64 stream over Z or Q trips, a second pass builds the
     boundary whole, which cx then holds and the line engine takes.
 
@@ -1689,15 +1759,16 @@ def stream_top(cx: ChainComplex, batches, spanning=None):
     with d∘d = 0 taken mod p over F_p, where its columns are combinations
     mod p; the batches are then built only if the int64 stream trips."""
     d = cx.degree_bound + 1
-    below = cx.boundary(d - 1)
     p = cx.ring.p or 0
+    vanishes = _ZeroProducts(cx.boundary(d - 1),
+                             0 if spanning is None else p)
     seen = 0
     try:
         basis = _EchelonBasis(cx.rank(d - 1), p, cx.rank(d))
         for m in batches() if spanning is None else (spanning,):
             seen += m.shape[1]
             # A batch with the wrong number of rows fails the product.
-            if not is_zero_product(below, m, 0 if spanning is None else p):
+            if not vanishes(m):
                 raise IntegrityError(
                     f"boundary condition d*d != 0 at degree {d}")
             basis.absorb_columns(m)
@@ -1756,15 +1827,17 @@ def total_degree(idx) -> int:
 def join_strips(shape, parts: list, dtype=None) -> CooMatrix:
     """The matrix of ``shape`` whose entries are the column strips ``parts``,
     each (row, col, val) in canonical order, listed in column order and
-    concatenated in ``dtype``, or compact if they are.  The list is
-    emptied, and each of the three arrays of the strips is dropped once
-    it is copied out."""
+    concatenated in ``dtype``, or compact if they are; with no ``dtype``
+    a single strip is taken as it is.  The list is emptied, and each of
+    the three arrays of the strips is dropped once it is copied out."""
     fields = [list(a) for a in zip(*parts)] or [[], [], []]
     parts.clear()
     joined = []
     for arrays in fields:
-        joined.append(np.concatenate(
-            arrays or [np.empty(0, dtype=np.int64)], dtype=dtype))
+        joined.append(arrays[0] if len(arrays) == 1 and dtype is None
+                      else np.concatenate(
+                          arrays or [np.empty(0, dtype=np.int64)],
+                          dtype=dtype))
         arrays.clear()
     return CooMatrix(shape, *joined, _canonical=True)
 

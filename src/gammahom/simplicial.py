@@ -12,9 +12,10 @@ with one alternating face sum per direction, each with its Koszul sign,
 assembled level by level into column strips of the total boundary.  This
 avoids the multiplicative cell blow-up of diagonal simplicial sets while
 computing the same homology.  Over every ring the strips of the top
-degree are built a chunk of cells at a time and go into the rank in
-compact batches that are then dropped, as in the out-of-core elimination
-of simplicial boundaries of Dumas, Heckenbach, Saunders and Welker (2003).
+degree are built a chunk of cells at a time, and each chunk goes into the
+rank as a compact batch that is then dropped, as in the out-of-core
+elimination of simplicial boundaries of Dumas, Heckenbach, Saunders and
+Welker (2003).
 In the stable range of a delooping tower no top strip is built: every top
 cell of level n has some delooping coordinate 1 and lies in a copy of level
 n - 1, so the top is spanned by copies of the columns that span the top of
@@ -45,19 +46,15 @@ MultiIndex = tuple[int, ...]
 
 DEFAULT_CELL_BUDGET = 2_000_000
 
-# A strip is built this many cells at a time, so that the temporaries of
-# its face keys stay small next to the batch that holds its entries.
-_STRIP_CHUNK = 1 << 15
-
-# The top boundary streams into a field rank in batches of at most this
-# many columns, a multi-index split between batches at the end of a chunk
-# of its cells.  Each batch seeds its own lead pivots, so smaller batches
-# seed fewer: the 4557-row boundary of the largest benchmark level seeds
-# 4262 leads in five batches, against 4314 in three batches of whole
-# multi-indices, at the same rank time; with batches of about 2^16 columns
-# it seeded 4195 and its rank took 0.218 s instead of 0.163 s.  Absorbing
-# each multi-index alone cost 20-40 % of the em-fields batch time.
-_TOP_BATCH = 1 << 17
+# A strip is built this many cells at a time, and the top boundary streams
+# into the rank one such chunk at a time, so that its batch and the
+# temporaries of its face keys stay small.  Each chunk seeds its own lead
+# pivots, so smaller chunks seed fewer: the 4557 x 503524 top of the
+# largest benchmark level seeds 4116 leads in chunks of 2^13 cells, 4174
+# in chunks of 2^14 and 4194 in chunks of 2^15, while the stream's traced
+# peak above entry is 4.6, 6.2 and 7.7 MB (15.1 MB in batches of up to
+# 2^17 columns).
+_STRIP_CHUNK = 1 << 14
 
 
 def raised(idx: MultiIndex, j: int) -> MultiIndex:
@@ -448,7 +445,7 @@ class NormalizedChains:
     multi-index gets its column strip of the total boundary, all directions
     at once with their Koszul signs.  The strips up to degree_bound are
     kept (``strips``); those of the top degree, the largest, are built when
-    asked for.  ``homology`` streams the top degree into the rank a batch
+    asked for.  ``homology`` streams the top degree into the rank a chunk
     at a time (``top_batches``), so its boundary is never held whole;
     ``complex`` concatenates them all, for ``dump`` and for tests.
 
@@ -507,11 +504,18 @@ class NormalizedChains:
         """(idx, strip) for each multi-index of total degree d >= 1 that has
         cells, in layout order; a strip is built when asked for."""
         for idx in self.multicomplex.by_degree.get(d, ()):
-            if len(self.codes[idx]):
-                chunks = list(self._face_chunks(
-                    idx, self.codes[idx], self.multicomplex.offsets[idx]))
-                yield idx, tuple(np.concatenate(a) for a in zip(*chunks)) \
-                    if chunks else (np.empty(0, dtype=np.int64),) * 3
+            codes = self.codes[idx]
+            if not len(codes):
+                continue
+            faces = self._faces(idx)
+            if faces is None:
+                yield idx, (np.empty(0, dtype=np.int64),) * 3
+                continue
+            first = self.multicomplex.offsets[idx]
+            chunks = [self._face_chunk(faces, codes[lo:lo + _STRIP_CHUNK],
+                                       first + lo)
+                      for lo in range(0, len(codes), _STRIP_CHUNK)]
+            yield idx, tuple(np.concatenate(a) for a in zip(*chunks))
 
     def _faces(self, idx):
         """The faces of level idx, fetched once for all its strips: (rows,
@@ -539,60 +543,75 @@ class NormalizedChains:
             parity ^= idx[j] & 1
         return (rows, len(slots), slots) if slots else None
 
-    def _face_chunks(self, idx, src_codes, first, faces=None):
-        """The columns of the cells ``src_codes`` of level idx in the total
+    def _face_chunk(self, faces, codes, first=0):
+        """The columns of the cells ``codes`` of a level in the total
         boundary, numbered from column ``first``: the face sums
-        sum_i (-1)^i d_i of every direction j, with the Koszul sign.  Yields
-        (row, col, val) in canonical order and compact (int8 values, int32
-        indices where the layout fits), one chunk of at most _STRIP_CHUNK
-        cells at a time; nothing if no face reaches a cell.
+        sum_i (-1)^i d_i of every direction j, with the Koszul sign, for
+        the level's ``faces`` (``_faces``).  Returns (row, col, val) in
+        canonical order and compact (int8 values, int32 indices where the
+        layout fits).  Takes at most _STRIP_CHUNK cells, so that every
+        temporary is a few arrays over that chunk.
 
-        In a chunk, slot (c, t) holds 2 * row + (sign is -1) for the t-th
-        face of cell c, and the slots of one cell are sorted along a short
-        axis: the faces of one direction that coincide fall next to each
-        other and merge into one entry (they cancel or add to +-2), and
-        the entries come out in canonical order with no sort of the whole
-        strip.  Faces of different directions lie in different levels, so
-        they never merge.  A face that is the basepoint or degenerate gets
-        a row of ``rows`` or more.
+        Slot (c, t) holds 2 * row + (sign is -1) for the t-th face of cell
+        c, and the slots of one cell are sorted along the short axis: the
+        faces of one direction that coincide fall next to each other and
+        merge into one entry (they cancel or add to +-2), and the entries
+        come out in canonical order with no sort of the whole strip.
+        Faces of different directions lie in different levels, so they
+        never merge.  A face that is the basepoint or degenerate gets a row
+        of ``rows`` or more.
         """
-        faces = faces or self._faces(idx)
-        if faces is None:
-            return
         rows, k, slots = faces
         # An entry sums at most k faces of +-1.
-        value = np.int8 if k <= np.iinfo(np.int8).max else np.int64
-        for lo in range(0, len(src_codes), _STRIP_CHUNK):
-            # Cast once: every face gathers at these codes, and numpy casts
-            # an int32 index array to intp on each gather.
-            chunk = src_codes[lo:lo + _STRIP_CHUNK].astype(np.intp,
-                                                            copy=False)
-            # The slots are filled one face at a time, a contiguous line each.
-            key = np.empty((k, len(chunk)), dtype=self._index)
-            for line, (where, face, sign) in zip(key, slots):
-                np.take(where, face.take(chunk), out=line)
-                line += sign
-            key = key.T.copy()
-            key.sort(axis=1)
-            key = key.reshape(-1)
-            real = key < 2 * rows
-            # A slot starts an entry unless it repeats the row of the slot
-            # before it in its column; an entry sums the signs of its slots.
-            # Repeats are rare on boundaries (under 0.1 % of the entries of
-            # the largest strip of the benchmark), so they are added one by
-            # one.
-            starts = real.copy()
-            starts[1:] &= (key[1:] ^ key[:-1]) > 1
-            starts[::k] = real[::k]
-            head = np.flatnonzero(starts)
-            val = (1 - 2 * (key[head] & 1)).astype(value)
-            again = np.flatnonzero(real & ~starts)
-            np.add.at(val, np.searchsorted(head, again, "right") - 1,
-                      (1 - 2 * (key[again] & 1)).astype(value))
-            keep = np.flatnonzero(val)
-            yield (key[head[keep]] >> 1,
-                   (head[keep] // k + (first + lo)).astype(self._index),
-                   val[keep])
+        value = np.int8 if k < 128 else np.int64
+        # Every face gathers at these codes, and numpy casts an int32
+        # index array to a new intp one on each gather: cast once, and put
+        # the images of a map held as an int32 table into one intp buffer.
+        codes = codes.astype(np.intp, copy=False)
+        image = np.empty(len(codes), dtype=np.intp)
+        # Each face fills its slot of every cell, a column of the keys.
+        key = np.empty((len(codes), k), dtype=self._index)
+        for line, (where, face, sign) in zip(key.T, slots):
+            got = face.take(codes)
+            if got.dtype != image.dtype:
+                image[...] = got
+                got = image
+            np.take(where, got, out=line)
+            line += sign
+        del image
+        key.sort(axis=1)
+        key = key.reshape(-1)
+        # A slot starts an entry unless it repeats the row of the slot
+        # before it in its cell; an entry sums the signs of its slots.
+        # Repeats are rare on boundaries (under 0.1 % of the entries of the
+        # largest strip of the benchmark), so they are added one by one.
+        real = key < 2 * rows
+        starts = real.copy()
+        starts[1:] &= (key[1:] ^ key[:-1]) > 1
+        starts[::k] = real[::k]
+        again = np.flatnonzero(real & ~starts)
+        del real
+        per_cell = starts.reshape(-1, k).sum(axis=1)
+        row = key[starts]
+        # The sign bit b of each entry gives the value 1 - 2b.
+        val = (row & 1).astype(value)
+        val *= -2
+        val += 1
+        row >>= 1
+        col = np.repeat(np.arange(first, first + len(codes),
+                                  dtype=self._index), per_cell)
+        if len(again):
+            # The entry a repeat adds to is the last one its cell starts
+            # before it.
+            cell, t = np.divmod(again, k)
+            before = np.count_nonzero(starts.reshape(-1, k)[cell]
+                                      & (np.arange(k) < t[:, None]), axis=1)
+            np.add.at(val, np.cumsum(per_cell)[cell] - per_cell[cell]
+                      + before - 1, (1 - 2 * (key[again] & 1)).astype(value))
+            keep = val != 0
+            if not keep.all():
+                row, col, val = row[keep], col[keep], val[keep]
+        return row, col, val
 
     def complex(self, ring: Ring) -> ChainComplex:
         """The total complex, top boundary included; for ``dump`` and tests."""
@@ -608,32 +627,30 @@ class NormalizedChains:
 
     def top_batches(self):
         """The boundary of the top degree, degree_bound + 1, as compact
-        matrices of its columns in layout order, at most _TOP_BATCH columns
-        a batch, each batch's columns numbered from its first.  A batch is
-        built when asked for, a chunk of cells at a time; a multi-index is
-        split between batches at the ends of its chunks of _STRIP_CHUNK
-        cells (or _TOP_BATCH, if fewer), and its faces are fetched once.
-        So the chunks of one batch at a time are held."""
+        matrices of its columns in layout order, each numbered from its
+        first column and built when asked for.  A matrix holds at most
+        _STRIP_CHUNK cells: one chunk of the cells of a multi-index, or
+        the cells of consecutive multi-indices that fit in one chunk
+        together, whose columns are then copied into one matrix (a chunk
+        alone is not copied).  The faces of a multi-index are fetched
+        once.  So one chunk at a time is held."""
         d = self.degree_bound + 1
         layout = self.multicomplex
         rows = layout.degree_ranks.get(d - 1, 0)
-        step = min(_STRIP_CHUNK, _TOP_BATCH)
-        lo, parts = 0, []  # the first column of the batch being built
+        parts, width = [], 0  # the columns of the matrix being built
         for idx in layout.by_degree.get(d, ()):
             codes = self.codes[idx]
-            if not len(codes):
-                continue
-            faces = self._faces(idx)
-            for at in range(0, len(codes), step):
-                first = layout.offsets[idx] + at
-                if first + min(step, len(codes) - at) - lo > _TOP_BATCH:
-                    yield join_strips((rows, first - lo), parts)
-                    lo = first
+            faces = self._faces(idx) if len(codes) else None
+            for lo in range(0, len(codes), _STRIP_CHUNK):
+                chunk = codes[lo:lo + _STRIP_CHUNK]
+                if width + len(chunk) > _STRIP_CHUNK:
+                    yield join_strips((rows, width), parts)
+                    parts, width = [], 0
                 if faces is not None:
-                    parts.extend(self._face_chunks(
-                        idx, codes[at:at + step], first - lo, faces))
-        if layout.degree_ranks.get(d, 0) > lo:
-            yield join_strips((rows, layout.degree_ranks[d] - lo), parts)
+                    parts.append(self._face_chunk(faces, chunk, width))
+                width += len(chunk)
+        if width:
+            yield join_strips((rows, width), parts)
 
     def homology(self, ring: Ring) -> HomologyTable:
         """Homology up to degree_bound."""
@@ -716,9 +733,10 @@ class NormalizedChains:
 
 def _index_of(codes, points):
     """An array over the points of a cell: i at the point codes[i], and
-    len(codes) at every other point (the basepoint and degenerate cells)."""
-    where = np.full(points, len(codes), dtype=np.int64)
-    where[codes] = np.arange(len(codes))
+    len(codes) at every other point (the basepoint and degenerate cells).
+    It takes the type of the cell's codes: int32 below 2^31 points."""
+    where = np.full(points, len(codes), dtype=gamma.code_type(points))
+    where[codes] = np.arange(len(codes), dtype=where.dtype)
     return where
 
 
@@ -769,7 +787,8 @@ def _block(f: MSMap, src: NormalizedChains, tgt: NormalizedChains,
         if pos is None:
             continue
         cols = np.flatnonzero(pos < len(tgt.codes[idx]))
-        m = CooMatrix((len(tgt.codes[idx]), len(pos)), pos[cols], cols,
+        m = CooMatrix((len(tgt.codes[idx]), len(pos)),
+                      pos[cols].astype(np.int64), cols,
                       np.ones(len(cols), dtype=np.int64), _canonical=True)
         parts.append((tgt_layout.offsets[idx], src_layout.offsets[idx], m, 1))
     return place_blocks((tgt_layout.degree_ranks.get(d, 0),
@@ -807,6 +826,7 @@ def _commuting(f: MSMap, src: NormalizedChains, tgt: NormalizedChains,
             first += count
             done += count
         yield m
+        del m, starts  # dropped before the next batch is built
 
 
 def _check_image_columns(f, tgt, d, idx, m, starts, first, image, faces,
@@ -833,9 +853,8 @@ def _check_image_columns(f, tgt, d, idx, m, starts, first, image, faces,
         if faces is not None:
             chunk = image[lo:lo + width]
             hit = np.flatnonzero(chunk < len(tgt_codes))
-            # At most _STRIP_CHUNK cells: one chunk, if any.
-            for r, c, v in tgt._face_chunks(idx, tgt_codes[chunk[hit]], 0,
-                                             faces):
+            if len(hit):
+                r, c, v = tgt._face_chunk(faces, tgt_codes[chunk[hit]])
                 want = CooMatrix((rows, width), r, hit[c], v,
                                  _canonical=True)
         if got != want:

@@ -448,11 +448,10 @@ def check_refusals():
 
 
 def split_batches(monkeypatch):
-    """Top batches of at most 5 columns, multi-indices split after every 2
+    """Top batches of at most 2 cells, multi-indices split after every 2
     cells and image checks 2 cells at a time.  Returns a list that records
     (map name, degree, idx) for each image check: a multi-index checked
     more than once in a degree spans batches."""
-    monkeypatch.setattr(simplicial, "_TOP_BATCH", 5)
     monkeypatch.setattr(simplicial, "_STRIP_CHUNK", 2)
     checks = []
     check = simplicial._check_image_columns
@@ -812,7 +811,6 @@ def test_integral_top_stream_falls_back_to_the_whole_boundary(monkeypatch):
     # torus has rational homology in the top degree, so over Q the iso test
     # ranks M there.  Small batches put each top's columns in several.
     from gammahom import chains
-    monkeypatch.setattr(simplicial, "_TOP_BATCH", 100)
     monkeypatch.setattr(simplicial, "_STRIP_CHUNK", 30)
     maps = [(TOWER_MAPS["wedge fold(ab:2) level 2"][0], 3),
             (MAPS["id(circle x circle)"][0], 1)]
@@ -888,25 +886,28 @@ def test_top_batches_split_the_top_boundary_at_chunk_ends(monkeypatch):
     layout, top = nc.multicomplex, 7
     assert any(not len(nc.codes[idx]) for idx in layout.by_degree[top])
     want = nc.complex(GF(2)).boundary(top)
-    # A batch may end where a multi-index ends or after a chunk of 30 of
-    # its cells; the multi-indices of 193 cells span batches.
+    # A batch holds at most a chunk of 30 cells, and ends where a
+    # multi-index ends or after a chunk of 30 of its cells; the
+    # multi-indices of 193 cells span batches, and each chunk of them is
+    # a batch of its own.
     ends = {layout.offsets[idx] + layout.ranks[idx]
             for idx in layout.by_degree[top]}
     chunk_ends = {layout.offsets[idx] + c for idx in layout.by_degree[top]
                   for c in range(30, layout.ranks[idx], 30)}
-    monkeypatch.setattr(simplicial, "_TOP_BATCH", 100)
     monkeypatch.setattr(simplicial, "_STRIP_CHUNK", 30)
     batches = list(nc.top_batches())
     assert len(batches) > 2
     lo, parts, inside = 0, [], 0
     for m in batches:
         assert m.shape[0] == want.shape[0]
-        assert 0 < m.shape[1] <= 100
+        assert 0 < m.shape[1] <= 30
         parts.append((m.row, m.col + lo, m.val))
         lo += m.shape[1]
         assert lo in ends | chunk_ends
         inside += lo not in ends
     assert inside
+    assert chunk_ends <= {lo for lo in itertools.accumulate(
+        m.shape[1] for m in batches)}
     assert lo == want.shape[1]
     row, col, val = (np.concatenate(a) for a in zip(*parts))
     assert CooMatrix(want.shape, row, col, val, _canonical=True) == want
@@ -997,6 +998,74 @@ def test_streamed_homology_holds_one_batch_of_the_top_degree():
         ring))
     assert whole == streamed == want
     assert streamed_peak < 0.6 * whole_peak, (streamed_peak, whole_peak)
+
+
+def test_a_streamed_top_holds_one_chunk_at_a_time():
+    # mu(2)*ab:2 level 3 up to degree 5: the top boundary is 702 x 84330.
+    # Once the structure maps are built, streaming it allocates a few MB
+    # above what was held on entry: one chunk of cells and the basis.
+    # With each chunk copied into a batch of up to 2^17 columns, the
+    # stream allocated 13.2 MB.
+    nc = NormalizedChains(spectrum_level(parse_space("mu(2)*ab:2"), 3), 5)
+    cx = nc.lower(GF(2))
+    widths = [m.shape[1] for m in nc.top_batches()]  # builds the maps
+    gc.collect()
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        stream_top(cx, nc.top_batches)
+        above = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert above < 8e6, above
+    assert len(cx.diagonal(6)) == 676
+    assert sum(widths) == 84330 and len(widths) > 1
+    assert max(widths) <= simplicial._STRIP_CHUNK
+
+
+@pytest.mark.parametrize("ring", [GF(2), GF(3), ZZ], ids=str)
+def test_a_top_failing_d_squared_in_a_later_chunk_is_refused(monkeypatch,
+                                                              ring):
+    # ab:2 level 2 up to degree 3, with a face of the last top cell sent
+    # to the basepoint: its column loses a face whose boundary is not 0,
+    # so d*d != 0 there alone.  In chunks of 2 cells that column comes in
+    # the last of many chunks, each tested against d_3 packed once.
+    monkeypatch.setattr(simplicial, "_STRIP_CHUNK", 2)
+    x = spectrum_level(parse_space("ab:2"), 2)
+    nc = NormalizedChains(x, 3)
+    whole = nc.complex(ring)
+    at = [idx for idx in nc.multicomplex.by_degree[4]
+          if len(nc.codes[idx])][-1]
+    code = int(nc.codes[at][-1])
+    below = whole.boundary(3).to_dense()
+    j, i = next((j, i) for j in range(2) for i in range(at[j] + 1)
+                if at[j] and _live_face_with_boundary(
+                    nc, x.face(at, j, i), lowered(at, j), code, below))
+
+    def face(idx, jj, ii):
+        f = x.face(idx, jj, ii)
+        if (idx, jj, ii) != (at, j, i):
+            return f
+        table = f.as_array.copy()
+        table[code] = 0
+        return PointedMap(f.source, f.target, table)
+
+    broken = NormalizedChains(MSSet(2, x.cell, face, x.degeneracy), 3)
+    assert len(list(broken.top_batches())) > 2
+    with pytest.raises(IntegrityError, match=r"d\*d != 0 at degree 4"):
+        broken.homology(ring)
+    assert nc.homology(ring) == homology(whole)
+
+
+def _live_face_with_boundary(nc, face, idx, code, below):
+    """Whether face sends the cell ``code`` to a cell of level idx whose
+    column in ``below`` (a dense boundary) is not 0."""
+    image = int(face.take(np.array([code]))[0])
+    where = np.flatnonzero(nc.codes[idx] == image)
+    if not len(where):
+        return False
+    col = nc.multicomplex.offsets[idx] + int(where[0])
+    return any(line[col] for line in below)
 
 
 def reduced_level(x, n, bound, ring, below=None):

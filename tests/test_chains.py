@@ -207,6 +207,27 @@ def test_zero_product_against_python_integer_products():
         is_zero_product(CooMatrix.identity(2), CooMatrix.identity(3))
 
 
+def test_zero_products_of_one_a_widen_their_digits_when_asked():
+    # The rows of the identity are packed once, two bits a digit for b's
+    # of one entry +-1 a column.  The column (4, -1) needs wider digits:
+    # with two-bit ones it reads 4 + (-1) * 2^2 = 0 in the word.  Mod p
+    # a is taken once, whatever b asks.
+    from gammahom.chains import _ZeroProducts
+    tests = _ZeroProducts(CooMatrix.identity(2))
+    assert not tests(CooMatrix.identity(2))
+    assert tests.width == 2
+    assert not tests(CooMatrix((2, 1), [0, 1], [0, 0], [4, -1]))
+    assert tests.width == 5
+    assert not tests(CooMatrix.identity(2))
+    assert tests.width == 5
+    assert tests(CooMatrix.zero((2, 3)))
+    mod3 = _ZeroProducts(CooMatrix.identity(2), 3)
+    assert mod3(CooMatrix((2, 1), [0, 1], [0, 0], [3, -6]))
+    assert not mod3(CooMatrix((2, 1), [0, 1], [0, 0], [4, -1]))
+    with pytest.raises(ValueError):
+        tests(CooMatrix.identity(3))
+
+
 def test_integer_products_refuse_to_wrap():
     # 2^32 * 2^32 is 2^64, which int64 and uint64 both wrap to 0.
     from gammahom.chains import coo_mul, is_zero_product
